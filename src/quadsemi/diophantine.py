@@ -14,13 +14,18 @@ code, so the case table can be audited without reading source
 overrides the file path).
 
 Everything below depends only on x^2, y^2, s^2, t^2, so solutions are stored
-canonically with x, y >= 0 and s, t signed.
+canonically with x, y >= 0 and s, t signed.  The bounded solver uses the
+same symmetry to scan only s, t >= 0 and expand the signs afterwards, and it
+scans a sandwich window instead of the (s, t) grid: for fixed t, y^2 must lie
+within bound^2 of a value of size ~t^4, so only about bound^2 / (2 t^2)
+candidates for y remain, each fixing s by one exact square test.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -309,33 +314,52 @@ def registry(path: str | None = None, validate_claims: bool = True) -> list[Lemm
     return entries
 
 
-def registry_by_id(path: str | None = None) -> dict[str, LemmaEntry]:
-    return {e.id: e for e in registry(path)}
-
-
 def solve_system_bounded(
     system: System, bound: int
 ) -> set[tuple[int, int, int, int]]:
-    """Exhaustive canonical solutions (x>=0, y>=0, s, t) with |s|, |t| <= bound."""
+    """Exhaustive canonical solutions (x>=0, y>=0, s, t) with |s|, |t| <= bound.
+
+    Both equations depend on s and t only through s^2 and t^2, so the scan
+    covers s, t >= 0 and expands the signs afterwards.  With the right
+    selector written R(s) = sigma*s^2 + rho (sigma = +-1), fixing t turns the
+    right equation into y^2 = sigma*s^2 + k with k = rho - B(t), so y^2 lies
+    in a window of width bound^2 next to k.  Once |k| ~ t^4 is large only
+    about bound^2 / (2 t^2) values of y fit (a value strictly between
+    consecutive squares is no square), and each one determines s by a single
+    square test; while the window still holds more than bound + 1 values of
+    y, s is scanned directly instead.  The cost is O(bound^1.5) exact square
+    tests instead of the full grid's O(bound^2).
+    """
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    qs = range(-bound, bound + 1)
     left_sel = _SELECTORS[system.left]
-    right_sel = _SELECTORS[system.right]
-    left_vals = {t: left_sel(t) for t in qs}
-    right_const = {t: system.right_constant(t) for t in qs}
+    rho = _SELECTORS[system.right](0)
+    sigma = _SELECTORS[system.right](1) - rho
+    span = bound * bound
     sols: set[tuple[int, int, int, int]] = set()
-    for s in qs:
-        a = system.left_constant(s)
-        r = right_sel(s)
-        for t in qs:
-            x = is_perfect_square(left_vals[t] - a)
+    for t in range(bound + 1):
+        lt = left_sel(t)
+        k = rho - system.right_constant(t)
+        lo, hi = (k, k + span) if sigma > 0 else (k - span, k)
+        if hi < 0:
+            continue
+        y_min = math.isqrt(lo - 1) + 1 if lo > 0 else 0
+        y_max = math.isqrt(hi)
+        if y_max - y_min + 1 > bound + 1:
+            pairs = ((s, is_perfect_square(sigma * s * s + k))
+                     for s in range(bound + 1))
+        else:
+            pairs = ((is_perfect_square(sigma * (y * y - k)), y)
+                     for y in range(y_min, y_max + 1))
+        for s, y in pairs:
+            if s is None or y is None:
+                continue
+            x = is_perfect_square(lt - system.left_constant(s))
             if x is None:
                 continue
-            y = is_perfect_square(r - right_const[t])
-            if y is None:
-                continue
-            sols.add((x, y, s, t))
+            for ss in {s, -s}:
+                for tt in {t, -t}:
+                    sols.add((x, y, ss, tt))
     return sols
 
 
@@ -417,17 +441,19 @@ def quartic_curve_points(
 ) -> list[tuple[int, int]]:
     """All (q, y) with |q| <= bound, y >= 0 and y^2 = a4 q^4 + a2 q^2 + a0.
 
-    A bounded spot check of the known point lists for these curves, not a
-    completeness proof.
+    The curve depends on q only through q^2, so q >= 0 is scanned and each
+    hit with q > 0 is mirrored to -q; points come in ascending q.  A bounded
+    spot check of the known point lists for these curves, not a completeness
+    proof.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     pts = []
-    for q in range(-bound, bound + 1):
+    for q in range(bound + 1):
         y = is_perfect_square(a4 * q**4 + a2 * q * q + a0)
         if y is not None:
             pts.append((q, y))
-    return pts
+    return [(-q, y) for q, y in reversed(pts) if q > 0] + pts
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@ import shutil
 
 import pytest
 
+from quadsemi.arith import is_perfect_square
 from quadsemi.diophantine import (
+    _SELECTORS,
     RegistryError,
     SolutionFamily,
     System,
@@ -19,6 +21,28 @@ from quadsemi.diophantine import (
 )
 
 REGISTRY_SHA256 = "bf5afa0bbcbc485914a3ca1545848da3895a461aa5f37d8ca76c41bd6f763124"
+
+
+def grid_reference(system, bound):
+    """Slow reference for solve_system_bounded: square tests on the whole (s, t) grid."""
+    qs = range(-bound, bound + 1)
+    left_sel = _SELECTORS[system.left]
+    right_sel = _SELECTORS[system.right]
+    left_vals = {t: left_sel(t) for t in qs}
+    right_const = {t: system.right_constant(t) for t in qs}
+    sols = set()
+    for s in qs:
+        a = system.left_constant(s)
+        r = right_sel(s)
+        for t in qs:
+            x = is_perfect_square(left_vals[t] - a)
+            if x is None:
+                continue
+            y = is_perfect_square(r - right_const[t])
+            if y is None:
+                continue
+            sols.add((x, y, s, t))
+    return sols
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +141,13 @@ def test_solve_system_bounded_examples(by_id):
     assert solve_system_bounded(by_id["case1.2"].system, 0) == {(0, 0, 0, 0)}
 
 
+@pytest.mark.parametrize("bound", [0, 1, 2, 7, 60, 150])
+def test_solver_equals_grid_reference(entries, bound):
+    # the 48 entries are every legal (family, left, right) system
+    for e in entries:
+        assert solve_system_bounded(e.system, bound) == grid_reference(e.system, bound), e.id
+
+
 def test_verify_lemma_examples(by_id):
     assert verify_lemma(by_id["case1.1"], 50).matched
     v = verify_lemma(by_id["case2.13"], 50)
@@ -154,7 +185,7 @@ def test_mod_tagged_entries_also_have_empty_solution_sets(entries):
 def test_verify_all_at_extended_bound(entries):
     from quadsemi.diophantine import verify_all
 
-    results = verify_all(entries, bound=500)
+    results = verify_all(entries, bound=5000)
     mismatched = [r.entry_id for r in results if not r.matched]
     assert mismatched == []
 
