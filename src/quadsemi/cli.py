@@ -445,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-T", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--weights", default=None,
-                   help="comma-separated positive weights (default uniform)")
+                   help="comma-separated positive finite weights (default uniform)")
     p.set_defaults(handler=cmd_mc_stability)
 
     p = sub.add_parser("cross-validate", parents=[common],

@@ -10,16 +10,26 @@ with one entry per letter.  If no entry is a perfect square, the composed
 polynomial is irreducible over the rationals.  The converse does not hold,
 so a word with a square in its orbit gets the verdict "unknown", never
 "reducible".
+
+Entries grow doubly exponentially (about 11,000 bits at length 12 with
+|c| <= 50), so the certificate first evaluates each entry modulo the square
+sieve's modulus M with small-integer arithmetic (`arith._SIEVE_MODULUS`).
+A square is a square modulo every divisor of M, so an entry whose residue
+fails a factor's quadratic-residue table is proved a nonsquare.  Only an
+entry that passes every table is built exactly and tested with `isqrt`,
+and every reported square and root comes from that exact entry.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import Iterator, Sequence
 
 from ._util import parallel_map
-from .arith import is_perfect_square
+from .arith import _SIEVE_MODULUS, _passes_square_sieve, is_perfect_square
 
 DEFAULT_DEGREE_CAP = 256
 DEFAULT_SCAN_BUDGET = 1 << 20
@@ -105,31 +115,54 @@ def _check_word(gens: GeneratorSet, word: Sequence[int]) -> None:
             raise ValueError(f"word index {i} out of range for {k} generators")
 
 
-def _orbit_entries(gens: GeneratorSet, word: Sequence[int]) -> Iterator[int]:
-    """Yield the adjusted critical orbit entries of `word` lazily."""
-    maps = gens.maps
-    yield -maps[word[0]].c
-    for k in range(2, len(word) + 1):
-        v = 0
+def _entry(cs: Sequence[int], word: Sequence[int], k: int, modulus: int = 0) -> int:
+    """Orbit entry k (1-based) of `word`: exact, or reduced mod `modulus` if nonzero.
+
+    Entry k depends only on the first k letters.  Mod `modulus` no
+    intermediate value exceeds modulus**2.
+    """
+    if k == 1:
+        v = -cs[word[0]]
+        return v % modulus if modulus else v
+    v = 0
+    if modulus:
         for j in range(k - 1, -1, -1):
-            v = maps[word[j]](v)
-        yield v
+            v = (v * v + cs[word[j]]) % modulus
+    else:
+        for j in range(k - 1, -1, -1):
+            v = v * v + cs[word[j]]
+    return v
+
+
+def _entry_root(cs: Sequence[int], word: Sequence[int], k: int) -> int | None:
+    """Root of orbit entry k if that entry is a perfect square, else None.
+
+    The sieve sees the entry mod M; only an entry that passes it is built
+    exactly and tested with `is_perfect_square`.
+    """
+    if not _passes_square_sieve(_entry(cs, word, k, _SIEVE_MODULUS)):
+        return None
+    return is_perfect_square(_entry(cs, word, k))
 
 
 def adjusted_critical_orbit(gens: GeneratorSet, word: Sequence[int]) -> list[int]:
     """The full orbit [-f1(0), f1(f2(0)), ..., f1(...fn(0))] for the word."""
     _check_word(gens, word)
-    return list(_orbit_entries(gens, word))
+    cs = gens.cs
+    return [_entry(cs, word, k) for k in range(1, len(word) + 1)]
 
 
 def stability_certificate(gens: GeneratorSet, word: Sequence[int]) -> StabilityVerdict:
     """Certify irreducibility of the composed word by scanning its orbit for squares.
 
+    Each entry is sieved mod M first; a sieve rejection proves the entry a
+    nonsquare, because a square stays a square modulo every divisor of M.
     Stops at the first perfect square; entries after it are never computed.
     """
     _check_word(gens, word)
-    for k, entry in enumerate(_orbit_entries(gens, word), start=1):
-        r = is_perfect_square(entry)
+    cs = gens.cs
+    for k in range(1, len(word) + 1):
+        r = _entry_root(cs, word, k)
         if r is not None:
             return StabilityVerdict(False, first_square_index=k, witness_root=r)
     return _CERTIFIED
@@ -176,7 +209,9 @@ def scan_words(
 
     Dictionary order lists each word before its extensions, then moves to the
     next sibling; verdicts are shared down the tree, so a prefix whose orbit
-    already contains a square settles its whole subtree for free.
+    already contains a square settles its whole subtree for free.  A new
+    word's last entry is sieved mod M before it is built exactly, as in
+    `stability_certificate`, so a certified word costs no big-integer work.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
@@ -185,7 +220,7 @@ def scan_words(
     if total > budget:
         raise ValueError(f"{total} words exceed the scan budget {budget}")
     out: list[tuple[tuple[int, ...], StabilityVerdict]] = []
-    maps = gens.maps
+    cs = gens.cs
 
     # explicit preorder DFS; inherited=None marks a square-free prefix
     stack: list[tuple[tuple[int, ...], StabilityVerdict | None]] = [((), None)]
@@ -200,14 +235,7 @@ def scan_words(
             w2 = word + (i,)
             verdict = inherited
             if verdict is None:
-                if len(w2) == 1:
-                    entry = -maps[i].c
-                else:
-                    v = 0
-                    for j in range(len(w2) - 1, -1, -1):
-                        v = maps[w2[j]](v)
-                    entry = v
-                r = is_perfect_square(entry)
+                r = _entry_root(cs, w2, len(w2))
                 if r is not None:
                     verdict = StabilityVerdict(False, len(w2), r)
             children.append((w2, verdict))
@@ -231,8 +259,8 @@ class SequenceSampler:
     def __post_init__(self) -> None:
         if not self.weights:
             raise ValueError("sampler needs at least one weight")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError(f"all weights must be positive, got {self.weights}")
+        if not all(math.isfinite(w) and w > 0 for w in self.weights):
+            raise ValueError(f"all weights must be positive and finite, got {self.weights}")
 
     @classmethod
     def uniform(cls, k: int, seed: int) -> "SequenceSampler":
@@ -259,19 +287,15 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _trial_word(
-    seed: int, trial: int, depth: int, cum: list[float], k: int
-) -> tuple[int, ...]:
-    """Letters for one trial from a counter-based stream keyed by (seed, trial)."""
+def _trial_letters(seed: int, trial: int, cum: list[float], k: int) -> Iterator[int]:
+    """Letters for one trial, drawn lazily from a counter-based stream keyed by (seed, trial)."""
     if k == 1:
-        return (0,) * depth
+        yield from repeat(0)
     state = _mix64((seed ^ (trial * _STREAM)) & _MASK64)
-    letters = []
-    for _ in range(depth):
+    while True:
         state = (state + _GOLDEN) & _MASK64
         u = _mix64(state) / 18446744073709551616.0  # 2**64
-        letters.append(bisect_right(cum, u))
-    return tuple(letters)
+        yield bisect_right(cum, u)
 
 
 def monte_carlo_stability(
@@ -285,7 +309,8 @@ def monte_carlo_stability(
 
     Returns (#square-free samples) / trials.  The estimate is reproducible:
     the same seed gives the same value for any trial partitioning or thread
-    count.
+    count.  A trial draws its letters one at a time and stops at the first
+    square entry, so letters after it are never drawn.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -295,12 +320,17 @@ def monte_carlo_stability(
         raise ValueError("sampler weight count must match the generator count")
     cum = sampler._cumulative()
     k = len(gens.maps)
+    cs = gens.cs
 
     def count_range(lo: int, hi: int) -> int:
         hits = 0
         for t in range(lo, hi):
-            word = _trial_word(sampler.seed, t, depth, cum, k)
-            if stability_certificate(gens, word).certified:
+            word: list[int] = []
+            for letter in islice(_trial_letters(sampler.seed, t, cum, k), depth):
+                word.append(letter)
+                if _entry_root(cs, word, len(word)) is not None:
+                    break
+            else:
                 hits += 1
         return hits
 

@@ -145,7 +145,3 @@ def portrait(c: int) -> Portrait:
         preper=preper_set(c),
         square_form=recognize_square_periodic(c),
     )
-
-
-def has_square_periodic_point(c: int) -> bool:
-    return recognize_square_periodic(c) is not None

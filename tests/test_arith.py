@@ -1,7 +1,13 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from quadsemi.arith import (
+    _SIEVE_FACTORS,
+    _SIEVE_MODULUS,
+    _SIEVE_TABLES,
+    _passes_square_sieve,
     divisor_pairs,
     floor_sqrt,
     is_perfect_square,
@@ -104,3 +110,35 @@ def test_residue_search_agrees_with_nested_loops(coeffs, m):
         (x, y) for x in range(m) for y in range(m) if expr(x, y) % m == 0
     ]
     assert residue_search([expr], 2, m) == expected
+
+
+def test_sieve_tables_follow_their_formula():
+    assert _SIEVE_MODULUS == math.prod(_SIEVE_FACTORS)
+    assert [m for m, _ in _SIEVE_TABLES] == list(_SIEVE_FACTORS)
+    for m, squares in _SIEVE_TABLES:
+        assert squares == {x * x % m for x in range(m)}
+
+
+def test_sieve_tables_match_euler_criterion():
+    # independent of the table formula: for an odd prime p, r != 0 is a
+    # square mod p iff r^((p-1)/2) == 1 mod p
+    for p, squares in _SIEVE_TABLES:
+        if p in (64, 9, 25):
+            continue
+        euler = {0} | {r for r in range(1, p) if pow(r, (p - 1) // 2, p) == 1}
+        assert squares == euler and len(squares) == (p + 1) // 2
+
+
+def test_every_small_square_passes_the_sieve():
+    assert all(_passes_square_sieve(r * r % _SIEVE_MODULUS) for r in range(10**4 + 1))
+
+
+@given(st.integers(min_value=0, max_value=1 << 12000))
+def test_every_large_square_passes_the_sieve(r):
+    assert _passes_square_sieve(r * r % _SIEVE_MODULUS)
+
+
+def test_sieve_rejects_almost_every_nonsquare():
+    start = 10**12
+    nonsquares = [n for n in range(start, start + 10**4) if is_perfect_square(n) is None]
+    assert sum(_passes_square_sieve(n % _SIEVE_MODULUS) for n in nonsquares) <= 5

@@ -35,6 +35,9 @@ def normalized(report):
     ("orbit.json", ["orbit", "-c", "-4,-12", "-w", "2,1"]),
     ("verify_lemma_case2.14.json", ["verify-lemma", "case2.14", "--bound", "12"]),
     ("curve_points.json", ["curve-points", "--coeffs", "1,1,2", "--bound", "50"]),
+    ("scan_words.json", ["scan-words", "-c", "-14,40", "-L", "8"]),
+    ("mc_stability.json", ["mc-stability", "-c", "-4,-12", "-L", "10",
+                           "-T", "20000", "--seed", "7"]),
 ])
 def test_golden_reports(capsys, name, argv):
     code, report = run_json(capsys, argv)
@@ -185,6 +188,16 @@ def test_mc_stability_custom_weights(capsys):
     assert code == 0
     assert report["inputs"]["weights"] == [1.0, 3.0]
     assert 0.0 <= report["verdicts"]["estimate"] <= 1.0
+
+
+@pytest.mark.parametrize("weights", ["nan,1", "inf,1", "1,-inf"])
+def test_mc_stability_non_finite_weights_exit_2(capsys, weights):
+    code, out, err = run(capsys, [
+        "mc-stability", "-c", "-4,-12", "-L", "4", "-T", "50",
+        "--seed", "3", "--weights", weights,
+    ])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "positive and finite" in err
 
 
 def test_portrait_cli(capsys):

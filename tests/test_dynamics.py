@@ -1,11 +1,20 @@
+import math
+from bisect import bisect_right
+from itertools import product
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quadsemi.arith import is_perfect_square
 from quadsemi.dynamics import (
     GeneratorSet,
     QuadraticMap,
     SequenceSampler,
+    StabilityVerdict,
+    _GOLDEN,
+    _MASK64,
+    _STREAM,
+    _mix64,
     adjusted_critical_orbit,
     compose_word,
     monte_carlo_stability,
@@ -140,6 +149,12 @@ def test_sampler_validation():
         SequenceSampler((1.0, 0.0), 1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sampler_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        SequenceSampler((bad, 1.0), 1)
+
+
 def test_monte_carlo_single_trial_is_bernoulli():
     S = GeneratorSet.from_cs([-4, -12])
     est = monte_carlo_stability(S, SequenceSampler.uniform(2, 123), 5, 1)
@@ -164,3 +179,104 @@ def test_monte_carlo_weight_count_mismatch():
     S = GeneratorSet.from_cs([1, 2])
     with pytest.raises(ValueError):
         monte_carlo_stability(S, SequenceSampler.uniform(3, 1), 4, 10)
+
+
+# --- slow references: exact integers, math.isqrt, the whole word drawn up front
+
+
+def reference_orbit(cs, word):
+    """Every entry rebuilt from 0 with exact integers."""
+    yield -cs[word[0]]
+    for k in range(2, len(word) + 1):
+        v = 0
+        for j in range(k - 1, -1, -1):
+            v = v * v + cs[word[j]]
+        yield v
+
+
+def reference_certificate(cs, word):
+    for k, entry in enumerate(reference_orbit(cs, word), start=1):
+        if entry >= 0 and math.isqrt(entry) ** 2 == entry:
+            return StabilityVerdict(False, k, math.isqrt(entry))
+    return StabilityVerdict(True)
+
+
+def reference_scan(cs, max_len):
+    words = sorted(w for n in range(1, max_len + 1)
+                   for w in product(range(len(cs)), repeat=n))
+    return [(w, reference_certificate(cs, w)) for w in words]
+
+
+def _trial_word(seed, trial, depth, cum, k):
+    """All `depth` letters of one trial from the stream keyed by (seed, trial)."""
+    if k == 1:
+        return (0,) * depth
+    state = _mix64((seed ^ (trial * _STREAM)) & _MASK64)
+    letters = []
+    for _ in range(depth):
+        state = (state + _GOLDEN) & _MASK64
+        u = _mix64(state) / 18446744073709551616.0  # 2**64
+        letters.append(bisect_right(cum, u))
+    return tuple(letters)
+
+
+def reference_monte_carlo(cs, sampler, depth, trials):
+    cum = sampler._cumulative()
+    hits = sum(reference_certificate(cs, _trial_word(sampler.seed, t, depth, cum, len(cs)))
+               .certified for t in range(trials))
+    return hits / trials
+
+
+constant_sets = st.lists(st.integers(-60, 60), min_size=1, max_size=3, unique=True)
+SQUARE_SETS = [(-4, -12), (0, -1), (-1, -2)]
+# x^2 + 2v + 1 maps v = (x^2+3)^7(0), a 116-bit value, to the square (v + 1)^2,
+# so word (1, 0, 0, 0, 0, 0, 0, 0) has a square far above the sieve modulus
+V7 = QuadraticMap(3).iterate(7, 0)
+DEEP_SQUARE_SET = (3, 2 * V7 + 1)
+
+
+def test_square_far_above_the_sieve_modulus_is_found():
+    S = GeneratorSet.from_cs(DEEP_SQUARE_SET)
+    word = (1,) + (0,) * 7
+    assert V7 > 1 << 100
+    assert stability_certificate(S, word) == StabilityVerdict(False, 8, V7 + 1)
+
+
+@given(constant_sets, st.integers(1, 5))
+@example(SQUARE_SETS[0], 6)
+@example(SQUARE_SETS[1], 6)
+@example(SQUARE_SETS[2], 6)
+@example(DEEP_SQUARE_SET, 8)
+@settings(max_examples=40, deadline=None)
+def test_scan_words_equals_reference(cs, max_len):
+    assert scan_words(GeneratorSet.from_cs(cs), max_len) == reference_scan(cs, max_len)
+
+
+@given(constant_sets, st.lists(st.integers(0, 2), min_size=1, max_size=12))
+@example(SQUARE_SETS[0], [1, 0, 1])
+@example(SQUARE_SETS[1], [1, 1, 0])
+@example(SQUARE_SETS[2], [1, 0, 0, 1])
+@settings(max_examples=150, deadline=None)
+def test_stability_certificate_equals_reference(cs, word):
+    word = tuple(i % len(cs) for i in word)
+    S = GeneratorSet.from_cs(cs)
+    assert stability_certificate(S, word) == reference_certificate(cs, word)
+    assert adjusted_critical_orbit(S, word) == list(reference_orbit(cs, word))
+
+
+@given(constant_sets, st.data(), st.integers(0, (1 << 64) - 1), st.integers(1, 10))
+@example(SQUARE_SETS[0], None, 7, 10)
+@example(SQUARE_SETS[1], None, 3, 4)
+@example(SQUARE_SETS[2], None, 11, 8)
+@example(DEEP_SQUARE_SET, None, 15, 8)  # 4 of the 200 trials hit the deep square
+@settings(max_examples=40, deadline=None)
+def test_monte_carlo_equals_reference(cs, data, seed, depth):
+    if data is None:
+        weights = (1.0,) * len(cs)
+    else:
+        weights = tuple(data.draw(st.lists(st.floats(0.01, 100.0), min_size=len(cs),
+                                           max_size=len(cs))))
+    sampler = SequenceSampler(weights, seed)
+    S = GeneratorSet.from_cs(cs)
+    assert monte_carlo_stability(S, sampler, depth, 200) \
+        == reference_monte_carlo(cs, sampler, depth, 200)
