@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
@@ -179,7 +178,7 @@ def cmd_exceptional(args) -> int:
 
 def cmd_scan_pairs(args) -> int:
     started = time.perf_counter()
-    pairs = scan_exceptional_pairs(args.min, args.max, threads=args.threads)
+    pairs = scan_exceptional_pairs(args.min, args.max)
     report = _report(
         "scan-pairs",
         {"min": args.min, "max": args.max},
@@ -223,7 +222,7 @@ def cmd_verify_lemma(args) -> int:
         if args.id not in by_id:
             raise ValueError(f"unknown lemma id {args.id!r}; ids run case1.1..case3.16")
         chosen = [by_id[args.id]]
-    results = verify_all(chosen, bound=args.bound, threads=args.threads)
+    results = verify_all(chosen, bound=args.bound)
     all_ok = all(r.matched for r in results)
     rows = [{"id": r.entry_id, "matched": r.matched,
              "extra": sorted(map(list, r.extra)), "missing": sorted(map(list, r.missing)),
@@ -316,8 +315,7 @@ def cmd_mc_stability(args) -> int:
     else:
         weights = (1.0,) * len(gens)
     sampler = SequenceSampler(weights, args.seed & ((1 << 64) - 1))
-    estimate = monte_carlo_stability(gens, sampler, args.L, args.T,
-                                     threads=args.threads)
+    estimate = monte_carlo_stability(gens, sampler, args.L, args.T)
     report = _report(
         "mc-stability",
         {"cs": list(gens.cs), "depth": args.L, "trials": args.T,
@@ -372,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"quadsemi {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker threads (results are thread-count independent)")
     common.add_argument("--verbose", action="store_true", help="more detail")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Iterable, Iterator
 
-from ._util import parallel_map
 from .arith import is_perfect_square, residue_search
 
 SCHEMA = "quadsemi-lemma-registry/1"
@@ -399,11 +398,9 @@ def verify_lemma(entry: LemmaEntry, bound: int = 50) -> LemmaVerification:
     )
 
 
-def verify_all(
-    entries: Iterable[LemmaEntry], bound: int = 50, threads: int = 1
-) -> list[LemmaVerification]:
-    """verify_lemma across entries, order-preserving and thread-count independent."""
-    return parallel_map(lambda e: verify_lemma(e, bound), list(entries), threads)
+def verify_all(entries: Iterable[LemmaEntry], bound: int = 50) -> list[LemmaVerification]:
+    """verify_lemma on each entry, in order."""
+    return [verify_lemma(e, bound) for e in entries]
 
 
 @dataclass(frozen=True)

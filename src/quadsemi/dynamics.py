@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from itertools import islice, repeat
 from typing import Iterator, Sequence
 
-from ._util import parallel_map
 from .arith import _SIEVE_MODULUS, _passes_square_sieve, is_perfect_square
 
 DEFAULT_DEGREE_CAP = 256
@@ -248,9 +247,8 @@ class SequenceSampler:
     """Seeded sampler of random generator sequences.
 
     `weights` gives one positive weight per generator (normalized internally);
-    `seed` selects the deterministic stream.  Trial i always consumes the same
-    letters for the same (seed, i), independent of how trials are batched, so
-    serial and partitioned runs agree bit for bit.
+    `seed` selects the deterministic stream.  Trial i draws its letters from
+    the stream keyed by (seed, i), so its letters depend on nothing else.
     """
 
     weights: tuple[float, ...]
@@ -294,8 +292,8 @@ def _trial_letters(seed: int, trial: int, cum: list[float], k: int) -> Iterator[
     state = _mix64((seed ^ (trial * _STREAM)) & _MASK64)
     while True:
         state = (state + _GOLDEN) & _MASK64
-        u = _mix64(state) / 18446744073709551616.0  # 2**64
-        yield bisect_right(cum, u)
+        u = _mix64(state) / 18446744073709551616.0  # 2**64, can round to 1.0
+        yield min(bisect_right(cum, u), k - 1)
 
 
 def monte_carlo_stability(
@@ -303,14 +301,14 @@ def monte_carlo_stability(
     sampler: SequenceSampler,
     depth: int,
     trials: int,
-    threads: int = 1,
 ) -> float:
     """Estimated probability that a random length-`depth` word has a square-free orbit.
 
     Returns (#square-free samples) / trials.  The estimate is reproducible:
-    the same seed gives the same value for any trial partitioning or thread
-    count.  A trial draws its letters one at a time and stops at the first
-    square entry, so letters after it are never drawn.
+    trial t draws its letters from the stream keyed by (sampler.seed, t), so
+    the same seed gives the same value.  A trial draws its letters one at a
+    time and stops at the first square entry, so letters after it are never
+    drawn.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -321,23 +319,13 @@ def monte_carlo_stability(
     cum = sampler._cumulative()
     k = len(gens.maps)
     cs = gens.cs
-
-    def count_range(lo: int, hi: int) -> int:
-        hits = 0
-        for t in range(lo, hi):
-            word: list[int] = []
-            for letter in islice(_trial_letters(sampler.seed, t, cum, k), depth):
-                word.append(letter)
-                if _entry_root(cs, word, len(word)) is not None:
-                    break
-            else:
-                hits += 1
-        return hits
-
-    if threads <= 1:
-        hits = count_range(0, trials)
-    else:
-        step = max(1, -(-trials // threads))
-        ranges = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
-        hits = sum(parallel_map(lambda r: count_range(*r), ranges, threads))
+    hits = 0
+    for t in range(trials):
+        word: list[int] = []
+        for letter in islice(_trial_letters(sampler.seed, t, cum, k), depth):
+            word.append(letter)
+            if _entry_root(cs, word, len(word)) is not None:
+                break
+        else:
+            hits += 1
     return hits / trials

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._util import parallel_map
 from .arith import floor_sqrt, is_perfect_square, residue_search
 from .dynamics import GeneratorSet, QuadraticMap
 from .heights import RIGOR_BOX, compute_iterate_bound
@@ -126,23 +125,16 @@ def is_exceptional_pair(c1: int, c2: int) -> ExceptionalVerdict:
     )
 
 
-def scan_exceptional_pairs(cmin: int, cmax: int, threads: int = 1) -> list[tuple[int, int]]:
+def scan_exceptional_pairs(cmin: int, cmax: int) -> list[tuple[int, int]]:
     """All ordered exceptional pairs (c1, c2), c1 != c2, in [cmin, cmax]^2."""
     cs = range(cmin, cmax + 1)
-
-    def row(c1: int) -> list[tuple[int, int]]:
-        if recognize_square_periodic(c1) is None:
-            return []
-        return [
-            (c1, c2)
-            for c2 in cs
-            if c2 != c1 and is_exceptional_pair(c1, c2).is_exceptional
-        ]
-
-    out: list[tuple[int, int]] = []
-    for chunk in parallel_map(row, list(cs), threads):
-        out.extend(chunk)
-    return out
+    return [
+        (c1, c2)
+        for c1 in cs
+        if recognize_square_periodic(c1) is not None
+        for c2 in cs
+        if c2 != c1 and is_exceptional_pair(c1, c2).is_exceptional
+    ]
 
 
 @dataclass(frozen=True)

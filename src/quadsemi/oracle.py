@@ -89,19 +89,6 @@ def _p_mul(a: list[int], b: list[int], p: int) -> list[int]:
     return _p_trim(out)
 
 
-def _p_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    a = list(a)
-    inv = pow(b[-1], -1, p)
-    db = len(b) - 1
-    for k in range(len(a) - 1, db - 1, -1):
-        c = (a[k] * inv) % p
-        if c == 0:
-            continue
-        for j in range(db + 1):
-            a[k - db + j] = (a[k - db + j] - c * b[j]) % p
-    return _p_trim(a[:db])
-
-
 def _p_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     a = list(a)
     inv = pow(b[-1], -1, p)
@@ -111,16 +98,17 @@ def _p_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]
         c = (a[k] * inv) % p
         if c == 0:
             continue
-        quot[k - db] = c
-        for j in range(db + 1):
-            a[k - db + j] = (a[k - db + j] - c * b[j]) % p
+        off = k - db
+        quot[off] = c
+        for j, bj in enumerate(b):
+            a[off + j] = (a[off + j] - c * bj) % p
     return _p_trim(quot), _p_trim(a[:db])
 
 
 def _p_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = _p_trim(list(a)), _p_trim(list(b))
     while b:
-        a, b = b, _p_rem(a, b, p)
+        a, b = b, _p_divmod(a, b, p)[1]
     if a:
         inv = pow(a[-1], -1, p)
         a = [(c * inv) % p for c in a]
@@ -129,11 +117,11 @@ def _p_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 def _p_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     result = [1]
-    base = _p_rem(base, mod, p)
+    base = _p_divmod(base, mod, p)[1]
     while e:
         if e & 1:
-            result = _p_rem(_p_mul(result, base, p), mod, p)
-        base = _p_rem(_p_mul(base, base, p), mod, p)
+            result = _p_divmod(_p_mul(result, base, p), mod, p)[1]
+        base = _p_divmod(_p_mul(base, base, p), mod, p)[1]
         e >>= 1
     return result
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import quadsemi
-from quadsemi.cli import main
+from quadsemi.cli import build_parser, main
 from quadsemi.diophantine import registry_checksum, registry_path
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -155,7 +156,7 @@ def test_construct_prefix(capsys):
 def test_mc_stability_deterministic(capsys):
     argv = ["mc-stability", "-c", "-4,-12", "-L", "6", "-T", "3000", "--seed", "99"]
     code1, rep1 = run_json(capsys, argv)
-    code2, rep2 = run_json(capsys, argv + ["--threads", "4"])
+    code2, rep2 = run_json(capsys, argv)
     assert code1 == code2 == 0
     assert rep1["verdicts"]["estimate"] == rep2["verdicts"]["estimate"]
 
@@ -198,6 +199,48 @@ def test_mc_stability_non_finite_weights_exit_2(capsys, weights):
     ])
     assert code == 2 and out == ""
     assert err.startswith("error:") and "positive and finite" in err
+
+
+def test_mc_stability_uniform_draw_of_one(capsys):
+    # this seed's first uniform draw rounds to exactly 1.0
+    code, report = run_json(capsys, [
+        "mc-stability", "-c", "-4,-12", "-L", "3", "-T", "1",
+        "--seed", "13696288941778812732",
+    ])
+    assert code == 0
+    assert report["verdicts"]["estimate"] == 1.0
+
+
+VALID_ARGV = {
+    "orbit": ["-c", "-4,-12", "-w", "2,1"],
+    "scan-words": ["-c", "-4,-12", "-L", "3"],
+    "portrait": ["-c", "-21"],
+    "exceptional": ["-c1", "-1", "-c2", "-3"],
+    "scan-pairs": ["--min", "-5", "--max", "5"],
+    "construct-prefix": ["-c", "-12,-21"],
+    "verify-lemma": ["case2.14"],
+    "obstruction": ["case2.14", "--mod", "4"],
+    "curve-points": ["--coeffs", "1,1,2"],
+    "heights": ["-c", "-12"],
+    "mc-stability": ["-c", "-4,-12", "-L", "3", "-T", "5", "--seed", "1"],
+    "cross-validate": ["-c", "-1,-12", "-L", "2"],
+}
+
+
+def test_valid_argv_covers_every_subcommand():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(VALID_ARGV)
+    for command, argv in VALID_ARGV.items():
+        assert parser.parse_args([command, *argv]).command == command
+
+
+@pytest.mark.parametrize("command", sorted(VALID_ARGV))
+def test_threads_flag_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *VALID_ARGV[command], "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
 def test_portrait_cli(capsys):
