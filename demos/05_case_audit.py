@@ -3,8 +3,7 @@
 The registry is a data file (src/quadsemi/data/lemma_registry.json) holding
 each system, its complete solution set, and the techniques that settle it.
 This demo replays the whole audit: exhaustive bounded search against the
-claims, residue obstructions, quartic curve point lists, and one of the
-between-consecutive-squares arguments on a sample grid.
+claims, residue obstructions, and the integral points of the quartic curves.
 """
 
 from collections import Counter
@@ -13,9 +12,7 @@ from quadsemi import (
     modular_obstruction,
     quartic_curve_points,
     registry,
-    sandwich_probe,
     solve_system_bounded,
-    square_grid,
     verify_all,
     verify_lemma,
 )
@@ -53,16 +50,5 @@ for label, coeffs in [("y^2 = q^4 + 1", (1, 0, 1)),
                       ("y^2 = q^4 + q^2 + 2", (1, 1, 2)),
                       ("y^2 = q^4 + 2q^2 + 2", (1, 2, 2))]:
     pts = quartic_curve_points(*coeffs, bound=1000)
-    print(f"{label}: {pts if pts else 'no affine points'} (|q| <= 1000)")
-
-print("\n-- a between-consecutive-squares probe --")
-report = sandwich_probe(
-    expr=lambda s, t: t**4 - t * t + s * s,
-    lower=lambda s, t: t * t - 1,
-    upper=lambda s, t: t * t,
-    region=lambda s, t: t * t > s * s >= 1,
-    samples=square_grid(30),
-)
-print(f"(t^2-1)^2 < t^4 - t^2 + s^2 < (t^2)^2 on t^2 > s^2 >= 1: "
-      f"{'holds' if report.passed else 'violated'} "
-      f"at {report.points_checked} grid points")
+    print(f"{label}: {pts if pts else 'no integral points'}")
+print("each list is complete: a4 = 1 is a square, so factoring bounds |q|")

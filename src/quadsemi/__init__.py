@@ -9,7 +9,7 @@ search, modular obstructions, and curve point enumeration.
 
 __version__ = "0.1.0"
 
-from .arith import divisor_pairs, floor_sqrt, is_perfect_square, residue_search
+from .arith import floor_sqrt, is_perfect_square, residue_search
 from .diophantine import (
     LemmaEntry,
     LemmaVerification,
@@ -22,9 +22,7 @@ from .diophantine import (
     registry,
     registry_checksum,
     registry_path,
-    sandwich_probe,
     solve_system_bounded,
-    square_grid,
     verify_all,
     verify_lemma,
 )

@@ -1,7 +1,7 @@
 """Exact arbitrary-precision integer helpers.
 
 Pure functions on Python ints: perfect-square detection, integer square
-roots, signed divisor enumeration, and exhaustive residue searches (the
+roots, divisor enumeration, and exhaustive residue searches (the
 engine behind the modular-obstruction checks).
 
 It also holds the square sieve: quadratic-residue tables for a fixed set of
@@ -63,20 +63,6 @@ def positive_divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
-
-
-def divisor_pairs(n: int) -> list[tuple[int, int]]:
-    """All ordered integer pairs (d, e) with d * e == n, negative divisors included.
-
-    The list has exactly 2 * tau(|n|) pairs and no duplicates.
-    """
-    if n == 0:
-        raise ValueError("divisor pairs of 0 are not enumerable")
-    pairs = []
-    for d in positive_divisors(n):
-        pairs.append((d, n // d))
-        pairs.append((-d, -(n // d)))
-    return pairs
 
 
 def residue_search(

@@ -18,6 +18,7 @@ import time
 
 from . import __version__
 from .diophantine import (
+    LemmaEntry,
     modular_obstruction,
     quartic_curve_points,
     registry,
@@ -212,16 +213,20 @@ def cmd_construct_prefix(args) -> int:
     return _emit(args, 0, report, lines)
 
 
+def _registry_entry(entries: list[LemmaEntry], entry_id: str) -> LemmaEntry:
+    for entry in entries:
+        if entry.id == entry_id:
+            return entry
+    raise ValueError(f"unknown lemma id {entry_id!r}; ids run case1.1..case3.16")
+
+
 def cmd_verify_lemma(args) -> int:
     started = time.perf_counter()
     entries = registry()
     if args.all:
         chosen = entries
     else:
-        by_id = {e.id: e for e in entries}
-        if args.id not in by_id:
-            raise ValueError(f"unknown lemma id {args.id!r}; ids run case1.1..case3.16")
-        chosen = [by_id[args.id]]
+        chosen = [_registry_entry(entries, args.id)]
     results = verify_all(chosen, bound=args.bound)
     all_ok = all(r.matched for r in results)
     rows = [{"id": r.entry_id, "matched": r.matched,
@@ -249,10 +254,7 @@ def cmd_verify_lemma(args) -> int:
 
 def cmd_obstruction(args) -> int:
     started = time.perf_counter()
-    by_id = {e.id: e for e in registry()}
-    if args.id not in by_id:
-        raise ValueError(f"unknown lemma id {args.id!r}")
-    res = modular_obstruction(by_id[args.id], args.mod)
+    res = modular_obstruction(_registry_entry(registry(), args.id), args.mod)
     report = _report(
         "obstruction",
         {"id": args.id, "modulus": args.mod},

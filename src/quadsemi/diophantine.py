@@ -1,4 +1,5 @@
-"""The 48 case systems: registry, bounded solver, comparator, obstructions.
+"""The 48 case systems: registry, bounded solver, comparator, obstructions,
+and the integral points of the quartic curves behind them.
 
 Each case couples two equations in integers x, y, s, t:
 
@@ -30,7 +31,7 @@ import os
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .arith import is_perfect_square, residue_search
 
@@ -255,13 +256,27 @@ def registry_provenance() -> dict[str, str]:
             "sha256": registry_checksum()}
 
 
+def _check_record_shape(rec: object, index: int) -> None:
+    """Raise RegistryError unless rec has the field types of a registry entry."""
+    if not isinstance(rec, dict):
+        raise RegistryError(f"entries[{index}] must be an object")
+    for key in ("id", "family", "left", "right"):
+        if not isinstance(rec.get(key), str):
+            raise RegistryError(f"entries[{index}]: {key!r} must be a string")
+    for key in ("solutions", "techniques"):
+        value = rec.get(key)
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise RegistryError(f"entries[{index}]: {key!r} must be a list of strings")
+
+
 def registry(path: str | None = None, validate_claims: bool = True) -> list[LemmaEntry]:
     """Load and validate the case registry.
 
-    Checks the schema tag, the 48-entry count (16 per family), selector
-    legality, technique tags, symmetry targets (which must name an earlier
-    entry), and that every claimed solution family actually satisfies its
-    system for |u| <= 10.  Raises RegistryError on any defect.
+    Checks the schema tag, the 48-entry count (16 per family), the field
+    types of each entry, selector legality, technique tags, symmetry targets
+    (which must name an earlier entry), and that every claimed solution
+    family actually satisfies its system for |u| <= 10.  Raises
+    RegistryError on any defect.
     """
     path = path or registry_path()
     try:
@@ -269,6 +284,8 @@ def registry(path: str | None = None, validate_claims: bool = True) -> list[Lemm
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise RegistryError(f"cannot read registry at {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise RegistryError("registry must be a JSON object")
     if doc.get("schema") != SCHEMA:
         raise RegistryError(f"unexpected registry schema {doc.get('schema')!r}")
     raw = doc.get("entries")
@@ -278,7 +295,8 @@ def registry(path: str | None = None, validate_claims: bool = True) -> list[Lemm
     entries: list[LemmaEntry] = []
     seen: set[str] = set()
     per_family = {"A": 0, "B": 0, "C": 0}
-    for rec in raw:
+    for index, rec in enumerate(raw):
+        _check_record_shape(rec, index)
         entry_id = rec["id"]
         if entry_id in seen:
             raise RegistryError(f"duplicate entry id {entry_id}")
@@ -386,8 +404,9 @@ def verify_lemma(entry: LemmaEntry, bound: int = 50) -> LemmaVerification:
     note = ""
     if "curve" in entry.techniques:
         note = (
-            "bounded desk-scale check; exhaustiveness beyond the box rests on "
-            "rank computations for the associated quartic curves"
+            "bounded desk-scale check; the integral points of the associated "
+            "quartic curves are complete by factoring (quartic_curve_points), "
+            "and the step from this system to its curve is the paper's argument"
         )
     return LemmaVerification(
         entry_id=entry.id,
@@ -439,58 +458,25 @@ def quartic_curve_points(
     """All (q, y) with |q| <= bound, y >= 0 and y^2 = a4 q^4 + a2 q^2 + a0.
 
     The curve depends on q only through q^2, so q >= 0 is scanned and each
-    hit with q > 0 is mirrored to -q; points come in ascending q.  A bounded
-    spot check of the known point lists for these curves, not a completeness
-    proof.
+    hit with q > 0 is mirrored to -q; points come in ascending q.  When a4 is
+    a positive square and 4 a4 a0 != a2^2, factoring confines every integral
+    point to a box |q| <= Q, and the scan stops there: the list is then every
+    integral point of the curve as soon as bound >= Q.  Other curves are
+    scanned to bound, and their list is complete only within it.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    limit = bound
+    k = is_perfect_square(a4)
+    n = 4 * a4 * a0 - a2 * a2
+    if k and n:
+        # with a4 = k^2: (2ky - 2a4 q^2 - a2)(2ky + 2a4 q^2 + a2) = n.  Two
+        # integers with product n != 0 differ by at most |n| + 1, so
+        # 2 |2a4 q^2 + a2| <= |n| + 1 and 4a4 q^2 <= |n| + 1 + 2|a2|
+        limit = min(bound, math.isqrt((abs(n) + 1 + 2 * abs(a2)) // (4 * a4)))
     pts = []
-    for q in range(bound + 1):
+    for q in range(limit + 1):
         y = is_perfect_square(a4 * q**4 + a2 * q * q + a0)
         if y is not None:
             pts.append((q, y))
     return [(-q, y) for q, y in reversed(pts) if q > 0] + pts
-
-
-@dataclass(frozen=True)
-class SandwichReport:
-    """Result of probing lower^2 < expr < upper^2 on sampled region points."""
-
-    points_checked: int
-    violation: tuple[int, int] | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.violation is None
-
-
-def sandwich_probe(
-    expr: Callable[[int, int], int],
-    lower: Callable[[int, int], int],
-    upper: Callable[[int, int], int],
-    region: Callable[[int, int], bool],
-    samples: Iterable[tuple[int, int]],
-) -> SandwichReport:
-    """Check that expr(s, t) lies strictly between lower(s, t)^2 and upper(s, t)^2.
-
-    A value strictly between consecutive integer squares cannot itself be a
-    square; this numerically confirms the strict inequalities on a sample
-    grid and reports the first violating point, if any.
-    """
-    checked = 0
-    for s, t in samples:
-        if not region(s, t):
-            continue
-        checked += 1
-        v = expr(s, t)
-        if not lower(s, t) ** 2 < v < upper(s, t) ** 2:
-            return SandwichReport(points_checked=checked, violation=(s, t))
-    return SandwichReport(points_checked=checked)
-
-
-def square_grid(bound: int) -> Iterator[tuple[int, int]]:
-    """All integer pairs (s, t) with |s|, |t| <= bound."""
-    for s in range(-bound, bound + 1):
-        for t in range(-bound, bound + 1):
-            yield (s, t)

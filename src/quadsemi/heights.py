@@ -12,9 +12,10 @@ so |h(f(x)) - 2 h(x)| <= log(|c|+1) + log 2 =: C(f), and telescoping gives
 |hhat(a) - h(f^n(a))/2^n| <= sum_{k>=n} C/2^(k+1) = C/2^n.
 
 Integral points on the genus-one model Y^2 = f(f(X)) are found exactly by
-factoring: Y^2 - (X^2+c)^2 = c forces (Y - X^2 - c)(Y + X^2 + c) = c, so each
-divisor pair (d, e) of c with d = e mod 2 yields the only candidates.  This
-replaces an ineffective finiteness argument with a complete enumeration.
+factoring: Y^2 - (X^2+c)^2 = c forces (Y - X^2 - c)(Y + X^2 + c) = c, so
+every point has X^2 <= 2|c|, and diophantine.quartic_curve_points lists them
+all.  This replaces an ineffective finiteness argument with a complete
+enumeration.
 
 The minimal positive height is searched over a box of integers only, and
 every bound built from it carries the rigor flag "box-searched".
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import divisor_pairs, is_perfect_square
+from .diophantine import quartic_curve_points
 from .dynamics import QuadraticMap
 from .portraits import preper_set
 
@@ -104,24 +105,17 @@ def canonical_height(map: QuadraticMap, a: int, iterations: int) -> HeightEstima
 
 
 def integral_points_on_phi2(map: QuadraticMap) -> frozenset[tuple[int, int]]:
-    """Every integer point (X, Y) with Y^2 = f(f(X)); complete by divisor factoring.
+    """Every integer point (X, Y) with Y^2 = f(f(X)); complete by factoring.
 
     Requires c not in {0, -1} (otherwise the curve degenerates).
     """
     c = map.c
     if c in (0, -1):
         raise ValueError("integral point enumeration needs c outside {0, -1}")
-    pts = set()
-    for d, e in divisor_pairs(c):
-        if (e - d) % 2 != 0:
-            continue
-        x_sq = (e - d) // 2 - c
-        y = (e + d) // 2
-        r = is_perfect_square(x_sq)
-        if r is not None:
-            pts.add((r, y))
-            pts.add((-r, y))
-    return frozenset(pts)
+    # f(f(X)) = X^4 + 2c X^2 + c^2 + c has 4 a4 a0 - a2^2 = 4c, so every point
+    # has X^2 <= 2|c| <= (|c| + 1)^2 and the box |X| <= |c| + 1 holds them all
+    pts = quartic_curve_points(1, 2 * c, c * c + c, abs(c) + 1)
+    return frozenset((x, sign * y) for x, y in pts for sign in (1, -1))
 
 
 def min_positive_height(

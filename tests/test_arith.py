@@ -8,7 +8,6 @@ from quadsemi.arith import (
     _SIEVE_MODULUS,
     _SIEVE_TABLES,
     _passes_square_sieve,
-    divisor_pairs,
     floor_sqrt,
     is_perfect_square,
     positive_divisors,
@@ -51,22 +50,20 @@ def test_square_detection_matches_floor_sqrt(n):
         assert floor_sqrt(n) ** 2 != n
 
 
-def test_divisor_pairs_examples():
-    assert set(divisor_pairs(3)) == {(1, 3), (3, 1), (-1, -3), (-3, -1)}
-    pairs12 = divisor_pairs(-12)
-    assert len(pairs12) == 12
-    assert (-2, 6) in pairs12 and (6, -2) in pairs12
-    assert set(divisor_pairs(1)) == {(1, 1), (-1, -1)}
+def test_positive_divisors_examples():
+    assert positive_divisors(3) == [1, 3]
+    assert positive_divisors(-12) == [1, 2, 3, 4, 6, 12]
+    assert positive_divisors(1) == [1]
 
 
-def test_divisor_pairs_rejects_zero():
+def test_positive_divisors_rejects_zero():
     with pytest.raises(ValueError):
-        divisor_pairs(0)
+        positive_divisors(0)
 
 
 @given(st.integers(min_value=-5000, max_value=5000).filter(lambda n: n != 0))
-def test_divisor_pairs_products_and_count(n):
-    pairs = divisor_pairs(n)
+def test_positive_divisors_products_and_count(n):
+    pairs = [(s * d, n // (s * d)) for d in positive_divisors(n) for s in (1, -1)]
     assert all(d * e == n for d, e in pairs)
     assert len(set(pairs)) == len(pairs)
     tau = sum(1 for d in range(1, abs(n) + 1) if abs(n) % d == 0)

@@ -134,6 +134,60 @@ def test_obstruction_exit_codes(capsys):
     assert code == 2 and "not tagged" in err
 
 
+def test_unknown_lemma_id_exits_2_with_the_id_range(capsys):
+    for argv in (["verify-lemma", "case9.9"], ["obstruction", "case9.9", "--mod", "4"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == "error: unknown lemma id 'case9.9'; ids run case1.1..case3.16\n"
+
+
+def _drop_id(doc):
+    del doc["entries"][0]["id"]
+
+
+def _string_entry(doc):
+    doc["entries"][0] = "case1.1"
+
+
+def _integer_solution(doc):
+    doc["entries"][0]["solutions"] = [7]
+
+
+def _string_techniques(doc):
+    doc["entries"][0]["techniques"] = "mod4"
+
+
+def _top_level_list(doc):
+    return doc["entries"]
+
+
+@pytest.mark.parametrize("tamper,message", [
+    pytest.param(_drop_id, "entries[0]: 'id' must be a string", id="no-id"),
+    pytest.param(_string_entry, "entries[0] must be an object", id="string-entry"),
+    pytest.param(_integer_solution, "entries[0]: 'solutions' must be a list of strings",
+                 id="integer-solution"),
+    pytest.param(_string_techniques, "entries[0]: 'techniques' must be a list of strings",
+                 id="string-techniques"),
+    pytest.param(_top_level_list, "registry must be a JSON object", id="top-level-list"),
+])
+def test_malformed_registry_exits_2(capsys, tmp_path, monkeypatch, tamper, message):
+    doc = json.loads(Path(registry_path()).read_text())
+    doc = tamper(doc) or doc
+    target = tmp_path / "registry.json"
+    target.write_text(json.dumps(doc))
+    monkeypatch.setenv("QUADSEMI_REGISTRY", str(target))
+    code, out, err = run(capsys, ["verify-lemma", "case1.1"])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_curve_points_reach_on_a_square_leading_coefficient(capsys):
+    code, report = run_json(capsys, ["curve-points", "--coeffs", "1,1,2",
+                                     "--bound", "1000000000000"])
+    assert code == 0
+    assert report["witnesses"]["points"] == [[-1, 2], [1, 2]]
+
+
 def test_scan_pairs(capsys):
     code, report = run_json(capsys, ["scan-pairs", "--min", "-25", "--max", "5"])
     assert code == 0

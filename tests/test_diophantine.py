@@ -14,9 +14,7 @@ from quadsemi.diophantine import (
     registry,
     registry_checksum,
     registry_path,
-    sandwich_probe,
     solve_system_bounded,
-    square_grid,
     verify_lemma,
 )
 
@@ -43,6 +41,16 @@ def grid_reference(system, bound):
                 continue
             sols.add((x, y, s, t))
     return sols
+
+
+def box_scan_reference(a4, a2, a0, bound):
+    """Slow reference for quartic_curve_points: a square test for every |q| <= bound."""
+    pts = []
+    for q in range(-bound, bound + 1):
+        y = is_perfect_square(a4 * q**4 + a2 * q * q + a0)
+        if y is not None:
+            pts.append((q, y))
+    return pts
 
 
 @pytest.fixture(scope="module")
@@ -216,34 +224,22 @@ def test_quartic_curve_points_examples():
         quartic_curve_points(1, 0, 1, 0)
 
 
-def test_sandwich_probes():
-    # right-hand equation of the double-fixed-point diagonal case on t^2 > s^2 >= 1:
-    # (t^2-1)^2 < t^4 - t^2 + s^2 < (t^2)^2
-    rep = sandwich_probe(
-        expr=lambda s, t: t**4 - t * t + s * s,
-        lower=lambda s, t: t * t - 1,
-        upper=lambda s, t: t * t,
-        region=lambda s, t: t * t > s * s >= 1,
-        samples=square_grid(30),
-    )
-    assert rep.passed and rep.points_checked > 0
+@pytest.mark.parametrize("bound", [1, 3, 40])
+def test_quartic_curve_points_equal_box_scan_reference(bound):
+    # square a4 (the scan is cut short by factoring) and non-square a4 (it is
+    # not), across zero and nonzero 4 a4 a0 - a2^2
+    for a4 in (-1, 0, 1, 2, 3, 4, 9):
+        for a2 in range(-12, 13):
+            for a0 in range(-20, 21):
+                assert quartic_curve_points(a4, a2, a0, bound) == \
+                    box_scan_reference(a4, a2, a0, bound), (a4, a2, a0)
 
-    # left-hand equation of the mixed diagonal case on s^2 > t^2 >= 1
-    rep = sandwich_probe(
-        expr=lambda s, t: s**4 - s * s + t * t,
-        lower=lambda s, t: s * s - 1,
-        upper=lambda s, t: s * s,
-        region=lambda s, t: s * s > t * t >= 1,
-        samples=square_grid(30),
-    )
-    assert rep.passed
 
-    # deliberately swapped bounds must report the first grid violation
-    rep = sandwich_probe(
-        expr=lambda s, t: t**4 - t * t + s * s,
-        lower=lambda s, t: t * t,
-        upper=lambda s, t: t * t - 1,
-        region=lambda s, t: t * t > s * s >= 1,
-        samples=square_grid(30),
-    )
-    assert not rep.passed and rep.violation is not None
+@pytest.mark.parametrize("coeffs", [
+    (1, 0, 1), (1, 0, -1), (1, -1, 1), (1, 1, 1), (1, 1, 2), (1, 2, 2),  # the audit's
+    (1, 2, 1), (4, 4, 1), (9, -6, 1), (1, 0, 0), (4, 0, 0),  # 4 a4 a0 = a2^2
+    (4, 1, 3), (9, 5, -7), (25, -3, 11), (16, 40, 25),
+])
+def test_quartic_curve_points_equal_box_scan_reference_at_bound_2000(coeffs):
+    assert quartic_curve_points(*coeffs, 2000) == box_scan_reference(*coeffs, 2000)
+

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from quadsemi.arith import is_perfect_square
+from quadsemi.arith import is_perfect_square, positive_divisors
 from quadsemi.dynamics import QuadraticMap
 from quadsemi.heights import (
     RIGOR_BOX,
@@ -97,6 +97,29 @@ def test_integral_points_satisfy_curve_and_match_brute_force():
             if y is not None:
                 brute |= {(X, y), (X, -y), (-X, y), (-X, -y)}
         assert pts == frozenset(brute), c
+
+
+def divisor_pair_reference(c):
+    """Slow reference for integral_points_on_phi2: each divisor pair (d, e) of c
+    with (Y - X^2 - c)(Y + X^2 + c) = d e = c gives the only candidates."""
+    pts = set()
+    for p in positive_divisors(c):
+        for d in (p, -p):
+            e = c // d
+            if (e - d) % 2 != 0:
+                continue
+            r = is_perfect_square((e - d) // 2 - c)
+            if r is not None:
+                y = (e + d) // 2
+                pts |= {(r, y), (-r, y)}
+    return frozenset(pts)
+
+
+def test_integral_points_equal_divisor_pair_reference():
+    for c in range(-3000, 3001):
+        if c in (0, -1):
+            continue
+        assert integral_points_on_phi2(QuadraticMap(c)) == divisor_pair_reference(c), c
 
 
 def test_integral_points_degenerate_constants_rejected():
