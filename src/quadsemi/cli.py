@@ -71,15 +71,18 @@ def _one_based(word: tuple[int, ...]) -> list[int]:
 
 
 def _report(command: str, inputs: dict, verdicts: dict, witnesses: dict,
-            started: float) -> dict:
-    return {
+            started: float, stats: dict | None = None) -> dict:
+    report = {
         "schema": REPORT_SCHEMA,
         "command": command,
         "inputs": inputs,
         "verdicts": verdicts,
         "witnesses": witnesses,
-        "timings": {"elapsed_s": round(time.perf_counter() - started, 6)},
     }
+    if stats is not None:
+        report["stats"] = stats
+    report["timings"] = {"elapsed_s": round(time.perf_counter() - started, 6)}
+    return report
 
 
 def _emit(args, code: int, report: dict, lines: list[str]) -> int:
@@ -345,6 +348,7 @@ def cmd_cross_validate(args) -> int:
         {"forbidden_words": [_one_based(w) for w in rep.forbidden],
          "unknown_irreducible_words": [_one_based(w) for w in rep.unknown_irreducible]},
         started,
+        stats={"counters": rep.counters},
     )
     lines = [f"{rep.words_checked} words checked: "
              f"{len(rep.forbidden)} forbidden combinations, "

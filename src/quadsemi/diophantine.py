@@ -461,8 +461,10 @@ def quartic_curve_points(
     hit with q > 0 is mirrored to -q; points come in ascending q.  When a4 is
     a positive square and 4 a4 a0 != a2^2, factoring confines every integral
     point to a box |q| <= Q, and the scan stops there: the list is then every
-    integral point of the curve as soon as bound >= Q.  Other curves are
-    scanned to bound, and their list is complete only within it.
+    integral point of the curve as soon as bound >= Q.  When a4 < 0 the
+    quartic is negative beyond a box of the same kind, and the scan stops
+    there too.  Other curves are scanned to bound, and their list is
+    complete only within it.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -474,6 +476,10 @@ def quartic_curve_points(
         # integers with product n != 0 differ by at most |n| + 1, so
         # 2 |2a4 q^2 + a2| <= |n| + 1 and 4a4 q^2 <= |n| + 1 + 2|a2|
         limit = min(bound, math.isqrt((abs(n) + 1 + 2 * abs(a2)) // (4 * a4)))
+    elif a4 < 0:
+        # for q >= 1 the quartic is at most -|a4| q^4 + (|a2| + |a0|) q^2,
+        # which is negative once q^2 > (|a2| + |a0|) / |a4|
+        limit = min(bound, math.isqrt((abs(a2) + abs(a0)) // -a4) + 1)
     pts = []
     for q in range(limit + 1):
         y = is_perfect_square(a4 * q**4 + a2 * q * q + a0)

@@ -188,6 +188,13 @@ def test_curve_points_reach_on_a_square_leading_coefficient(capsys):
     assert report["witnesses"]["points"] == [[-1, 2], [1, 2]]
 
 
+def test_curve_points_reach_on_a_negative_leading_coefficient(capsys):
+    code, report = run_json(capsys, ["curve-points", "--coeffs", "-1,0,5",
+                                     "--bound", "2000000"])
+    assert code == 0
+    assert report["witnesses"]["points"] == [[-1, 2], [1, 2]]
+
+
 def test_scan_pairs(capsys):
     code, report = run_json(capsys, ["scan-pairs", "--min", "-25", "--max", "5"])
     assert code == 0
@@ -219,6 +226,29 @@ def test_cross_validate_cli(capsys):
     code, report = run_json(capsys, ["cross-validate", "-c", "-1,-12", "-L", "2"])
     assert code == 0
     assert report["verdicts"]["passed"] is True
+
+
+@pytest.mark.parametrize("cs", ["-49,49", "-4,73", "-36,97"])
+def test_cross_validate_decides_former_budget_failures_cli(capsys, cs):
+    code, report = run_json(capsys, ["cross-validate", "-c", cs, "-L", "3"])
+    assert code == 0
+    assert report["verdicts"]["passed"] is True
+
+
+def test_cross_validate_counters(capsys):
+    code, report = run_json(capsys, ["cross-validate", "-c", "-4,73", "-L", "3"])
+    assert code == 0
+    assert report["stats"]["counters"] == {
+        "factor_searches": 7, "modular_factors_max": 3,
+        "subsets_tried": 11, "exact_divisions": 7,
+    }
+
+
+def test_cross_validate_beyond_the_degree_cap(capsys):
+    code, out, err = run(capsys, ["cross-validate", "-c", "1,2", "-L", "6"])
+    assert code == 2 and out == ""
+    assert err == ("error: words of length 6 compose to degree 64, "
+                   "beyond the oracle cap 32\n")
 
 
 def test_heights_cli(capsys):

@@ -224,11 +224,12 @@ def test_quartic_curve_points_examples():
         quartic_curve_points(1, 0, 1, 0)
 
 
-@pytest.mark.parametrize("bound", [1, 3, 40])
+@pytest.mark.parametrize("bound", [1, 2, 3, 7, 40])
 def test_quartic_curve_points_equal_box_scan_reference(bound):
-    # square a4 (the scan is cut short by factoring) and non-square a4 (it is
-    # not), across zero and nonzero 4 a4 a0 - a2^2
-    for a4 in (-1, 0, 1, 2, 3, 4, 9):
+    # square a4 (the scan is cut short by factoring), negative a4 (cut short
+    # where the quartic turns negative) and positive non-square a4 (not cut
+    # short), across zero and nonzero 4 a4 a0 - a2^2
+    for a4 in (-9, -4, -3, -2, -1, 0, 1, 2, 3, 4, 9):
         for a2 in range(-12, 13):
             for a0 in range(-20, 21):
                 assert quartic_curve_points(a4, a2, a0, bound) == \
