@@ -29,6 +29,14 @@ pairs = scan_exceptional_pairs(-100, 100)
 unordered = sorted({tuple(sorted(p)) for p in pairs})
 print("exceptional pairs:", unordered)
 
+# condition (1) forces both constants into the two square shapes, so the
+# scan pairs only those constants and reaches far wider boxes
+print("\n-- grid scan [-10^6, 10^6] --")
+pairs = scan_exceptional_pairs(-10**6, 10**6)
+unordered = sorted({tuple(sorted(p)) for p in pairs})
+assert all(is_exceptional_pair(*p).closed_form is not None for p in unordered)
+print(f"{len(pairs)} ordered pairs; the most negative: {unordered[0]}")
+
 print("\n-- square-image certificates --")
 for c1, c2 in [(1, 3), (-12, -21)]:
     cert = certify_no_square_images(c1, c2)

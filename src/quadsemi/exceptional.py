@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .arith import floor_sqrt, is_perfect_square, residue_search
 from .dynamics import GeneratorSet, QuadraticMap
 from .heights import RIGOR_BOX, compute_iterate_bound
-from .portraits import SquareForm, preper_set, recognize_square_periodic
+from .portraits import TWO_CYCLE_SQUARE, SquareForm, preper_set, recognize_square_periodic
 
 CERTIFIED = "certified"
 REFUTED = "refuted"
@@ -73,12 +73,11 @@ class ExceptionalVerdict:
 
 
 def _family_parameter(a: int, b: int) -> int | None:
-    """s >= 0 with a = s^2 - s^4 and b = -1 - s^2 - s^4, if any."""
-    limit = floor_sqrt(floor_sqrt(abs(b) + 2)) + 2
-    for s in range(limit + 1):
-        if a == s * s - s**4 and b == -1 - s * s - s**4:
-            return s
-    return None
+    """s >= 0 with a = s^2 - s^4 and b = -1 - s^2 - s^4 (b fixes s), if any."""
+    form = recognize_square_periodic(b)
+    if form is None or form.kind != TWO_CYCLE_SQUARE:
+        return None
+    return form.s if a == form.s**2 - form.s**4 else None
 
 
 def closed_form_of(c1: int, c2: int) -> ClosedForm | None:
@@ -126,12 +125,20 @@ def is_exceptional_pair(c1: int, c2: int) -> ExceptionalVerdict:
 
 
 def scan_exceptional_pairs(cmin: int, cmax: int) -> list[tuple[int, int]]:
-    """All ordered exceptional pairs (c1, c2), c1 != c2, in [cmin, cmax]^2."""
-    cs = range(cmin, cmax + 1)
+    """All ordered exceptional pairs (c1, c2), c1 != c2, in [cmin, cmax]^2.
+
+    Condition (1) forces both constants into a square-form shape, so only those
+    O(|cmin|^(1/4)) constants are paired, ascending, each pair decided by its
+    witnesses: O(|cmin|^(1/2)) pair tests, each O(1) big-integer work.
+    """
+    if cmin > cmax:
+        raise ValueError(f"--min must not exceed --max, got [{cmin}, {cmax}]")
+    top = floor_sqrt(floor_sqrt(max(-cmin, 0))) + 2  # both shapes < cmin from s = top on
+    cs = sorted({c for s in range(top) for c in (s * s - s**4, -1 - s * s - s**4)
+                 if cmin <= c <= cmax})
     return [
         (c1, c2)
         for c1 in cs
-        if recognize_square_periodic(c1) is not None
         for c2 in cs
         if c2 != c1 and is_exceptional_pair(c1, c2).is_exceptional
     ]

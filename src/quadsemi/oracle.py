@@ -48,13 +48,6 @@ def _degree(f: list[int]) -> int:
     return len(f) - 1
 
 
-def poly_eval(f: list[int], x: int) -> int:
-    v = 0
-    for a in reversed(f):
-        v = v * x + a
-    return v
-
-
 def _divmod_monic(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
     """Exact division of f by a monic g over the integers; returns (quotient, remainder)."""
     assert g[-1] == 1

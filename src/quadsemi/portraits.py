@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import floor_sqrt, is_perfect_square
+from .arith import is_perfect_square
 
 FIXED_SQUARE = "fixed-square"
 TWO_CYCLE_SQUARE = "two-cycle-square"
@@ -67,17 +67,17 @@ def rational_periodic_points(c: int) -> tuple[frozenset[int], frozenset[tuple[in
 def recognize_square_periodic(c: int) -> SquareForm | None:
     """Match c against the two shapes that admit a square periodic point.
 
-    Searches s = 0 .. floor_sqrt(floor_sqrt(|c|)) + 2 exhaustively; the
-    fixed-point shape wins if both were ever to match (they cannot: the two
-    shapes differ by a unit mod 4 for every pair of parameters).
+    A square fixed point s^2 (a root of x^2 - x + c) forces c = s^2 - s^4, and
+    a square 2-cycle point s^2 (a root of x^2 + x + c + 1) forces
+    c = -1 - s^2 - s^4, so the first square periodic point, fixed points first
+    and ascending, gives the shape in O(1).  For c = 0 that is 0, so s = 0.
     """
-    limit = floor_sqrt(floor_sqrt(abs(c))) + 2
-    for s in range(limit + 1):
-        if c == s * s - s**4:
-            return SquareForm(FIXED_SQUARE, s)
-    for s in range(limit + 1):
-        if c == -1 - s * s - s**4:
-            return SquareForm(TWO_CYCLE_SQUARE, s)
+    fixed, cycles = rational_periodic_points(c)
+    for kind, points in ((FIXED_SQUARE, fixed), (TWO_CYCLE_SQUARE, sum(cycles, ()))):
+        for p in sorted(points):
+            s = is_perfect_square(p)
+            if s is not None:
+                return SquareForm(kind, s)
     return None
 
 

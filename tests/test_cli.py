@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import quadsemi
 from quadsemi.cli import build_parser, main
 from quadsemi.diophantine import registry_checksum, registry_path
+from quadsemi.exceptional import closed_form_of
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -201,6 +203,31 @@ def test_scan_pairs(capsys):
     pairs = {tuple(p) for p in report["witnesses"]["pairs"]}
     assert pairs == {(-1, -3), (-3, -1), (0, -1), (-1, 0), (0, -3), (-3, 0),
                      (-12, -21), (-21, -12)}
+
+
+def test_scan_pairs_inverted_box_exits_2(capsys):
+    code, out, err = run(capsys, ["scan-pairs", "--min", "5", "--max", "-5"])
+    assert code == 2 and out == ""
+    assert "--min must not exceed --max" in err and "Traceback" not in err
+
+
+def test_scan_pairs_reach_a_million(capsys):
+    code, report = run_json(capsys, ["scan-pairs", "--min", "-1000000",
+                                     "--max", "1000000"])
+    assert code == 0
+    pairs = [tuple(p) for p in report["witnesses"]["pairs"]]
+    assert report["verdicts"]["count"] == len(pairs) == 66
+    assert all(closed_form_of(c1, c2) is not None for c1, c2 in pairs)
+
+
+@pytest.mark.extended
+def test_scan_pairs_reach_a_billion(capsys):
+    started = time.perf_counter()
+    code, report = run_json(capsys, ["scan-pairs", "--min", "-1000000000",
+                                     "--max", "1000000000"])
+    assert time.perf_counter() - started < 10
+    assert code == 0 and report["verdicts"]["count"] == 358
+    assert all(closed_form_of(*p) is not None for p in report["witnesses"]["pairs"])
 
 
 def test_construct_prefix(capsys):

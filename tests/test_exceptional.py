@@ -1,8 +1,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quadsemi.arith import is_perfect_square
+from quadsemi.arith import floor_sqrt, is_perfect_square
 from quadsemi.dynamics import GeneratorSet, QuadraticMap, stability_certificate
 from quadsemi.exceptional import (
     CERTIFIED,
@@ -12,6 +13,7 @@ from quadsemi.exceptional import (
     SPORADIC_PAIR,
     THREE_LETTER,
     TWO_LETTER,
+    _family_parameter,
     certify_no_square_images,
     check_exceptional_prefix,
     closed_form_of,
@@ -20,6 +22,7 @@ from quadsemi.exceptional import (
     is_exceptional_pair,
     scan_exceptional_pairs,
 )
+from quadsemi.portraits import recognize_square_periodic
 
 
 def test_sporadic_pair():
@@ -66,6 +69,49 @@ def test_scan_matches_classification_small_grid():
     expected = {(-1, -3), (0, -1), (0, -3), (-12, -21)}
     expected |= {(b, a) for a, b in expected}
     assert pairs == expected
+
+
+def _scan_reference(cmin, cmax):
+    """Every shape constant c1 against every c2 of the box, by witnesses alone."""
+    cs = range(cmin, cmax + 1)
+    return [
+        (c1, c2)
+        for c1 in cs
+        if recognize_square_periodic(c1) is not None
+        for c2 in cs
+        if c2 != c1 and is_exceptional_pair(c1, c2).is_exceptional
+    ]
+
+
+@pytest.mark.parametrize("box", [
+    (-1500, 1500), (-2000, 1000), (-1750, 1250), (-25, 5), (-100, 100),
+    (0, 0), (-3, -1), (-21, -12), (-13, -11), (5, 10),
+])
+def test_scan_matches_reference(box):
+    assert scan_exceptional_pairs(*box) == _scan_reference(*box)
+
+
+@given(st.integers(-3000, 3000), st.integers(-3000, 3000))
+@settings(max_examples=15, deadline=None)
+def test_scan_matches_reference_on_random_boxes(a, b):
+    box = (min(a, b), max(a, b))
+    assert scan_exceptional_pairs(*box) == _scan_reference(*box)
+
+
+def _family_parameter_reference(a, b):
+    limit = floor_sqrt(floor_sqrt(abs(b) + 2)) + 2
+    for s in range(limit + 1):
+        if a == s * s - s**4 and b == -1 - s * s - s**4:
+            return s
+    return None
+
+
+def test_family_parameter_matches_reference():
+    shapes = {c for s in range(60) for c in (s * s - s**4, -1 - s * s - s**4)}
+    cs = sorted(set(range(-300, 51)) | shapes)
+    for a in cs:
+        for b in cs:
+            assert _family_parameter(a, b) == _family_parameter_reference(a, b), (a, b)
 
 
 def test_witness_route_equals_closed_form_route():

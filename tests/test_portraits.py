@@ -1,10 +1,11 @@
 from hypothesis import given, strategies as st
 
-from quadsemi.arith import is_perfect_square, residue_search
+from quadsemi.arith import floor_sqrt, is_perfect_square, residue_search
 from quadsemi.dynamics import QuadraticMap
 from quadsemi.portraits import (
     FIXED_SQUARE,
     TWO_CYCLE_SQUARE,
+    SquareForm,
     brute_force_preper,
     portrait,
     preper_set,
@@ -41,6 +42,34 @@ def test_recognize_square_periodic_examples():
     assert recognize_square_periodic(-1).kind == TWO_CYCLE_SQUARE
     assert recognize_square_periodic(-3) == recognize_square_periodic(-3)
     assert recognize_square_periodic(-3).s == 1
+
+
+def _recognize_reference(c):
+    """Exhaustive search of s = 0 .. floor_sqrt(floor_sqrt(|c|)) + 2, fixed shape first."""
+    limit = floor_sqrt(floor_sqrt(abs(c))) + 2
+    for s in range(limit + 1):
+        if c == s * s - s**4:
+            return SquareForm(FIXED_SQUARE, s)
+    for s in range(limit + 1):
+        if c == -1 - s * s - s**4:
+            return SquareForm(TWO_CYCLE_SQUARE, s)
+    return None
+
+
+def test_recognize_square_periodic_matches_reference_on_a_range():
+    for c in range(-200_000, 200_001):
+        assert recognize_square_periodic(c) == _recognize_reference(c), c
+
+
+def test_recognize_square_periodic_matches_reference_on_big_shapes():
+    for s in range(1001):
+        for c in (s * s - s**4, -1 - s * s - s**4):
+            assert recognize_square_periodic(c) == _recognize_reference(c), c
+
+
+def test_recognize_zero_takes_the_smaller_square_fixed_point():
+    # x^2 has the square fixed points 0 and 1, i.e. s = 0 and s = 1
+    assert recognize_square_periodic(0) == SquareForm(FIXED_SQUARE, 0)
 
 
 def test_the_two_square_forms_never_collide():
