@@ -295,9 +295,9 @@ def cmd_heights(args) -> int:
     m = QuadraticMap(args.c)
     try:
         bound = compute_iterate_bound(m, search_box=args.box, iterations=args.iterations)
-    except ArithmeticError as exc:
+    except ArithmeticError as exc:  # --iterations too small for the box: bad input
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
     pts = sorted(integral_points_on_phi2(m))
     report = _report(
         "heights",
@@ -316,7 +316,11 @@ def cmd_mc_stability(args) -> int:
     started = time.perf_counter()
     gens = GeneratorSet.from_cs(_parse_int_list(args.c, "-c"))
     if args.weights:
-        weights = tuple(float(w) for w in args.weights.split(","))
+        try:
+            weights = tuple(float(w) for w in args.weights.split(","))
+        except ValueError:
+            raise ValueError(f"--weights must be a comma-separated list of numbers, "
+                             f"got {args.weights!r}") from None
     else:
         weights = (1.0,) * len(gens)
     sampler = SequenceSampler(weights, args.seed & ((1 << 64) - 1))
@@ -404,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_exceptional)
 
     p = sub.add_parser("scan-pairs", parents=[common],
-                       help="grid scan for exceptional pairs")
+                       help="exceptional pairs among the square-shape constants in a box")
     p.add_argument("--min", type=int, required=True)
     p.add_argument("--max", type=int, required=True)
     p.set_defaults(handler=cmd_scan_pairs)

@@ -5,14 +5,14 @@ Each case couples two equations in integers x, y, s, t:
 
     x^2 + A(s) = L(t)        and        y^2 + B(t) = R(s)
 
-where A, B are the constants of a square-fixed-point map (v^2 - v^4) or a
-square-2-cycle map (-1 - v^2 - v^4), fixed by the family letter, and L, R
-select one preperiodic target of the partner map (+-q^2, +-(q^2-1) or
-+-(q^2+1)).  The bundled registry lists all 48 systems together with their
-complete solution sets and the techniques that settle them; it is data, not
-code, so the case table can be audited without reading source
-(docs/registry-schema.md documents the format, and QUADSEMI_REGISTRY
-overrides the file path).
+where A, B are the constants of a square-fixed-point map or a square-2-cycle
+map, fixed by the family letter, and L, R select one preperiodic target of
+the partner map (`portraits.shape_constant` and `portraits.PREPER_TARGETS`
+define both shapes and their targets).  The bundled registry lists all 48
+systems together with their complete solution sets and the techniques that
+settle them; it is data, not code, so the case table can be audited without
+reading source (docs/registry-schema.md documents the format, and
+QUADSEMI_REGISTRY overrides the file path).
 
 Everything below depends only on x^2, y^2, s^2, t^2, so solutions are stored
 canonically with x, y >= 0 and s, t signed.  The bounded solver uses the
@@ -34,41 +34,26 @@ from importlib import resources
 from typing import Callable, Iterable
 
 from .arith import is_perfect_square, residue_search
+from .portraits import FIXED_SQUARE, PREPER_TARGETS, TWO_CYCLE_SQUARE, shape_constant
 
 SCHEMA = "quadsemi-lemma-registry/1"
 ENV_REGISTRY = "QUADSEMI_REGISTRY"
 
-FIXED_FORM = "fixed"   # c = v^2 - v^4
-CYCLE_FORM = "cycle"   # c = -1 - v^2 - v^4
-
-_FORMS: dict[str, Callable[[int], int]] = {
-    FIXED_FORM: lambda v: v * v - v**4,
-    CYCLE_FORM: lambda v: -1 - v * v - v**4,
+# selector name -> (sign, offset): the selector maps q to sign*q^2 + offset
+_SELECTORS: dict[str, tuple[int, int]] = {
+    "+q^2": (1, 0),
+    "-q^2": (-1, 0),
+    "+(q^2-1)": (1, -1),
+    "-(q^2-1)": (-1, 1),
+    "+(q^2+1)": (1, 1),
+    "-(q^2+1)": (-1, -1),
 }
 
-_SELECTORS: dict[str, Callable[[int], int]] = {
-    "+q^2": lambda q: q * q,
-    "-q^2": lambda q: -q * q,
-    "+(q^2-1)": lambda q: q * q - 1,
-    "-(q^2-1)": lambda q: -(q * q - 1),
-    "+(q^2+1)": lambda q: q * q + 1,
-    "-(q^2+1)": lambda q: -(q * q + 1),
-}
-
-# (left-constant form, right-constant form) per family, and the selectors a
-# family may legally use (the preperiodic targets its partner map offers)
-_FAMILY_FORMS = {
-    "A": (FIXED_FORM, FIXED_FORM),
-    "B": (FIXED_FORM, CYCLE_FORM),
-    "C": (CYCLE_FORM, CYCLE_FORM),
-}
-_LEGAL_SELECTORS = {
-    "A": ({"+q^2", "-q^2", "+(q^2-1)", "-(q^2-1)"},
-          {"+q^2", "-q^2", "+(q^2-1)", "-(q^2-1)"}),
-    "B": ({"+q^2", "-q^2", "+(q^2+1)", "-(q^2+1)"},
-          {"+q^2", "-q^2", "+(q^2-1)", "-(q^2-1)"}),
-    "C": ({"+q^2", "-q^2", "+(q^2+1)", "-(q^2+1)"},
-          {"+q^2", "-q^2", "+(q^2+1)", "-(q^2+1)"}),
+# (left-constant shape, right-constant shape) per family
+_FAMILY_SHAPES = {
+    "A": (FIXED_SQUARE, FIXED_SQUARE),
+    "B": (FIXED_SQUARE, TWO_CYCLE_SQUARE),
+    "C": (TWO_CYCLE_SQUARE, TWO_CYCLE_SQUARE),
 }
 
 TECHNIQUES = {"mod4", "mod8", "sandwich", "curve", "factor"}
@@ -87,31 +72,31 @@ class System:
     right: str  # selector applied to s on the right equation
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILY_FORMS:
+        # a selector is legal when it names a preperiodic target of the partner map
+        if self.family not in _FAMILY_SHAPES:
             raise RegistryError(f"unknown family {self.family!r}")
-        legal_left, legal_right = _LEGAL_SELECTORS[self.family]
-        if self.left not in legal_left:
-            raise RegistryError(
-                f"selector {self.left!r} is not legal on the left of family {self.family}"
-            )
-        if self.right not in legal_right:
-            raise RegistryError(
-                f"selector {self.right!r} is not legal on the right of family {self.family}"
-            )
+        left_shape, right_shape = _FAMILY_SHAPES[self.family]
+        for side, selector, partner in (("left", self.left, right_shape),
+                                        ("right", self.right, left_shape)):
+            if _SELECTORS.get(selector) not in PREPER_TARGETS[partner]:
+                raise RegistryError(f"selector {selector!r} is not legal on the "
+                                    f"{side} of family {self.family}")
 
     def left_constant(self, s: int) -> int:
-        return _FORMS[_FAMILY_FORMS[self.family][0]](s)
+        return shape_constant(_FAMILY_SHAPES[self.family][0], s)
 
     def right_constant(self, t: int) -> int:
-        return _FORMS[_FAMILY_FORMS[self.family][1]](t)
+        return shape_constant(_FAMILY_SHAPES[self.family][1], t)
 
     def x_square(self, s: int, t: int) -> int:
         """The value x^2 must take: L(t) - A(s)."""
-        return _SELECTORS[self.left](t) - self.left_constant(s)
+        sign, offset = _SELECTORS[self.left]
+        return sign * t * t + offset - self.left_constant(s)
 
     def y_square(self, s: int, t: int) -> int:
         """The value y^2 must take: R(s) - B(t)."""
-        return _SELECTORS[self.right](s) - self.right_constant(t)
+        sign, offset = _SELECTORS[self.right]
+        return sign * s * s + offset - self.right_constant(t)
 
     def residuals(self) -> tuple[Callable[[int, int, int, int], int], ...]:
         """Both equations as vanishing expressions in (x, y, s, t)."""
@@ -269,8 +254,8 @@ def _check_record_shape(rec: object, index: int) -> None:
             raise RegistryError(f"entries[{index}]: {key!r} must be a list of strings")
 
 
-def registry(path: str | None = None, validate_claims: bool = True) -> list[LemmaEntry]:
-    """Load and validate the case registry.
+def registry() -> list[LemmaEntry]:
+    """Load and validate the case registry at `registry_path()`.
 
     Checks the schema tag, the 48-entry count (16 per family), the field
     types of each entry, selector legality, technique tags, symmetry targets
@@ -278,7 +263,7 @@ def registry(path: str | None = None, validate_claims: bool = True) -> list[Lemm
     family actually satisfies its system for |u| <= 10.  Raises
     RegistryError on any defect.
     """
-    path = path or registry_path()
+    path = registry_path()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -319,15 +304,14 @@ def registry(path: str | None = None, validate_claims: bool = True) -> list[Lemm
     if any(n != 16 for n in per_family.values()):
         raise RegistryError(f"each family needs 16 entries, got {per_family}")
 
-    if validate_claims:
-        for entry in entries:
-            for fam in entry.claimed:
-                for x, y, s, t in fam.instantiate(10):
-                    if not entry.system.is_solution(x, y, s, t):
-                        raise RegistryError(
-                            f"{entry.id}: claimed family {fam.template!r} fails "
-                            f"the system at (x,y,s,t)=({x},{y},{s},{t})"
-                        )
+    for entry in entries:
+        for fam in entry.claimed:
+            for x, y, s, t in fam.instantiate(10):
+                if not entry.system.is_solution(x, y, s, t):
+                    raise RegistryError(
+                        f"{entry.id}: claimed family {fam.template!r} fails "
+                        f"the system at (x,y,s,t)=({x},{y},{s},{t})"
+                    )
     return entries
 
 
@@ -349,13 +333,12 @@ def solve_system_bounded(
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    left_sel = _SELECTORS[system.left]
-    rho = _SELECTORS[system.right](0)
-    sigma = _SELECTORS[system.right](1) - rho
+    left_sign, left_offset = _SELECTORS[system.left]
+    sigma, rho = _SELECTORS[system.right]
     span = bound * bound
     sols: set[tuple[int, int, int, int]] = set()
     for t in range(bound + 1):
-        lt = left_sel(t)
+        lt = left_sign * t * t + left_offset
         k = rho - system.right_constant(t)
         lo, hi = (k, k + span) if sigma > 0 else (k - span, k)
         if hi < 0:

@@ -30,8 +30,8 @@ from typing import Iterator, Sequence
 
 from .arith import _SIEVE_MODULUS, _passes_square_sieve, is_perfect_square
 
-DEFAULT_DEGREE_CAP = 256
-DEFAULT_SCAN_BUDGET = 1 << 20
+COMPOSE_DEGREE_CAP = 256  # largest degree compose_word builds
+SCAN_BUDGET = 1 << 20  # most words scan_words visits
 
 
 @dataclass(frozen=True)
@@ -167,20 +167,16 @@ def stability_certificate(gens: GeneratorSet, word: Sequence[int]) -> StabilityV
     return _CERTIFIED
 
 
-def compose_word(
-    gens: GeneratorSet,
-    word: Sequence[int],
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-) -> list[int]:
+def compose_word(gens: GeneratorSet, word: Sequence[int]) -> list[int]:
     """Exact coefficients (constant term first) of the composed polynomial.
 
     The result is monic of degree 2^len(word); words whose degree would
-    exceed `degree_cap` are rejected.
+    exceed COMPOSE_DEGREE_CAP are rejected.
     """
     _check_word(gens, word)
-    if 2 ** len(word) > degree_cap:
+    if 2 ** len(word) > COMPOSE_DEGREE_CAP:
         raise ValueError(
-            f"composition degree 2^{len(word)} exceeds cap {degree_cap}"
+            f"composition degree 2^{len(word)} exceeds cap {COMPOSE_DEGREE_CAP}"
         )
     poly = [gens.maps[word[-1]].c, 0, 1]
     for i in reversed(word[:-1]):
@@ -200,9 +196,7 @@ def _poly_square(p: list[int]) -> list[int]:
 
 
 def scan_words(
-    gens: GeneratorSet,
-    max_len: int,
-    budget: int = DEFAULT_SCAN_BUDGET,
+    gens: GeneratorSet, max_len: int
 ) -> list[tuple[tuple[int, ...], StabilityVerdict]]:
     """(word, verdict) for every word of length 1..max_len, in dictionary order.
 
@@ -211,13 +205,14 @@ def scan_words(
     already contains a square settles its whole subtree for free.  A new
     word's last entry is sieved mod M before it is built exactly, as in
     `stability_certificate`, so a certified word costs no big-integer work.
+    More than SCAN_BUDGET words in all are rejected.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     s = len(gens.maps)
     total = sum(s**n for n in range(1, max_len + 1))
-    if total > budget:
-        raise ValueError(f"{total} words exceed the scan budget {budget}")
+    if total > SCAN_BUDGET:
+        raise ValueError(f"{total} words exceed the scan budget {SCAN_BUDGET}")
     out: list[tuple[tuple[int, ...], StabilityVerdict]] = []
     cs = gens.cs
 

@@ -25,7 +25,14 @@ from dataclasses import dataclass
 from .arith import floor_sqrt, is_perfect_square, residue_search
 from .dynamics import GeneratorSet, QuadraticMap
 from .heights import RIGOR_BOX, compute_iterate_bound
-from .portraits import TWO_CYCLE_SQUARE, SquareForm, preper_set, recognize_square_periodic
+from .portraits import (
+    FIXED_SQUARE,
+    TWO_CYCLE_SQUARE,
+    SquareForm,
+    preper_set,
+    recognize_square_periodic,
+    shape_constant,
+)
 
 CERTIFIED = "certified"
 REFUTED = "refuted"
@@ -36,6 +43,8 @@ FAMILY = "family"                # {s^2 - s^4, -1 - s^2 - s^4}
 
 TWO_LETTER = "two-letter"
 THREE_LETTER = "three-letter"
+
+PREFIX_SWEEP_BOUND = 1000  # |b| swept by check_exceptional_prefix
 
 
 class TheoremViolationError(RuntimeError):
@@ -77,7 +86,7 @@ def _family_parameter(a: int, b: int) -> int | None:
     form = recognize_square_periodic(b)
     if form is None or form.kind != TWO_CYCLE_SQUARE:
         return None
-    return form.s if a == form.s**2 - form.s**4 else None
+    return form.s if a == shape_constant(FIXED_SQUARE, form.s) else None
 
 
 def closed_form_of(c1: int, c2: int) -> ClosedForm | None:
@@ -127,15 +136,17 @@ def is_exceptional_pair(c1: int, c2: int) -> ExceptionalVerdict:
 def scan_exceptional_pairs(cmin: int, cmax: int) -> list[tuple[int, int]]:
     """All ordered exceptional pairs (c1, c2), c1 != c2, in [cmin, cmax]^2.
 
-    Condition (1) forces both constants into a square-form shape, so only those
-    O(|cmin|^(1/4)) constants are paired, ascending, each pair decided by its
-    witnesses: O(|cmin|^(1/2)) pair tests, each O(1) big-integer work.
+    Condition (1) forces both constants into a square shape, so only the
+    O(|cmin|^(1/4)) shape constants (`portraits.shape_constant`) in the box are
+    paired, ascending, each pair decided by its witnesses: O(|cmin|^(1/2)) pair
+    tests, each O(1) big-integer work.
     """
     if cmin > cmax:
         raise ValueError(f"--min must not exceed --max, got [{cmin}, {cmax}]")
     top = floor_sqrt(floor_sqrt(max(-cmin, 0))) + 2  # both shapes < cmin from s = top on
-    cs = sorted({c for s in range(top) for c in (s * s - s**4, -1 - s * s - s**4)
-                 if cmin <= c <= cmax})
+    shapes = {shape_constant(kind, s)
+              for s in range(top) for kind in (FIXED_SQUARE, TWO_CYCLE_SQUARE)}
+    cs = sorted(c for c in shapes if cmin <= c <= cmax)
     return [
         (c1, c2)
         for c1 in cs
@@ -163,18 +174,14 @@ class SquareImageCertificate:
     witness_value: int | None = None
 
 
-def certify_no_square_images(
-    c1: int,
-    c2: int,
-    search_box: int = 0,
-    iterations: int = 30,
-) -> SquareImageCertificate:
+def certify_no_square_images(c1: int, c2: int) -> SquareImageCertificate:
     """Certified / refuted / inapplicable verdict for squares among f1^N(f2(b)).
 
     A square value of f1^N forces its argument into the preperiodic set of f1,
     so it suffices that f1 has no square periodic point, or that no integer
     image b^2 + c2 lands in PrePer(f1), or that the finitely many landing
-    points all have nonsquare N-th iterates.
+    points all have nonsquare N-th iterates.  N is `compute_iterate_bound`
+    at its default box and iterations.
     """
     if c1 in (0, -1) or c2 in (0, -1) or c1 == c2:
         return SquareImageCertificate(
@@ -182,7 +189,7 @@ def certify_no_square_images(
             reason="needs distinct constants outside {0, -1}",
         )
     phi1 = QuadraticMap(c1)
-    bound = compute_iterate_bound(phi1, search_box, iterations)
+    bound = compute_iterate_bound(phi1)
     if recognize_square_periodic(c1) is None:
         return SquareImageCertificate(
             CERTIFIED, c1, c2, n_iterate=bound.N, rigor=bound.rigor,
@@ -228,27 +235,23 @@ class ExceptionalPrefixReport:
         return self.failure is None and all(ok for _, ok in self.subchecks)
 
 
-def check_exceptional_prefix(
-    s: int,
-    b_range: int = 1000,
-    search_box: int = 0,
-    iterations: int = 30,
-) -> ExceptionalPrefixReport:
+def check_exceptional_prefix(s: int) -> ExceptionalPrefixReport:
     """Re-verify, for the family pair with parameter s, that f1^N(f2(f1(b))) is never square.
 
     Reproduces each finite step of the argument computationally: the only
     candidate preperiodic images are +-s^2 and +-(1-s^2); the 1-s^2 branch dies
     because 1-s^2 < 0, and the +-s^2 branches die by a mod-4 obstruction and
-    the nonsquareness of s^4 + 1.  A direct sweep over |b| <= b_range double
-    checks the conclusion (only b^2 enters, so b >= 0 suffices).
+    the nonsquareness of s^4 + 1.  A direct sweep over |b| <= PREFIX_SWEEP_BOUND
+    double checks the conclusion (only b^2 enters, so b >= 0 suffices).  N is
+    `compute_iterate_bound` at its default box and iterations.
     """
     if s in (0, 1, -1):
         raise ValueError("the family prefix needs |s| >= 2")
     s = abs(s)
-    c1 = s * s - s**4
-    c2 = -1 - s * s - s**4
+    c1 = shape_constant(FIXED_SQUARE, s)
+    c2 = shape_constant(TWO_CYCLE_SQUARE, s)
     phi1, phi2 = QuadraticMap(c1), QuadraticMap(c2)
-    n = compute_iterate_bound(phi1, search_box, iterations).N
+    n = compute_iterate_bound(phi1).N
 
     subchecks = []
     # landing on +-(1 - s^2) would force the square 1 - s^2, which is negative
@@ -274,14 +277,14 @@ def check_exceptional_prefix(
     )
 
     failure = None
-    for b in range(b_range + 1):
+    for b in range(PREFIX_SWEEP_BOUND + 1):
         v = phi1.iterate(n, phi2(phi1(b)))
         if is_perfect_square(v) is not None:
             failure = (b, v)
             break
     return ExceptionalPrefixReport(
         s=s, c1=c1, c2=c2, n_iterate=n,
-        subchecks=tuple(subchecks), sweep_bound=b_range, failure=failure,
+        subchecks=tuple(subchecks), sweep_bound=PREFIX_SWEEP_BOUND, failure=failure,
     )
 
 
@@ -327,12 +330,7 @@ class PrefixRecipe:
         return self.prefix_word() + tuple(suffix)
 
 
-def construct_irreducible_prefix(
-    gens: GeneratorSet,
-    b_range: int = 1000,
-    search_box: int = 0,
-    iterations: int = 30,
-) -> PrefixRecipe:
+def construct_irreducible_prefix(gens: GeneratorSet) -> PrefixRecipe:
     """Build a prefix whose extensions by arbitrary words are all certified irreducible.
 
     Picks the first two generators x^2 + c with -c nonsquare (the irreducible
@@ -340,7 +338,8 @@ def construct_irreducible_prefix(
     ordering certifies; the family pair yields the three-letter recipe with
     the square-fixed-point map outermost.  Failure of both orderings for a
     non-exceptional pair contradicts the classification and raises
-    TheoremViolationError rather than guessing.
+    TheoremViolationError rather than guessing.  The certificates come from
+    `certify_no_square_images` and `check_exceptional_prefix`.
     """
     irr = [k for k, m in enumerate(gens.maps) if is_perfect_square(-m.c) is None]
     if len(irr) < 2:
@@ -355,9 +354,7 @@ def construct_irreducible_prefix(
     if not verdict.is_exceptional:
         certs = []
         for oi, ii in ((i0, j0), (j0, i0)):
-            cert = certify_no_square_images(
-                gens.maps[oi].c, gens.maps[ii].c, search_box, iterations
-            )
+            cert = certify_no_square_images(gens.maps[oi].c, gens.maps[ii].c)
             certs.append(cert)
             if cert.status == CERTIFIED:
                 return PrefixRecipe(
@@ -380,9 +377,9 @@ def construct_irreducible_prefix(
         )
     s = form.s
     assert s is not None and s >= 2  # s in {0, 1} forces a reducible generator
-    fixed_c = s * s - s**4
+    fixed_c = shape_constant(FIXED_SQUARE, s)
     outer, inner = (i0, j0) if c1 == fixed_c else (j0, i0)
-    report = check_exceptional_prefix(s, b_range, search_box, iterations)
+    report = check_exceptional_prefix(s)
     if not report.passed:
         raise TheoremViolationError(
             "the exceptional-prefix certificate failed",

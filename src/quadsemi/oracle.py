@@ -26,7 +26,7 @@ from math import gcd, isqrt
 
 from .dynamics import GeneratorSet, compose_word, stability_certificate
 
-DEFAULT_DEGREE_CAP = 32
+ORACLE_DEGREE_CAP = 32  # largest degree the oracle accepts
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                  47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
@@ -350,27 +350,27 @@ def _zassenhaus(f: list[int], allowed: set[int], p: int, split: list,
     return None
 
 
-def _validated(coeffs, degree_cap: int) -> list[int]:
+def _validated(coeffs) -> list[int]:
     f = _trim(list(coeffs))
     if _degree(f) < 1:
         raise ValueError("irreducibility needs degree >= 1")
-    if _degree(f) > degree_cap:
-        raise ValueError(f"degree {_degree(f)} exceeds the cap {degree_cap}")
+    if _degree(f) > ORACLE_DEGREE_CAP:
+        raise ValueError(f"degree {_degree(f)} exceeds the cap {ORACLE_DEGREE_CAP}")
     if f[-1] != 1:
         raise ValueError("the oracle handles monic polynomials only")
     return f
 
 
-def find_factor(coeffs, degree_cap: int = DEFAULT_DEGREE_CAP) -> list[int] | None:
+def find_factor(coeffs) -> list[int] | None:
     """A proper monic factor of the polynomial, or None if it is irreducible.
 
     The polynomial is a monic integer coefficient list, constant term first,
-    of degree at most `degree_cap`.  A returned factor always divides it
+    of degree at most ORACLE_DEGREE_CAP.  A returned factor always divides it
     exactly; None comes from an irreducible reduction mod a prime, from
     mod-p degrees that no factor can have, or from an exhaustive Zassenhaus
     search that found none.  Runs are deterministic.
     """
-    f = _validated(coeffs, degree_cap)
+    f = _validated(coeffs)
     counters = _counters.get()
     if counters is None:
         counters = dict.fromkeys(COUNTER_NAMES, 0)
@@ -386,9 +386,12 @@ def find_factor(coeffs, degree_cap: int = DEFAULT_DEGREE_CAP) -> list[int] | Non
     return _zassenhaus(f, allowed, *chosen, counters)
 
 
-def is_irreducible_exact(coeffs, degree_cap: int = DEFAULT_DEGREE_CAP) -> bool:
-    """Exact irreducibility over the rationals for a monic integer polynomial."""
-    return find_factor(coeffs, degree_cap) is None
+def is_irreducible_exact(coeffs) -> bool:
+    """Exact irreducibility over the rationals for a monic integer polynomial.
+
+    The degree must lie in 1..ORACLE_DEGREE_CAP, as for `find_factor`.
+    """
+    return find_factor(coeffs) is None
 
 
 @dataclass(frozen=True)
@@ -416,24 +419,20 @@ class CrossValidationReport:
         return not self.forbidden
 
 
-def cross_validate(
-    gens: GeneratorSet,
-    max_len: int,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-) -> CrossValidationReport:
+def cross_validate(gens: GeneratorSet, max_len: int) -> CrossValidationReport:
     """Run both routes on every word of length 1..max_len and compare.
 
     Each word goes to the orbit certificate and to the exact oracle, whose
     Zassenhaus search always decides, so every word gets both verdicts.
-    Words compose to degree 2^max_len, which must not exceed `degree_cap`
-    (32 by default, so max_len <= 5).
+    Words compose to degree 2^max_len, which must not exceed
+    ORACLE_DEGREE_CAP (32, so max_len <= 5).
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    if 2**max_len > degree_cap:
+    if 2**max_len > ORACLE_DEGREE_CAP:
         raise ValueError(
             f"words of length {max_len} compose to degree {2**max_len}, "
-            f"beyond the oracle cap {degree_cap}"
+            f"beyond the oracle cap {ORACLE_DEGREE_CAP}"
         )
     forbidden = []
     unknown_irreducible = []
@@ -445,9 +444,7 @@ def cross_validate(
             for word in product(range(len(gens.maps)), repeat=n):
                 checked += 1
                 certified = stability_certificate(gens, word).certified
-                irreducible = is_irreducible_exact(
-                    compose_word(gens, word), degree_cap=degree_cap
-                )
+                irreducible = is_irreducible_exact(compose_word(gens, word))
                 if certified and not irreducible:
                     forbidden.append(word)
                 elif not certified and irreducible:

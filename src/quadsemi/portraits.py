@@ -4,7 +4,8 @@ Rational periodic points of a monic integer quadratic are integers of period
 1 or 2 (no larger period occurs over Q), so the periodic part is read off the
 discriminants of x^2 - x + c and x^2 + x + c + 1.  A map whose periodic part
 contains a perfect square falls into exactly one of two one-parameter shapes,
-and then the whole preperiodic set has a closed form:
+and then the whole preperiodic set has a closed form.  This module is the one
+place that defines both (`shape_constant` and `PREPER_TARGETS`):
 
     c = s^2 - s^4      ->  {s^2, -s^2, 1-s^2, -(1-s^2)}   (square fixed point)
     c = -1 - s^2 - s^4 ->  {s^2, -s^2, 1+s^2, -(1+s^2)}   (square in a 2-cycle)
@@ -23,6 +24,23 @@ from .arith import is_perfect_square
 
 FIXED_SQUARE = "fixed-square"
 TWO_CYCLE_SQUARE = "two-cycle-square"
+
+# shape -> its preperiodic targets as (sign, offset), each meaning the value
+# sign*s^2 + offset; the preperiodic set of the shape's map is exactly these
+PREPER_TARGETS = {
+    FIXED_SQUARE: ((1, 0), (-1, 0), (1, -1), (-1, 1)),
+    TWO_CYCLE_SQUARE: ((1, 0), (-1, 0), (1, 1), (-1, -1)),
+}
+
+
+def shape_constant(kind: str, s: int) -> int:
+    """The constant c of the given shape: s^2 - s^4 (fixed) or -1 - s^2 - s^4 (cycle)."""
+    s2 = s * s
+    if kind == FIXED_SQUARE:
+        return s2 - s2 * s2
+    if kind == TWO_CYCLE_SQUARE:
+        return -1 - s2 - s2 * s2
+    raise ValueError(f"unknown square shape {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -92,9 +110,7 @@ def preper_set(c: int) -> frozenset[int]:
     form = recognize_square_periodic(c)
     if form is not None:
         s2 = form.s * form.s
-        if form.kind == FIXED_SQUARE:
-            return frozenset({s2, -s2, 1 - s2, -(1 - s2)})
-        return frozenset({s2, -s2, 1 + s2, -(1 + s2)})
+        return frozenset(sign * s2 + offset for sign, offset in PREPER_TARGETS[form.kind])
     fixed, cycles = rational_periodic_points(c)
     pts = set(fixed)
     for a, b in cycles:

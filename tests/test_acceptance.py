@@ -94,7 +94,7 @@ def test_criterion_4_classification_equivalence_grid():
     expected = {(-1, -3), (0, -1), (0, -3), (-12, -21), (-72, -91)}
     expected |= {(b, a) for a, b in expected}
     assert pairs == expected, pairs.symmetric_difference(expected)
-    _line(4, "grid scan over [-100,100]^2 finds exactly the classified "
+    _line(4, "square-shape scan of [-100,100]^2 finds exactly the classified "
              "exceptional pairs", started, f"{len(pairs)} ordered pairs")
 
 

@@ -292,6 +292,12 @@ def test_heights_cli_degenerate_constant(capsys):
     assert code == 2 and "outside {0, -1}" in err
 
 
+def test_heights_cli_too_few_iterations_exits_2(capsys):
+    code, out, err = run(capsys, ["heights", "-c", "5", "--iterations", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: height lower bound") and "increase iterations" in err
+
+
 def test_mc_stability_custom_weights(capsys):
     code, report = run_json(capsys, [
         "mc-stability", "-c", "-4,-12", "-L", "4", "-T", "500",
@@ -310,6 +316,17 @@ def test_mc_stability_non_finite_weights_exit_2(capsys, weights):
     ])
     assert code == 2 and out == ""
     assert err.startswith("error:") and "positive and finite" in err
+
+
+@pytest.mark.parametrize("weights", ["1,,2", "a,1"])
+def test_mc_stability_malformed_weights_exit_2(capsys, weights):
+    code, out, err = run(capsys, [
+        "mc-stability", "-c", "-4,-12", "-L", "4", "-T", "50",
+        "--seed", "3", "--weights", weights,
+    ])
+    assert code == 2 and out == ""
+    assert err == (f"error: --weights must be a comma-separated list of numbers, "
+                   f"got {weights!r}\n")
 
 
 def test_mc_stability_uniform_draw_of_one(capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from quadsemi.arith import is_perfect_square
 from quadsemi.diophantine import (
-    _SELECTORS,
     RegistryError,
     SolutionFamily,
     System,
@@ -21,11 +20,22 @@ from quadsemi.diophantine import (
 REGISTRY_SHA256 = "bf5afa0bbcbc485914a3ca1545848da3895a461aa5f37d8ca76c41bd6f763124"
 
 
+# each selector's value at q, written out independently of the package's table
+SELECTOR_VALUES = {
+    "+q^2": lambda q: q * q,
+    "-q^2": lambda q: -q * q,
+    "+(q^2-1)": lambda q: q * q - 1,
+    "-(q^2-1)": lambda q: -(q * q - 1),
+    "+(q^2+1)": lambda q: q * q + 1,
+    "-(q^2+1)": lambda q: -(q * q + 1),
+}
+
+
 def grid_reference(system, bound):
     """Slow reference for solve_system_bounded: square tests on the whole (s, t) grid."""
     qs = range(-bound, bound + 1)
-    left_sel = _SELECTORS[system.left]
-    right_sel = _SELECTORS[system.right]
+    left_sel = SELECTOR_VALUES[system.left]
+    right_sel = SELECTOR_VALUES[system.right]
     left_vals = {t: left_sel(t) for t in qs}
     right_const = {t: system.right_constant(t) for t in qs}
     sols = set()
@@ -104,6 +114,32 @@ def test_registry_rejects_bad_claim(tmp_path, monkeypatch):
     monkeypatch.setenv("QUADSEMI_REGISTRY", str(target))
     with pytest.raises(RegistryError):
         registry()
+
+
+# family -> (legal left selectors, legal right selectors), written out by hand
+# as an independent reference for the legality rule System derives from
+# portraits.PREPER_TARGETS
+LEGAL_SELECTORS = {
+    "A": ({"+q^2", "-q^2", "+(q^2-1)", "-(q^2-1)"},
+          {"+q^2", "-q^2", "+(q^2-1)", "-(q^2-1)"}),
+    "B": ({"+q^2", "-q^2", "+(q^2+1)", "-(q^2+1)"},
+          {"+q^2", "-q^2", "+(q^2-1)", "-(q^2-1)"}),
+    "C": ({"+q^2", "-q^2", "+(q^2+1)", "-(q^2+1)"},
+          {"+q^2", "-q^2", "+(q^2+1)", "-(q^2+1)"}),
+}
+
+
+def test_system_legality_matches_the_reference_table():
+    for family, (legal_left, legal_right) in LEGAL_SELECTORS.items():
+        for left in SELECTOR_VALUES:
+            for right in SELECTOR_VALUES:
+                legal = left in legal_left and right in legal_right
+                try:
+                    System(family, left, right)
+                    accepted = True
+                except RegistryError:
+                    accepted = False
+                assert accepted == legal, (family, left, right)
 
 
 def test_system_selector_legality():

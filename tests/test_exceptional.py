@@ -152,7 +152,8 @@ def test_certified_direction_agrees_with_sweep():
 
 def test_exceptional_prefix_reports():
     for s in (2, 3):
-        rep = check_exceptional_prefix(s, b_range=1000)
+        rep = check_exceptional_prefix(s)
+        assert rep.sweep_bound == 1000
         assert rep.passed, rep
         assert rep.n_iterate >= 2
         names = [name for name, _ in rep.subchecks]

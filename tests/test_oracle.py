@@ -91,7 +91,8 @@ def test_validation():
         is_irreducible_exact([1, 0, 2])         # not monic
     with pytest.raises(ValueError):
         is_irreducible_exact([0] * 33 + [1])    # degree 33 > cap
-    assert is_irreducible_exact([0] * 33 + [1], degree_cap=33) is False
+    assert is_irreducible_exact([0] * 32 + [1]) is False    # x^32, at the cap
+    assert is_irreducible_exact([1] + [0] * 31 + [1]) is True  # x^32 + 1, at the cap
 
 
 def test_products_of_random_irreducible_quadratics_are_caught():

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from quadsemi.arith import floor_sqrt, is_perfect_square, residue_search
@@ -11,6 +12,7 @@ from quadsemi.portraits import (
     preper_set,
     rational_periodic_points,
     recognize_square_periodic,
+    shape_constant,
 )
 
 
@@ -70,6 +72,38 @@ def test_recognize_square_periodic_matches_reference_on_big_shapes():
 def test_recognize_zero_takes_the_smaller_square_fixed_point():
     # x^2 has the square fixed points 0 and 1, i.e. s = 0 and s = 1
     assert recognize_square_periodic(0) == SquareForm(FIXED_SQUARE, 0)
+
+
+def test_shape_constant_round_trips_through_recognition():
+    assert shape_constant(FIXED_SQUARE, 2) == -12
+    assert shape_constant(TWO_CYCLE_SQUARE, 2) == -21
+    for kind in (FIXED_SQUARE, TWO_CYCLE_SQUARE):
+        for s in range(31):
+            c = shape_constant(kind, s)
+            assert shape_constant(kind, -s) == c
+            form = recognize_square_periodic(c)
+            if (kind, s) == (FIXED_SQUARE, 1):
+                # c = 0 has the square fixed points 0 and 1; 0 is reported
+                assert form == SquareForm(FIXED_SQUARE, 0)
+            else:
+                assert form == SquareForm(kind, s), (kind, s)
+    with pytest.raises(ValueError):
+        shape_constant("no-such-shape", 2)
+
+
+def _shape_cases(lo, hi):
+    return [(kind, s) for s in range(lo, hi + 1)
+            for kind in (FIXED_SQUARE, TWO_CYCLE_SQUARE)]
+
+
+# s <= 3 lies in test_preper_equivalence_medium_range; brute force costs
+# O(s^4), so s = 17..30 (about 10 s) is opt-in
+@pytest.mark.parametrize("kind,s", _shape_cases(4, 16) + [
+    pytest.param(kind, s, marks=pytest.mark.extended) for kind, s in _shape_cases(17, 30)
+])
+def test_closed_form_preper_matches_brute_force_on_shapes(kind, s):
+    c = shape_constant(kind, s)
+    assert preper_set(c) == brute_force_preper(c)
 
 
 def test_the_two_square_forms_never_collide():
