@@ -18,7 +18,16 @@ all.  This replaces an ineffective finiteness argument with a complete
 enumeration.
 
 The minimal positive height is searched over a box of integers only, and
-every bound built from it carries the rigor flag "box-searched".
+every bound built from it carries the rigor flag "box-searched".  The search
+evaluates a = 0, 1, 2, ... only, since f(-a) = f(a) gives -a the same estimate
+and the preperiodic set is closed under negation.  It stops before the box
+edge by the escape lemma (Call-Silverman; Silverman, The Arithmetic of
+Dynamical Systems, Sec. 3.4): if |x| >= 2 and x^2 >= 2|c| then
+|x^2 + c| >= x^2/2 >= |x|, so the orbit stays in that region and
+log|f(x)| >= 2 log|x| - log 2.  Telescoping the estimate gives
+h(f^n(a))/2^n >= log|a| - log 2, so its lower bound is at least
+log|a| - log 2 - C(f)/2^n, which grows with |a|; once that exceeds the
+minimum found so far, no larger |a| can go below it.
 """
 
 from __future__ import annotations
@@ -34,6 +43,13 @@ from .portraits import preper_set
 # iteration continues on logs, where the one-step defect |log(1 + c/x^2)| is
 # below 2^-450 and invisible at double precision.
 _EXACT_BITS = 256
+
+# 2.0**iterations overflows a double past this
+MAX_ITERATIONS = 1023
+
+# Absolute slack on the escape-lemma stop, far above the float rounding of
+# log|a| - log 2 - C/2^n and of a height estimate (both below 1e-12)
+_ESCAPE_MARGIN = 1e-9
 
 RIGOR_BOX = "box-searched"
 
@@ -88,8 +104,8 @@ def canonical_height(map: QuadraticMap, a: int, iterations: int) -> HeightEstima
     neglected per-step terms total less than 2^-450 and the reported error
     bound still holds.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+    if not 1 <= iterations <= MAX_ITERATIONS:
+        raise ValueError(f"iterations must be in [1, {MAX_ITERATIONS}], got {iterations}")
     c = map.c
     v = a
     step = 0
@@ -125,28 +141,46 @@ def min_positive_height(
 ) -> tuple[float, str]:
     """Smallest positive canonical-height lower bound over a box of integers.
 
-    Scans |a| <= max(search_box, |c|+1), skipping the (exactly known)
+    Covers |a| <= max(search_box, |c|+1), skipping the (exactly known)
     preperiodic points; every remaining integer has strictly positive height,
     so its lower bound value - error must come out positive once `iterations`
-    is large enough.  Raises ArithmeticError if some lower bound is still
-    nonpositive, in which case the caller should raise `iterations`.
+    is large enough.  Raises ArithmeticError naming the most negative integer
+    of the box whose lower bound is still nonpositive, in which case the
+    caller should raise `iterations`.
+
+    Only a = 0, 1, 2, ... is evaluated, because a and -a have the same
+    estimate.  The scan stops once a >= 2, a^2 >= 2|c| and
+    log a - log 2 - C(f)/2^n exceeds the minimum so far (or 0, once some
+    lower bound failed): by the escape lemma no larger |a| has a lower bound
+    below that, so the result equals the full box scan's.
     """
     c = map.c
     if c in (0, -1):
         raise ValueError("minimal height search needs c outside {0, -1}")
+    if search_box < 0:
+        raise ValueError(f"--box must be >= 0, got {search_box}")
     box = max(search_box, abs(c) + 1)
     skip = preper_set(c)
     hmin = math.inf
-    for a in range(-box, box + 1):
+    failed = None
+    for a in range(box + 1):
         if a in skip:
             continue
         est = canonical_height(map, a, iterations)
         if est.lower <= 0.0:
-            raise ArithmeticError(
-                f"height lower bound for a={a} is nonpositive at "
-                f"{iterations} iterations; increase iterations"
-            )
-        hmin = min(hmin, est.lower)
+            failed = a
+        else:
+            hmin = min(hmin, est.lower)
+        to_beat = hmin if failed is None else 0.0
+        # escape lemma: every |a'| >= a has lower bound >= log|a'| - log 2 - C/2^n
+        if (a >= 2 and a * a >= 2 * abs(c)
+                and math.log(a) - math.log(2.0) - est.error > to_beat + _ESCAPE_MARGIN):
+            break
+    if failed is not None:
+        raise ArithmeticError(
+            f"height lower bound for a={-failed} is nonpositive at "
+            f"{iterations} iterations; increase iterations"
+        )
     if not math.isfinite(hmin):
         raise ArithmeticError("no wandering integer found in the search box")
     return hmin, RIGOR_BOX

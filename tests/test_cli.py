@@ -298,6 +298,27 @@ def test_heights_cli_too_few_iterations_exits_2(capsys):
     assert err.startswith("error: height lower bound") and "increase iterations" in err
 
 
+def test_heights_cli_too_many_iterations_exits_2(capsys):
+    code, out, err = run(capsys, ["heights", "-c", "5", "--iterations", "1100"])
+    assert code == 2 and out == ""
+    assert err == "error: iterations must be in [1, 1023], got 1100\n"
+
+
+def test_heights_cli_negative_box_exits_2(capsys):
+    code, out, err = run(capsys, ["heights", "-c", "5", "--box", "-7"])
+    assert code == 2 and out == ""
+    assert err == "error: --box must be >= 0, got -7\n"
+
+
+def test_heights_cli_box_width_does_not_set_the_cost(capsys):
+    # the height scan stops at the escape bound, far inside a 10^9 box
+    started = time.perf_counter()
+    _, wide = run_json(capsys, ["heights", "-c", "3000", "--box", "1000000000"])
+    assert time.perf_counter() - started < 1.0
+    _, narrow = run_json(capsys, ["heights", "-c", "3000", "--box", "0"])
+    assert wide["verdicts"] == narrow["verdicts"]
+
+
 def test_mc_stability_custom_weights(capsys):
     code, report = run_json(capsys, [
         "mc-stability", "-c", "-4,-12", "-L", "4", "-T", "500",

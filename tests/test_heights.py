@@ -2,10 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quadsemi.arith import is_perfect_square, positive_divisors
 from quadsemi.dynamics import QuadraticMap
 from quadsemi.heights import (
+    MAX_ITERATIONS,
     RIGOR_BOX,
     canonical_height,
     compute_iterate_bound,
@@ -53,6 +55,29 @@ def test_canonical_height_agrees_with_plain_iteration_at_small_depth():
 def test_canonical_height_validates_iterations():
     with pytest.raises(ValueError):
         canonical_height(QuadraticMap(1), 0, 0)
+    # 2.0**1024 overflows a double: reject the count instead of OverflowError
+    with pytest.raises(ValueError, match=r"iterations must be in \[1, 1023\], got 1100"):
+        canonical_height(QuadraticMap(5), 7, 1100)
+    est = canonical_height(QuadraticMap(5), 7, MAX_ITERATIONS)
+    assert est.lower > 0 and est.error > 0
+
+
+@given(st.integers(-3000, 3000), st.integers(0, 10**6), st.integers(1, 40))
+def test_canonical_height_is_even_in_a(c, a, n):
+    f = QuadraticMap(c)
+    assert canonical_height(f, -a, n) == canonical_height(f, a, n)
+
+
+@given(st.integers(-3000, 3000), st.integers(0, 10**80))
+@example(-2, 2)  # the fixed point 2 of x^2 - 2 meets the bound with slack log 2 / 2^30
+def test_escape_lemma_lower_bound(c, a):
+    # |a| >= 2 and a^2 >= 2|c| keep the orbit escaping, so hhat(a) >= log|a| - log 2
+    edge = math.isqrt(2 * abs(c))
+    a = max(a, 2, edge if edge * edge == 2 * abs(c) else edge + 1)
+    f = QuadraticMap(c)
+    for x in (a, -a):
+        est = canonical_height(f, x, 30)
+        assert est.lower >= math.log(a) - math.log(2.0) - est.error, (c, x)
 
 
 def test_doubling_identity_sampled():
@@ -144,6 +169,72 @@ def test_min_positive_height_minimizer_for_c_one():
 def test_min_positive_height_rejects_degenerate_constants():
     with pytest.raises(ValueError):
         min_positive_height(QuadraticMap(0))
+
+
+def test_min_positive_height_rejects_negative_box():
+    with pytest.raises(ValueError, match="--box must be >= 0, got -7"):
+        min_positive_height(QuadraticMap(5), search_box=-7)
+
+
+def _box_scan_reference(map, search_box=0, iterations=30):
+    """Slow reference for min_positive_height: every integer of the two-sided box."""
+    c = map.c
+    if c in (0, -1):
+        raise ValueError("minimal height search needs c outside {0, -1}")
+    box = max(search_box, abs(c) + 1)
+    skip = preper_set(c)
+    hmin = math.inf
+    for a in range(-box, box + 1):
+        if a in skip:
+            continue
+        est = canonical_height(map, a, iterations)
+        if est.lower <= 0.0:
+            raise ArithmeticError(
+                f"height lower bound for a={a} is nonpositive at "
+                f"{iterations} iterations; increase iterations"
+            )
+        hmin = min(hmin, est.lower)
+    if not math.isfinite(hmin):
+        raise ArithmeticError("no wandering integer found in the search box")
+    return hmin, RIGOR_BOX
+
+
+def _outcome(search, c, box, iterations):
+    """(hmin, rigor), or the ArithmeticError message."""
+    try:
+        return search(QuadraticMap(c), box, iterations)
+    except ArithmeticError as exc:
+        return str(exc)
+
+
+def test_preper_set_is_closed_under_negation():
+    for c in range(-3000, 3001):
+        skip = preper_set(c)
+        assert skip == frozenset(-a for a in skip), c
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 3, 5, 30])
+def test_min_positive_height_equals_box_scan(iterations):
+    # small iteration counts exercise the ArithmeticError path (which a is named)
+    for c in range(-300, 301):
+        if c in (0, -1):
+            continue
+        assert _outcome(min_positive_height, c, 0, iterations) == _outcome(
+            _box_scan_reference, c, 0, iterations), c
+
+
+@pytest.mark.parametrize("c", [2, -2, -12, 47, -130, 512, -999, 1500, -2999, 3000])
+def test_min_positive_height_equals_box_scan_wide_box(c):
+    assert min_positive_height(QuadraticMap(c), 10000) == _box_scan_reference(
+        QuadraticMap(c), 10000)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-3000, 3000).filter(lambda c: c not in (0, -1)),
+       st.integers(0, 5000), st.integers(1, 40))
+def test_min_positive_height_equals_box_scan_sampled(c, box, iterations):
+    assert _outcome(min_positive_height, c, box, iterations) == _outcome(
+        _box_scan_reference, c, box, iterations)
 
 
 def test_iterate_bound_examples():
