@@ -1,7 +1,9 @@
 """Command-line surface for the library.
 
 Every subcommand prints a human-readable summary by default and a versioned
-JSON report with --json (schema described in docs/report-schema.md).
+JSON report with --json (schema described in docs/report-schema.md).  Each
+handler returns an ``Outcome``; ``main`` alone times the command, builds the
+report and prints it.
 
 Exit codes: 0 = success / all checks passed / certificate obtained;
 1 = a check failed (lemma mismatch, refuted obstruction, forbidden
@@ -15,6 +17,7 @@ import json
 import re
 import sys
 import time
+from typing import NamedTuple
 
 from . import __version__
 from .diophantine import (
@@ -47,19 +50,33 @@ from .portraits import portrait
 REPORT_SCHEMA = "quadsemi-report/2"
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
+class Outcome(NamedTuple):
+    """What a handler found: the report's sections, the text lines, the exit code."""
+
+    inputs: dict
+    verdicts: dict
+    witnesses: dict
+    lines: list[str]
+    code: int = 0
+    stats: dict | None = None
+
+
+def _parse_list(text: str, what: str, convert=int, kind: str = "integers") -> list:
+    """The items of a comma-separated list; an empty or malformed item is a usage error."""
     try:
-        items = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [convert(tok) for tok in text.split(",")]
     except ValueError:
-        raise ValueError(f"{what} must be a comma-separated integer list, got {text!r}")
-    if not items:
-        raise ValueError(f"{what} must be nonempty")
-    return items
+        raise ValueError(f"{what} must be a comma-separated list of {kind}, "
+                         f"got {text!r}") from None
+
+
+def _gens(args) -> GeneratorSet:
+    return GeneratorSet.from_cs(_parse_list(args.c, "-c"))
 
 
 def _parse_word(text: str, n_gens: int) -> tuple[int, ...]:
     """Word letters are 1-based indices into the -c list, outermost first."""
-    letters = _parse_int_list(text, "word")
+    letters = _parse_list(text, "-w")
     for i in letters:
         if not 1 <= i <= n_gens:
             raise ValueError(f"word index {i} out of range 1..{n_gens}")
@@ -70,137 +87,92 @@ def _one_based(word: tuple[int, ...]) -> list[int]:
     return [i + 1 for i in word]
 
 
-def _report(command: str, inputs: dict, verdicts: dict, witnesses: dict,
-            started: float, stats: dict | None = None) -> dict:
-    report = {
-        "schema": REPORT_SCHEMA,
-        "command": command,
-        "inputs": inputs,
-        "verdicts": verdicts,
-        "witnesses": witnesses,
-    }
-    if stats is not None:
-        report["stats"] = stats
-    report["timings"] = {"elapsed_s": round(time.perf_counter() - started, 6)}
-    return report
-
-
-def _emit(args, code: int, report: dict, lines: list[str]) -> int:
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        for line in lines:
-            print(line)
-    return code
-
-
 # --- subcommand handlers ----------------------------------------------------
 
-def cmd_orbit(args) -> int:
-    started = time.perf_counter()
-    gens = GeneratorSet.from_cs(_parse_int_list(args.c, "-c"))
+def cmd_orbit(args) -> Outcome:
+    gens = _gens(args)
     word = _parse_word(args.w, len(gens))
     entries = adjusted_critical_orbit(gens, word)
     verdict = stability_certificate(gens, word)
-    report = _report(
-        "orbit",
+    return Outcome(
         {"cs": list(gens.cs), "word": _one_based(word)},
         {"entries": entries, "status": verdict.status,
          "first_square_index": verdict.first_square_index},
         {"witness_root": verdict.witness_root},
-        started,
+        [f"word {_one_based(word)} over {list(gens.cs)}",
+         f"adjusted critical orbit: {entries}",
+         f"verdict: {verdict.status}"
+         + (f" (square {verdict.witness_root}^2 at position "
+            f"{verdict.first_square_index})" if not verdict.certified else "")],
     )
-    lines = [f"word {_one_based(word)} over {list(gens.cs)}",
-             f"adjusted critical orbit: {entries}",
-             f"verdict: {verdict.status}"
-             + (f" (square {verdict.witness_root}^2 at position "
-                f"{verdict.first_square_index})" if not verdict.certified else "")]
-    return _emit(args, 0, report, lines)
 
 
-def cmd_scan_words(args) -> int:
-    started = time.perf_counter()
-    gens = GeneratorSet.from_cs(_parse_int_list(args.c, "-c"))
+def cmd_scan_words(args) -> Outcome:
+    gens = _gens(args)
     results = scan_words(gens, args.L)
     certified = [w for w, v in results if v.certified]
-    report = _report(
-        "scan-words",
-        {"cs": list(gens.cs), "max_len": args.L},
-        {"words": len(results), "certified": len(certified)},
-        {"certified_words": [_one_based(w) for w in certified]},
-        started,
-    )
     lines = [f"{len(results)} words of length <= {args.L}; "
              f"{len(certified)} certified irreducible"]
     if args.verbose:
         lines += [f"  {_one_based(w)}" for w in certified]
-    return _emit(args, 0, report, lines)
+    return Outcome(
+        {"cs": list(gens.cs), "max_len": args.L},
+        {"words": len(results), "certified": len(certified)},
+        {"certified_words": [_one_based(w) for w in certified]},
+        lines,
+    )
 
 
-def cmd_portrait(args) -> int:
-    started = time.perf_counter()
+def cmd_portrait(args) -> Outcome:
     p = portrait(args.c)
     form = None
     if p.square_form is not None:
         form = {"kind": p.square_form.kind, "s": p.square_form.s}
-    report = _report(
-        "portrait",
+    return Outcome(
         {"c": args.c},
         {"fixed_points": sorted(p.fixed_points),
          "two_cycles": sorted(list(t) for t in p.two_cycles),
          "preperiodic": sorted(p.preper),
          "square_form": form},
         {},
-        started,
+        [f"x^2{args.c:+d}: fixed {sorted(p.fixed_points)}, "
+         f"2-cycles {sorted(list(t) for t in p.two_cycles)}, "
+         f"preperiodic {sorted(p.preper)}",
+         f"square periodic form: {form}"],
     )
-    lines = [f"x^2{args.c:+d}: fixed {sorted(p.fixed_points)}, "
-             f"2-cycles {sorted(list(t) for t in p.two_cycles)}, "
-             f"preperiodic {sorted(p.preper)}",
-             f"square periodic form: {form}"]
-    return _emit(args, 0, report, lines)
 
 
-def cmd_exceptional(args) -> int:
-    started = time.perf_counter()
+def cmd_exceptional(args) -> Outcome:
     v = is_exceptional_pair(args.c1, args.c2)
     form = None
     if v.closed_form is not None:
         form = {"kind": v.closed_form.kind, "s": v.closed_form.s}
-    report = _report(
-        "exceptional",
+    return Outcome(
         {"c1": args.c1, "c2": args.c2},
         {"is_exceptional": v.is_exceptional, "closed_form": form},
         {"square_periodic": list(v.square_periodic),
          "image_witnesses": [list(w) if w else None for w in v.image_witnesses]},
-        started,
+        [f"({args.c1}, {args.c2}): "
+         + ("exceptional" if v.is_exceptional else "not exceptional")
+         + (f", closed form {form}" if form else "")],
     )
-    lines = [f"({args.c1}, {args.c2}): "
-             + ("exceptional" if v.is_exceptional else "not exceptional")
-             + (f", closed form {form}" if form else "")]
-    return _emit(args, 0, report, lines)
 
 
-def cmd_scan_pairs(args) -> int:
-    started = time.perf_counter()
+def cmd_scan_pairs(args) -> Outcome:
     pairs = scan_exceptional_pairs(args.min, args.max)
-    report = _report(
-        "scan-pairs",
+    return Outcome(
         {"min": args.min, "max": args.max},
         {"count": len(pairs)},
         {"pairs": [list(p) for p in pairs]},
-        started,
+        [f"{len(pairs)} ordered exceptional pairs in "
+         f"[{args.min}, {args.max}]^2: {pairs}"],
     )
-    lines = [f"{len(pairs)} ordered exceptional pairs in "
-             f"[{args.min}, {args.max}]^2: {pairs}"]
-    return _emit(args, 0, report, lines)
 
 
-def cmd_construct_prefix(args) -> int:
-    started = time.perf_counter()
-    gens = GeneratorSet.from_cs(_parse_int_list(args.c, "-c"))
+def cmd_construct_prefix(args) -> Outcome:
+    gens = _gens(args)
     recipe = construct_irreducible_prefix(gens)
-    report = _report(
-        "construct-prefix",
+    return Outcome(
         {"cs": list(gens.cs)},
         {"shape": recipe.shape,
          "outer_c": gens.maps[recipe.outer].c,
@@ -208,12 +180,10 @@ def cmd_construct_prefix(args) -> int:
          "n_iterate": recipe.n_iterate,
          "prefix_word": _one_based(recipe.prefix_word())},
         {"certificate": recipe.certificate, "rigor": recipe.rigor},
-        started,
+        [f"{recipe.shape} prefix, outer x^2{gens.maps[recipe.outer].c:+d} "
+         f"iterated N={recipe.n_iterate}: word {_one_based(recipe.prefix_word())}",
+         f"certificate: {recipe.certificate} [{recipe.rigor}]"],
     )
-    lines = [f"{recipe.shape} prefix, outer x^2{gens.maps[recipe.outer].c:+d} "
-             f"iterated N={recipe.n_iterate}: word {_one_based(recipe.prefix_word())}",
-             f"certificate: {recipe.certificate} [{recipe.rigor}]"]
-    return _emit(args, 0, report, lines)
 
 
 def _registry_entry(entries: list[LemmaEntry], entry_id: str) -> LemmaEntry:
@@ -223,27 +193,14 @@ def _registry_entry(entries: list[LemmaEntry], entry_id: str) -> LemmaEntry:
     raise ValueError(f"unknown lemma id {entry_id!r}; ids run case1.1..case3.16")
 
 
-def cmd_verify_lemma(args) -> int:
-    started = time.perf_counter()
+def cmd_verify_lemma(args) -> Outcome:
     entries = registry()
-    if args.all:
-        chosen = entries
-    else:
-        chosen = [_registry_entry(entries, args.id)]
+    chosen = entries if args.all else [_registry_entry(entries, args.id)]
     results = verify_all(chosen, bound=args.bound)
     all_ok = all(r.matched for r in results)
     rows = [{"id": r.entry_id, "matched": r.matched,
              "extra": sorted(map(list, r.extra)), "missing": sorted(map(list, r.missing)),
              "note": r.note} for r in results]
-    report = _report(
-        "verify-lemma",
-        {"which": "all" if args.all else args.id, "bound": args.bound,
-         "registry": registry_provenance()},
-        {"all_matched": all_ok,
-         "matched": sum(r.matched for r in results), "total": len(results)},
-        {"results": rows},
-        started,
-    )
     lines = [f"{sum(r.matched for r in results)}/{len(results)} entries match "
              f"the bounded search at bound {args.bound}"]
     for r in results:
@@ -252,98 +209,84 @@ def cmd_verify_lemma(args) -> int:
                          f"missing={sorted(r.missing)[:5]}")
         elif args.verbose:
             lines.append(f"  match    {r.entry_id}")
-    return _emit(args, 0 if all_ok else 1, report, lines)
+    return Outcome(
+        {"which": "all" if args.all else args.id, "bound": args.bound,
+         "registry": registry_provenance()},
+        {"all_matched": all_ok,
+         "matched": sum(r.matched for r in results), "total": len(results)},
+        {"results": rows},
+        lines,
+        code=0 if all_ok else 1,
+    )
 
 
-def cmd_obstruction(args) -> int:
-    started = time.perf_counter()
+def cmd_obstruction(args) -> Outcome:
     res = modular_obstruction(_registry_entry(registry(), args.id), args.mod)
-    report = _report(
-        "obstruction",
+    return Outcome(
         {"id": args.id, "modulus": args.mod},
         {"confirmed": res.confirmed},
         {"witness": list(res.witness) if res.witness else None},
-        started,
+        [f"{args.id} mod {args.mod}: "
+         + ("no residue solutions (obstruction confirmed)" if res.confirmed
+            else f"refuted by residues {res.witness}")],
+        code=0 if res.confirmed else 1,
     )
-    lines = [f"{args.id} mod {args.mod}: "
-             + ("no residue solutions (obstruction confirmed)" if res.confirmed
-                else f"refuted by residues {res.witness}")]
-    return _emit(args, 0 if res.confirmed else 1, report, lines)
 
 
-def cmd_curve_points(args) -> int:
-    started = time.perf_counter()
-    coeffs = _parse_int_list(args.coeffs, "--coeffs")
+def cmd_curve_points(args) -> Outcome:
+    coeffs = _parse_list(args.coeffs, "--coeffs")
     if len(coeffs) != 3:
         raise ValueError("--coeffs needs exactly a4,a2,a0")
     a4, a2, a0 = coeffs
     pts = quartic_curve_points(a4, a2, a0, args.bound)
-    report = _report(
-        "curve-points",
+    return Outcome(
         {"a4": a4, "a2": a2, "a0": a0, "bound": args.bound},
         {"count": len(pts)},
         {"points": [list(p) for p in pts]},
-        started,
+        [f"y^2 = {a4}q^4 + {a2}q^2 + {a0}, |q| <= {args.bound}: "
+         f"{len(pts)} points {pts}"],
     )
-    lines = [f"y^2 = {a4}q^4 + {a2}q^2 + {a0}, |q| <= {args.bound}: "
-             f"{len(pts)} points {pts}"]
-    return _emit(args, 0, report, lines)
 
 
-def cmd_heights(args) -> int:
-    started = time.perf_counter()
+def cmd_heights(args) -> Outcome:
     m = QuadraticMap(args.c)
     try:
         bound = compute_iterate_bound(m, search_box=args.box, iterations=args.iterations)
     except ArithmeticError as exc:  # --iterations too small for the box: bad input
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(str(exc)) from None
     pts = sorted(integral_points_on_phi2(m))
-    report = _report(
-        "heights",
+    return Outcome(
         {"c": args.c, "iterations": args.iterations, "box": args.box},
         {"hmin": bound.hmin, "B": bound.B, "N": bound.N, "rigor": bound.rigor},
         {"integral_points": [list(p) for p in pts]},
-        started,
+        [f"x^2{args.c:+d}: hmin={bound.hmin:.6f} B={bound.B:.6f} "
+         f"N={bound.N} [{bound.rigor}]",
+         f"integral points on Y^2 = f(f(X)): {pts}"],
     )
-    lines = [f"x^2{args.c:+d}: hmin={bound.hmin:.6f} B={bound.B:.6f} "
-             f"N={bound.N} [{bound.rigor}]",
-             f"integral points on Y^2 = f(f(X)): {pts}"]
-    return _emit(args, 0, report, lines)
 
 
-def cmd_mc_stability(args) -> int:
-    started = time.perf_counter()
-    gens = GeneratorSet.from_cs(_parse_int_list(args.c, "-c"))
+def cmd_mc_stability(args) -> Outcome:
+    gens = _gens(args)
     if args.weights:
-        try:
-            weights = tuple(float(w) for w in args.weights.split(","))
-        except ValueError:
-            raise ValueError(f"--weights must be a comma-separated list of numbers, "
-                             f"got {args.weights!r}") from None
+        weights = tuple(_parse_list(args.weights, "--weights", float, "numbers"))
     else:
         weights = (1.0,) * len(gens)
     sampler = SequenceSampler(weights, args.seed & ((1 << 64) - 1))
     estimate = monte_carlo_stability(gens, sampler, args.L, args.T)
-    report = _report(
-        "mc-stability",
+    return Outcome(
         {"cs": list(gens.cs), "depth": args.L, "trials": args.T,
          "seed": sampler.seed, "weights": list(weights)},
         {"estimate": estimate},
         {},
-        started,
+        [f"P(length-{args.L} word is square-free) ~ {estimate} "
+         f"({args.T} trials, seed {sampler.seed})"],
     )
-    lines = [f"P(length-{args.L} word is square-free) ~ {estimate} "
-             f"({args.T} trials, seed {sampler.seed})"]
-    return _emit(args, 0, report, lines)
 
 
-def cmd_cross_validate(args) -> int:
-    started = time.perf_counter()
-    gens = GeneratorSet.from_cs(_parse_int_list(args.c, "-c"))
+def cmd_cross_validate(args) -> Outcome:
+    gens = _gens(args)
     rep = cross_validate(gens, args.L)
-    report = _report(
-        "cross-validate",
+    return Outcome(
         {"cs": list(gens.cs), "max_len": args.L},
         {"words_checked": rep.words_checked,
          "forbidden": len(rep.forbidden),
@@ -351,13 +294,12 @@ def cmd_cross_validate(args) -> int:
          "passed": rep.passed},
         {"forbidden_words": [_one_based(w) for w in rep.forbidden],
          "unknown_irreducible_words": [_one_based(w) for w in rep.unknown_irreducible]},
-        started,
+        [f"{rep.words_checked} words checked: "
+         f"{len(rep.forbidden)} forbidden combinations, "
+         f"{len(rep.unknown_irreducible)} unknown-but-irreducible"],
+        code=0 if rep.passed else 1,
         stats={"counters": rep.counters},
     )
-    lines = [f"{rep.words_checked} words checked: "
-             f"{len(rep.forbidden)} forbidden combinations, "
-             f"{len(rep.unknown_irreducible)} unknown-but-irreducible"]
-    return _emit(args, 0 if rep.passed else 1, report, lines)
 
 
 # --- parser -----------------------------------------------------------------
@@ -380,20 +322,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"quadsemi {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--verbose", action="store_true", help="more detail")
+    gens = argparse.ArgumentParser(add_help=False)
+    gens.add_argument("-c", required=True, help="comma-separated generator constants")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("orbit", parents=[common],
+    p = sub.add_parser("orbit", parents=[common, gens],
                        help="adjusted critical orbit and verdict of one word")
-    p.add_argument("-c", required=True, help="comma-separated generator constants")
     p.add_argument("-w", required=True,
                    help="comma-separated 1-based word letters, outermost first")
     p.set_defaults(handler=cmd_orbit)
 
-    p = sub.add_parser("scan-words", parents=[common],
+    p = sub.add_parser("scan-words", parents=[common, gens],
                        help="verdicts for every word up to a length")
-    p.add_argument("-c", required=True)
     p.add_argument("-L", type=int, required=True)
+    p.add_argument("--verbose", action="store_true", help="list the certified words")
     p.set_defaults(handler=cmd_scan_words)
 
     p = sub.add_parser("portrait", parents=[common],
@@ -413,16 +355,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=int, required=True)
     p.set_defaults(handler=cmd_scan_pairs)
 
-    p = sub.add_parser("construct-prefix", parents=[common],
+    p = sub.add_parser("construct-prefix", parents=[common, gens],
                        help="constructive irreducible prefix for a generator set")
-    p.add_argument("-c", required=True)
     p.set_defaults(handler=cmd_construct_prefix)
 
     p = sub.add_parser("verify-lemma", parents=[common],
                        help="compare bounded search against the case registry")
-    p.add_argument("id", nargs="?", help="case id, e.g. case2.14")
-    p.add_argument("--all", action="store_true", help="verify all 48 entries")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("id", nargs="?", help="case id, e.g. case2.14")
+    which.add_argument("--all", action="store_true", help="verify all 48 entries")
     p.add_argument("--bound", type=int, default=50)
+    p.add_argument("--verbose", action="store_true", help="list the matching entries too")
     p.set_defaults(handler=cmd_verify_lemma)
 
     p = sub.add_parser("obstruction", parents=[common],
@@ -444,9 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", type=int, default=0)
     p.set_defaults(handler=cmd_heights)
 
-    p = sub.add_parser("mc-stability", parents=[common],
+    p = sub.add_parser("mc-stability", parents=[common, gens],
                        help="Monte Carlo estimate of the square-free word fraction")
-    p.add_argument("-c", required=True)
     p.add_argument("-L", type=int, required=True)
     p.add_argument("-T", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -454,9 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated positive finite weights (default uniform)")
     p.set_defaults(handler=cmd_mc_stability)
 
-    p = sub.add_parser("cross-validate", parents=[common],
+    p = sub.add_parser("cross-validate", parents=[common, gens],
                        help="compare the orbit certificate with the exact oracle")
-    p.add_argument("-c", required=True)
     p.add_argument("-L", type=int, required=True)
     p.set_defaults(handler=cmd_cross_validate)
 
@@ -466,12 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify-lemma" and bool(args.all) == (args.id is not None):
-        parser.error("verify-lemma needs exactly one of <id> or --all")
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.handler(args)
+        out = args.handler(args)
     except TheoremViolationError as exc:
         print(f"THEOREM VIOLATION: {exc}", file=sys.stderr)
         print(json.dumps({"details": repr(exc.details)}), file=sys.stderr)
@@ -479,6 +418,16 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.json:
+        report = {"schema": REPORT_SCHEMA, "command": args.command, "inputs": out.inputs,
+                  "verdicts": out.verdicts, "witnesses": out.witnesses}
+        if out.stats is not None:
+            report["stats"] = out.stats
+        report["timings"] = {"elapsed_s": round(time.perf_counter() - started, 6)}
+        print(json.dumps(report, indent=2))
+    else:
+        print("\n".join(out.lines))
+    return out.code
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 import quadsemi
 from quadsemi.cli import build_parser, main
-from quadsemi.diophantine import registry_checksum, registry_path
+from quadsemi.diophantine import registry, registry_checksum, registry_path
 from quadsemi.exceptional import closed_form_of
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -87,13 +88,17 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
-def test_verify_lemma_requires_id_or_all():
+def test_verify_lemma_requires_id_or_all(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-lemma"])
     assert exc.value.code == 2
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert re.search(r"\bid\b", message) and "--all" in message
     with pytest.raises(SystemExit) as exc:
         main(["verify-lemma", "case1.1", "--all"])
     assert exc.value.code == 2
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert re.search(r"\bid\b", message) and "--all" in message
 
 
 def test_verify_lemma_single(capsys):
@@ -390,6 +395,61 @@ def test_threads_flag_is_a_usage_error(capsys, command):
         main([command, *VALID_ARGV[command], "--threads", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(VALID_ARGV))
+def test_report_shape(capsys, command):
+    argv = [command, *VALID_ARGV[command]]
+    code, report = run_json(capsys, argv)
+    stats = ["stats"] if command == "cross-validate" else []
+    assert list(report) == ["schema", "command", "inputs", "verdicts", "witnesses",
+                            *stats, "timings"]
+    assert report["schema"] == "quadsemi-report/2"
+    assert report["command"] == command
+    text_code, out, _ = run(capsys, argv)
+    assert text_code == code and out.strip()
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(out)
+
+
+@pytest.mark.parametrize("command", sorted(set(VALID_ARGV) - {"scan-words", "verify-lemma"}))
+def test_verbose_flag_only_where_it_acts(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *VALID_ARGV[command], "--verbose"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --verbose" in capsys.readouterr().err
+
+
+def test_scan_words_verbose_lists_the_certified_words(capsys):
+    argv = ["scan-words", "-c", "-4,-12", "-L", "3"]
+    _, terse, _ = run(capsys, argv)
+    code, out, _ = run(capsys, argv + ["--verbose"])
+    assert code == 0
+    assert out.splitlines() == terse.splitlines() + ["  [2]", "  [2, 2]", "  [2, 2, 2]"]
+
+
+def test_verify_lemma_verbose_lists_every_match(capsys):
+    code, out, _ = run(capsys, ["verify-lemma", "--all", "--bound", "20", "--verbose"])
+    assert code == 0
+    matches = [line.split()[1] for line in out.splitlines() if line.startswith("  match ")]
+    assert matches == [entry.id for entry in registry()]
+    assert len(matches) == 48
+
+
+@pytest.mark.parametrize("argv,flag,text", [
+    pytest.param(["orbit", "-c", "-4,,-12", "-w", "1"], "-c", "-4,,-12", id="c-doubled"),
+    pytest.param(["orbit", "-c", "-4,-12,", "-w", "1"], "-c", "-4,-12,", id="c-trailing"),
+    pytest.param(["orbit", "-c", "-4,-12", "-w", "2,,1"], "-w", "2,,1", id="w-doubled"),
+    pytest.param(["orbit", "-c", "-4,-12", "-w", "2,1,"], "-w", "2,1,", id="w-trailing"),
+    pytest.param(["curve-points", "--coeffs", "1,1,,2"], "--coeffs", "1,1,,2",
+                 id="coeffs-doubled"),
+    pytest.param(["curve-points", "--coeffs", "1,1,2,"], "--coeffs", "1,1,2,",
+                 id="coeffs-trailing"),
+])
+def test_empty_list_item_exits_2(capsys, argv, flag, text):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be a comma-separated list of integers, got {text!r}\n"
 
 
 def test_portrait_cli(capsys):
