@@ -1,9 +1,11 @@
 """Command-line surface for the library.
 
 Every subcommand prints a human-readable summary by default and a versioned
-JSON report with --json (schema described in docs/report-schema.md).  Each
-handler returns an ``Outcome``; ``main`` alone times the command, builds the
-report and prints it.
+JSON report with --json (schema described in docs/report-schema.md), on one
+line; ``python3 -m json.tool`` indents it for reading.  Each handler returns
+an ``Outcome``; ``main`` alone times the command, builds the report and
+prints it.  ``main`` builds its argument parser on its first call and reuses
+it, so repeated in-process calls do not pay for it again.
 
 Exit codes: 0 = success / all checks passed / certificate obtained;
 1 = a check failed (lemma mismatch, refuted obstruction, forbidden
@@ -13,6 +15,7 @@ certificate combination, theorem-violation diagnostic); 2 = usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -186,7 +189,7 @@ def cmd_construct_prefix(args) -> Outcome:
     )
 
 
-def _registry_entry(entries: list[LemmaEntry], entry_id: str) -> LemmaEntry:
+def _registry_entry(entries: tuple[LemmaEntry, ...], entry_id: str) -> LemmaEntry:
     for entry in entries:
         if entry.id == entry_id:
             return entry
@@ -406,8 +409,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's own parser, built on its first call; build_parser() still gives each
+# caller a fresh one, so no caller can change the parser main uses
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         out = args.handler(args)
@@ -424,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
         if out.stats is not None:
             report["stats"] = out.stats
         report["timings"] = {"elapsed_s": round(time.perf_counter() - started, 6)}
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report))
     else:
         print("\n".join(out.lines))
     return out.code

@@ -31,7 +31,7 @@ import os
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .arith import is_perfect_square, residue_search
 from .portraits import FIXED_SQUARE, PREPER_TARGETS, TWO_CYCLE_SQUARE, shape_constant
@@ -230,15 +230,74 @@ def registry_checksum(path: str | None = None) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def registry_provenance() -> dict[str, str]:
-    """Provenance of the registry in effect, free of any filesystem path.
+class _Loaded(NamedTuple):
+    """One validated registry and what identifies the bytes it came from."""
 
-    ``source`` is "env" when QUADSEMI_REGISTRY names the file, else
-    "bundled"; ``sha256`` pins the file's content.  Reports carry this
-    instead of the path, so they do not depend on the install location.
+    path: str
+    source: str  # "env" or "bundled"
+    sha256: str
+    entries: tuple[LemmaEntry, ...]
+
+
+# the one cache slot, holding the registry that `registry()` last returned;
+# it is refilled in place, so no binding of this module changes after import
+_last: list[_Loaded] = []
+
+
+def registry() -> tuple[LemmaEntry, ...]:
+    """The validated case registry at `registry_path()`.
+
+    Checks the schema tag, the 48-entry count (16 per family), the field
+    types of each entry, selector legality, technique tags, symmetry targets
+    (which must name an earlier entry), and that every claimed solution
+    family actually satisfies its system for |u| <= 10.  Raises
+    RegistryError on any defect.
+
+    Every call reads the file and hashes its bytes, but the validation
+    runs only when (path, sha256) differs from that of the registry last
+    returned, so repeated calls on unchanged bytes return the same tuple,
+    while a rewritten file or a changed QUADSEMI_REGISTRY takes effect on
+    the next call.  A failed load raises on every call and is never
+    cached.  The entries are frozen and the result is a tuple, so every
+    caller can share it.
     """
-    return {"source": "env" if os.environ.get(ENV_REGISTRY) else "bundled",
-            "sha256": registry_checksum()}
+    return _load().entries
+
+
+def registry_provenance() -> dict[str, str]:
+    """Provenance of the registry that `registry()` last returned, free of any path.
+
+    ``source`` is "env" when QUADSEMI_REGISTRY named the file, else
+    "bundled"; ``sha256`` is the digest of the very bytes those entries
+    were validated from, so a report cannot name a file rewritten after
+    the entries were read.  Loads the registry first if none is loaded
+    yet.  Reports carry this instead of the path, so they do not depend on
+    the install location.
+    """
+    loaded = _last[0] if _last else _load()
+    return {"source": loaded.source, "sha256": loaded.sha256}
+
+
+def _load() -> _Loaded:
+    path = registry_path()
+    data = _read_registry(path)
+    digest = hashlib.sha256(data).hexdigest()
+    if _last and (_last[0].path, _last[0].sha256) == (path, digest):
+        entries = _last[0].entries
+    else:
+        entries = _validate(data, path)
+    loaded = _Loaded(path, "env" if os.environ.get(ENV_REGISTRY) else "bundled",
+                     digest, entries)
+    _last[:] = [loaded]
+    return loaded
+
+
+def _read_registry(path: str) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise RegistryError(f"cannot read registry at {path}: {exc}") from exc
 
 
 def _check_record_shape(rec: object, index: int) -> None:
@@ -254,20 +313,11 @@ def _check_record_shape(rec: object, index: int) -> None:
             raise RegistryError(f"entries[{index}]: {key!r} must be a list of strings")
 
 
-def registry() -> list[LemmaEntry]:
-    """Load and validate the case registry at `registry_path()`.
-
-    Checks the schema tag, the 48-entry count (16 per family), the field
-    types of each entry, selector legality, technique tags, symmetry targets
-    (which must name an earlier entry), and that every claimed solution
-    family actually satisfies its system for |u| <= 10.  Raises
-    RegistryError on any defect.
-    """
-    path = registry_path()
+def _validate(data: bytes, path: str) -> tuple[LemmaEntry, ...]:
+    """The entries encoded by ``data``, the bytes of the file at ``path``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(data.decode("utf-8"))
+    except json.JSONDecodeError as exc:
         raise RegistryError(f"cannot read registry at {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise RegistryError("registry must be a JSON object")
@@ -312,7 +362,7 @@ def registry() -> list[LemmaEntry]:
                         f"{entry.id}: claimed family {fam.template!r} fails "
                         f"the system at (x,y,s,t)=({x},{y},{s},{t})"
                     )
-    return entries
+    return tuple(entries)
 
 
 def solve_system_bounded(

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import quadsemi
+from quadsemi import diophantine
 from quadsemi.cli import build_parser, main
 from quadsemi.diophantine import registry, registry_checksum, registry_path
 from quadsemi.exceptional import closed_form_of
@@ -400,7 +401,9 @@ def test_threads_flag_is_a_usage_error(capsys, command):
 @pytest.mark.parametrize("command", sorted(VALID_ARGV))
 def test_report_shape(capsys, command):
     argv = [command, *VALID_ARGV[command]]
-    code, report = run_json(capsys, argv)
+    code, out, _ = run(capsys, argv + ["--json"])
+    report = json.loads(out)
+    assert out.splitlines() == [json.dumps(report)]  # one line, compact
     stats = ["stats"] if command == "cross-validate" else []
     assert list(report) == ["schema", "command", "inputs", "verdicts", "witnesses",
                             *stats, "timings"]
@@ -410,6 +413,94 @@ def test_report_shape(capsys, command):
     assert text_code == code and out.strip()
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
+
+
+def test_second_main_call_builds_no_parser(capsys, monkeypatch):
+    argv = ["portrait", "-c", "-21"]
+    run(capsys, argv)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and "x^2-21" in out
+    assert built == []
+
+
+def test_main_keeps_no_flag_between_calls(capsys):
+    argv = ["verify-lemma", "case2.14"]
+    _, out, _ = run(capsys, argv + ["--verbose"])
+    assert "  match    case2.14" in out.splitlines()
+    _, out, _ = run(capsys, argv)
+    assert out.splitlines() == ["1/1 entries match the bounded search at bound 50"]
+
+    _, report = run_json(capsys, ["heights", "-c", "-12", "--box", "50"])
+    assert report["inputs"]["box"] == 50
+    _, report = run_json(capsys, ["heights", "-c", "-12"])
+    assert report["inputs"]["box"] == 0
+
+
+def test_main_after_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["heights", "-c", "-12", "--box"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, report = run_json(capsys, ["heights", "-c", "-12"])
+    assert code == 0
+    assert report["inputs"] == {"c": -12, "iterations": 30, "box": 0}
+
+
+def test_version_prints_on_every_call(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"quadsemi {quadsemi.__version__}\n"
+
+
+def test_verify_lemma_reads_the_registry_once(capsys, monkeypatch):
+    path = registry_path()
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == path:
+            opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(diophantine, "open", counting_open, raising=False)
+    for argv in (["verify-lemma", "case2.14"], ["verify-lemma", "--all", "--bound", "5"]):
+        opened.clear()
+        code, report = run_json(capsys, argv)
+        assert code == 0 and len(opened) == 1
+    assert report["inputs"]["registry"]["sha256"] == registry_checksum()
+
+
+def test_verify_lemma_reports_the_digest_of_the_bytes_it_verified(
+        capsys, tmp_path, monkeypatch):
+    target = tmp_path / "registry.json"
+    shutil.copy(registry_path(), target)
+    verified_sha256 = registry_checksum(str(target))
+    monkeypatch.setenv("QUADSEMI_REGISTRY", str(target))
+    read = diophantine._read_registry
+
+    def read_then_rewrite(path):
+        data = read(path)
+        target.write_text(json.dumps(json.loads(data)))  # same entries, other bytes
+        return data
+
+    monkeypatch.setattr(diophantine, "_read_registry", read_then_rewrite)
+    code, report = run_json(capsys, ["verify-lemma", "case2.14"])
+    assert code == 0
+    assert report["inputs"]["registry"] == {"source": "env", "sha256": verified_sha256}
+    assert registry_checksum(str(target)) != verified_sha256
 
 
 @pytest.mark.parametrize("command", sorted(set(VALID_ARGV) - {"scan-words", "verify-lemma"}))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 
@@ -13,6 +14,7 @@ from quadsemi.diophantine import (
     registry,
     registry_checksum,
     registry_path,
+    registry_provenance,
     solve_system_bounded,
     verify_lemma,
 )
@@ -93,17 +95,24 @@ def test_registry_known_entries(by_id):
     assert "mod8" in by_id["case3.11"].techniques
 
 
-def test_registry_env_override_and_tamper_detection(tmp_path, monkeypatch):
+def _env_copy(tmp_path, monkeypatch):
+    """A copy of the bundled registry, put in effect through QUADSEMI_REGISTRY."""
     target = tmp_path / "registry.json"
     shutil.copy(registry_path(), target)
     monkeypatch.setenv("QUADSEMI_REGISTRY", str(target))
+    return target
+
+
+def test_registry_env_override_and_tamper_detection(tmp_path, monkeypatch):
+    target = _env_copy(tmp_path, monkeypatch)
     assert len(registry()) == 48
 
     doc = json.loads(target.read_text())
     doc["entries"] = doc["entries"][:-1]
     target.write_text(json.dumps(doc))
-    with pytest.raises(RegistryError):
-        registry()
+    for _ in range(2):  # a failed load is not cached: it raises every time
+        with pytest.raises(RegistryError, match="exactly 48 entries"):
+            registry()
 
 
 def test_registry_rejects_bad_claim(tmp_path, monkeypatch):
@@ -114,6 +123,76 @@ def test_registry_rejects_bad_claim(tmp_path, monkeypatch):
     monkeypatch.setenv("QUADSEMI_REGISTRY", str(target))
     with pytest.raises(RegistryError):
         registry()
+
+
+def _count_family_parses(monkeypatch) -> list[str]:
+    parsed: list[str] = []
+    parse = SolutionFamily.parse.__func__
+
+    def counting(cls, template):
+        parsed.append(template)
+        return parse(cls, template)
+
+    monkeypatch.setattr(SolutionFamily, "parse", classmethod(counting))
+    return parsed
+
+
+def test_registry_unchanged_bytes_give_the_same_object():
+    assert registry() is registry()
+
+
+def test_registry_second_call_on_unchanged_bytes_parses_nothing(monkeypatch):
+    registry()
+    parsed = _count_family_parses(monkeypatch)
+    registry()
+    assert parsed == []
+
+
+def test_registry_rewritten_file_is_loaded_again(tmp_path, monkeypatch):
+    target = _env_copy(tmp_path, monkeypatch)
+    first = registry()
+    parsed = _count_family_parses(monkeypatch)
+    # the same entries in other bytes: reformatted, with ASCII escapes
+    target.write_text(json.dumps(json.loads(target.read_text()), indent=4))
+    second = registry()
+    assert second is not first and second == first
+    assert parsed  # validated again, not served from the cache
+    assert registry_provenance() == {"source": "env",
+                                     "sha256": registry_checksum(str(target))}
+
+
+def test_registry_switching_the_env_override_loads_again(tmp_path, monkeypatch):
+    monkeypatch.delenv("QUADSEMI_REGISTRY", raising=False)
+    bundled = registry()
+    assert registry_provenance() == {"source": "bundled", "sha256": REGISTRY_SHA256}
+    _env_copy(tmp_path, monkeypatch)
+    overridden = registry()
+    assert overridden is not bundled and overridden == bundled
+    assert registry_provenance() == {"source": "env", "sha256": REGISTRY_SHA256}
+    monkeypatch.delenv("QUADSEMI_REGISTRY")
+    assert registry() is not overridden
+    assert registry_provenance() == {"source": "bundled", "sha256": REGISTRY_SHA256}
+
+
+def test_registry_failure_is_not_cached(tmp_path, monkeypatch):
+    target = _env_copy(tmp_path, monkeypatch)
+    good = target.read_bytes()
+    target.write_text(good.decode("utf-8").replace('"case1.1"', '"case1.2"', 1))
+    for _ in range(2):
+        with pytest.raises(RegistryError, match="duplicate entry id case1.2"):
+            registry()
+    target.write_bytes(good)
+    assert [e.id for e in registry()][:2] == ["case1.1", "case1.2"]
+
+
+def test_registry_result_cannot_be_changed():
+    entries = registry()
+    assert isinstance(entries, tuple)
+    with pytest.raises(AttributeError):
+        entries.append(entries[0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entries[0].id = "case9.9"
+    assert registry()[0].id == "case1.1"
 
 
 # family -> (legal left selectors, legal right selectors), written out by hand
