@@ -18,6 +18,14 @@ A square is a square modulo every divisor of M, so an entry whose residue
 fails a factor's quadratic-residue table is proved a nonsquare.  Only an
 entry that passes every table is built exactly and tested with `isqrt`,
 and every reported square and root comes from that exact entry.
+
+Evaluating entry k alone takes k modular steps, because the new letter is
+the innermost map.  The many-word scans share that work instead:
+`scan_words` goes level by level and derives each word's last residue from
+the residue of its inner suffix in one modular step, and
+`monte_carlo_stability` keeps the verdict of every short prefix that a
+trial has decided, in at most about 2 * trials bytes, so later trials
+reuse it.
 """
 
 from __future__ import annotations
@@ -25,8 +33,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice, repeat
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .arith import _SIEVE_MODULUS, _passes_square_sieve, is_perfect_square
 
@@ -200,40 +207,61 @@ def scan_words(
 ) -> list[tuple[tuple[int, ...], StabilityVerdict]]:
     """(word, verdict) for every word of length 1..max_len, in dictionary order.
 
-    Dictionary order lists each word before its extensions, then moves to the
-    next sibling; verdicts are shared down the tree, so a prefix whose orbit
-    already contains a square settles its whole subtree for free.  A new
-    word's last entry is sieved mod M before it is built exactly, as in
-    `stability_certificate`, so a certified word costs no big-integer work.
-    More than SCAN_BUDGET words in all are rejected.
+    The scan runs level by level.  Index a length-k word in base s with its
+    first letter w1 as the most significant digit, and let V_k[idx] be
+    f_{w1}(...f_{wk}(0)) mod M.  The innermost letter is the last one, so
+    V_k[idx] = V_{k-1}[idx mod s^(k-1)]^2 + c_{w1}: one modular step per
+    word gives the residue of its last orbit entry.  A word whose prefix
+    (idx // s) already holds a square takes the prefix's verdict; any other
+    word has its last entry sieved mod M, and only an entry that passes the
+    sieve is built exactly, as in `stability_certificate`.  The levels hold
+    one residue, word and verdict per word.  More than SCAN_BUDGET words in
+    all are rejected before any work.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     s = len(gens.maps)
-    total = sum(s**n for n in range(1, max_len + 1))
-    if total > SCAN_BUDGET:
-        raise ValueError(f"{total} words exceed the scan budget {SCAN_BUDGET}")
-    out: list[tuple[tuple[int, ...], StabilityVerdict]] = []
+    total, size = 0, 1
+    for _ in range(max_len):
+        size *= s
+        total += size
+        if total > SCAN_BUDGET:
+            raise ValueError(f"a scan to length {max_len} visits more than "
+                             f"{SCAN_BUDGET} words (the scan budget)")
+    if max_len == 0:
+        return []
     cs = gens.cs
+    modulus = _SIEVE_MODULUS
 
-    # explicit preorder DFS; inherited=None marks a square-free prefix
-    stack: list[tuple[tuple[int, ...], StabilityVerdict | None]] = [((), None)]
-    while stack:
-        word, inherited = stack.pop()
-        if word:
-            out.append((word, inherited if inherited is not None else _CERTIFIED))
-        if len(word) == max_len:
-            continue
-        children = []
-        for i in range(s):
-            w2 = word + (i,)
-            verdict = inherited
-            if verdict is None:
-                r = _entry_root(cs, w2, len(w2))
+    # level k lists its words, and their (word, verdict) pairs, in index order
+    words: list[tuple[int, ...]] = [()]
+    verdicts: list[StabilityVerdict] = [_CERTIFIED]
+    residues = [0]
+    levels: list[list[tuple[tuple[int, ...], StabilityVerdict]]] = [[]]
+    for k in range(1, max_len + 1):
+        words = [w + (i,) for w in words for i in range(s)]
+        residues = [(v * v + c) % modulus for c in cs for v in residues]
+        # entry 1 is -c_{w1}, the negated level-1 value
+        entries = residues if k > 1 else [-v % modulus for v in residues]
+        verdicts = [v for v in verdicts for _ in range(s)]  # each word's prefix
+        for idx, v in enumerate(entries):
+            if verdicts[idx] is _CERTIFIED and _passes_square_sieve(v):
+                r = is_perfect_square(_entry(cs, words[idx], k))
                 if r is not None:
-                    verdict = StabilityVerdict(False, len(w2), r)
-            children.append((w2, verdict))
-        stack.extend(reversed(children))
+                    verdicts[idx] = StabilityVerdict(False, k, r)
+        levels.append(list(zip(words, verdicts)))
+
+    # dictionary order is the preorder walk of the tree of words
+    out: list[tuple[tuple[int, ...], StabilityVerdict]] = []
+    k, idx = 1, 0
+    while k:
+        out.append(levels[k][idx])
+        if k < max_len:
+            k, idx = k + 1, idx * s
+            continue
+        while k and idx % s == s - 1:
+            k, idx = k - 1, idx // s
+        idx += 1
     return out
 
 
@@ -280,17 +308,6 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _trial_letters(seed: int, trial: int, cum: list[float], k: int) -> Iterator[int]:
-    """Letters for one trial, drawn lazily from a counter-based stream keyed by (seed, trial)."""
-    if k == 1:
-        yield from repeat(0)
-    state = _mix64((seed ^ (trial * _STREAM)) & _MASK64)
-    while True:
-        state = (state + _GOLDEN) & _MASK64
-        u = _mix64(state) / 18446744073709551616.0  # 2**64, can round to 1.0
-        yield min(bisect_right(cum, u), k - 1)
-
-
 def monte_carlo_stability(
     gens: GeneratorSet,
     sampler: SequenceSampler,
@@ -304,6 +321,12 @@ def monte_carlo_stability(
     the same seed gives the same value.  A trial draws its letters one at a
     time and stops at the first square entry, so letters after it are never
     drawn.
+
+    Trials share their short prefixes, so the verdicts of those prefixes are
+    memoized: level k keeps one byte per length-k word, indexed as in
+    `scan_words` (0 = not yet decided, 1 = square-free so far, 2 = holds a
+    square).  Only levels with s^k <= trials are kept, so the memo holds at
+    most about 2 * trials bytes; deeper entries are decided per trial.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -312,14 +335,35 @@ def monte_carlo_stability(
     if len(sampler.weights) != len(gens.maps):
         raise ValueError("sampler weight count must match the generator count")
     cum = sampler._cumulative()
-    k = len(gens.maps)
+    s = len(gens.maps)
+    last = s - 1
     cs = gens.cs
+    memo: list[bytearray] = []
+    size = s
+    while len(memo) < depth and size <= trials:
+        memo.append(bytearray(size))
+        size *= s
+    memo_depth = len(memo)
+    seed = sampler.seed
     hits = 0
     for t in range(trials):
+        state = _mix64((seed ^ (t * _STREAM)) & _MASK64)
         word: list[int] = []
-        for letter in islice(_trial_letters(sampler.seed, t, cum, k), depth):
+        idx = 0
+        for k in range(1, depth + 1):
+            state = (state + _GOLDEN) & _MASK64
+            u = _mix64(state) / 18446744073709551616.0  # 2**64, can round to 1.0
+            letter = min(bisect_right(cum, u), last)
             word.append(letter)
-            if _entry_root(cs, word, len(word)) is not None:
+            if k <= memo_depth:
+                idx = idx * s + letter
+                level = memo[k - 1]
+                known = level[idx]
+                if not known:
+                    known = level[idx] = 2 if _entry_root(cs, word, k) is not None else 1
+                if known == 2:
+                    break
+            elif _entry_root(cs, word, k) is not None:
                 break
         else:
             hits += 1

@@ -572,3 +572,12 @@ def test_console_script_entry_point():
         )
     assert proc.returncode == 0
     assert "[12, 4]" in proc.stdout
+
+
+@pytest.mark.parametrize("cs", ["1", "1,2"])
+def test_scan_words_over_budget_exits_2_at_once(capsys, cs):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["scan-words", "-c", cs, "-L", "100000000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "more than 1048576 words" in err

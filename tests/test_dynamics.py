@@ -1,19 +1,24 @@
 import math
+import tracemalloc
 from bisect import bisect_right
 from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from quadsemi import dynamics
 from quadsemi.arith import is_perfect_square
 from quadsemi.dynamics import (
+    SCAN_BUDGET,
     GeneratorSet,
     QuadraticMap,
     SequenceSampler,
     StabilityVerdict,
+    _CERTIFIED,
     _GOLDEN,
     _MASK64,
     _STREAM,
+    _entry_root,
     _mix64,
     adjusted_critical_orbit,
     compose_word,
@@ -301,3 +306,123 @@ def test_monte_carlo_uniform_draw_of_one_picks_the_last_generator():
     assert _trial_word(SEED_DRAWING_ONE, 0, 3, sampler._cumulative(), 2)[0] == 1
     assert monte_carlo_stability(S, sampler, 3, 1) \
         == reference_monte_carlo((-4, -12), sampler, 3, 1)
+
+
+def dfs_scan_reference(
+    gens: GeneratorSet, max_len: int
+) -> list[tuple[tuple[int, ...], StabilityVerdict]]:
+    """(word, verdict) for every word of length 1..max_len, in dictionary order.
+
+    Dictionary order lists each word before its extensions, then moves to the
+    next sibling; verdicts are shared down the tree, so a prefix whose orbit
+    already contains a square settles its whole subtree for free.  A new
+    word's last entry is sieved mod M before it is built exactly, as in
+    `stability_certificate`, so a certified word costs no big-integer work.
+    More than SCAN_BUDGET words in all are rejected.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    s = len(gens.maps)
+    total = sum(s**n for n in range(1, max_len + 1))
+    if total > SCAN_BUDGET:
+        raise ValueError(f"{total} words exceed the scan budget {SCAN_BUDGET}")
+    out: list[tuple[tuple[int, ...], StabilityVerdict]] = []
+    cs = gens.cs
+
+    # explicit preorder DFS; inherited=None marks a square-free prefix
+    stack: list[tuple[tuple[int, ...], StabilityVerdict | None]] = [((), None)]
+    while stack:
+        word, inherited = stack.pop()
+        if word:
+            out.append((word, inherited if inherited is not None else _CERTIFIED))
+        if len(word) == max_len:
+            continue
+        children = []
+        for i in range(s):
+            w2 = word + (i,)
+            verdict = inherited
+            if verdict is None:
+                r = _entry_root(cs, w2, len(w2))
+                if r is not None:
+                    verdict = StabilityVerdict(False, len(w2), r)
+            children.append((w2, verdict))
+        stack.extend(reversed(children))
+    return out
+
+
+# (constants, length) pairs on which the level scan must equal the depth-first one
+DFS_CASES = [((-14, 40), 12), ((3, -7, 11), 8), ((-1, -2), 12), ((-4, -12), 12),
+             (DEEP_SQUARE_SET, 9)]
+
+
+@pytest.mark.parametrize("cs,max_len", DFS_CASES + [
+    pytest.param(cs, n, marks=pytest.mark.extended)
+    for cs, n in [((-14, 40), 16), ((-4, -12), 16), ((3, -7, 11), 10)]])
+def test_scan_words_equals_dfs_reference(cs, max_len):
+    S = GeneratorSet.from_cs(cs)
+    assert scan_words(S, max_len) == dfs_scan_reference(S, max_len)
+
+
+# three nonsquare entries of (-16, 4) up to length 9 pass the sieve
+@pytest.mark.parametrize("cs,max_len", DFS_CASES + [((-16, 4), 9)])
+def test_scan_words_tests_exactly_the_entries_that_pass_the_sieve(cs, max_len, monkeypatch):
+    # only a square-free prefix's new entry that passes the sieve is built exactly
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return is_perfect_square(n)
+
+    monkeypatch.setattr(dynamics, "is_perfect_square", counting)
+    S = GeneratorSet.from_cs(cs)
+    dfs_scan_reference(S, max_len)
+    expected = len(calls)
+    calls.clear()
+    scan_words(S, max_len)
+    assert len(calls) == expected
+
+
+# sets and weights for the memo's edge cases: skewed weights that keep most
+# trials square-free, one generator, three generators, a square above the sieve
+MEMO_CASES = [((-4, -12), (1.0, 30.0), 5), ((7,), (1.0,), 5),
+              ((-21, 5, -11), (1.0, 1.0, 1.0), 5), (DEEP_SQUARE_SET, (1.0, 1.0), 15)]
+
+
+@pytest.mark.parametrize("cs,weights,seed", MEMO_CASES)
+def test_monte_carlo_memo_edges_equal_reference(cs, weights, seed):
+    # s^k - 1, s^k and s^k + 1 trials put the memo's last level just below,
+    # at and above the boundary s^k <= trials
+    S = GeneratorSet.from_cs(cs)
+    sampler = SequenceSampler(weights, seed)
+    counts = sorted({b**k + d for b in {2, max(len(cs), 2)}
+                     for k in range(3, 7) for d in (-1, 0, 1)})
+    for trials in counts:
+        assert monte_carlo_stability(S, sampler, 8, trials) \
+            == reference_monte_carlo(cs, sampler, 8, trials), trials
+
+
+def test_monte_carlo_memo_is_bounded_by_the_trial_count():
+    # a memo sized s^depth would take 3^12 = 531441 bytes here
+    S = GeneratorSet.from_cs([3, -7, 11])
+    tracemalloc.start()
+    try:
+        monte_carlo_stability(S, SequenceSampler.uniform(3, 1), 12, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_monte_carlo_decides_each_memoized_prefix_once(monkeypatch):
+    # every trial over one generator draws the same word, so the memo holds
+    # all its levels and the orbit is evaluated once, not once per trial
+    calls = []
+
+    def counting(cs, word, k):
+        calls.append(k)
+        return _entry_root(cs, word, k)
+
+    monkeypatch.setattr(dynamics, "_entry_root", counting)
+    S = GeneratorSet.from_cs([7])
+    assert monte_carlo_stability(S, SequenceSampler.uniform(1, 5), 8, 100) == 1.0
+    assert calls == list(range(1, 9))
