@@ -9,7 +9,7 @@ search, modular obstructions, and curve point enumeration.
 
 __version__ = "0.1.0"
 
-from .arith import floor_sqrt, is_perfect_square, residue_search
+from .arith import is_perfect_square, residue_search
 from .diophantine import (
     LemmaEntry,
     LemmaVerification,
@@ -47,7 +47,6 @@ from .exceptional import (
     check_exceptional_prefix,
     closed_form_of,
     construct_irreducible_prefix,
-    critical_orbit_square_check,
     is_exceptional_pair,
     scan_exceptional_pairs,
 )

@@ -1,8 +1,8 @@
 """Exact arbitrary-precision integer helpers.
 
-Pure functions on Python ints: perfect-square detection, integer square
-roots, divisor enumeration, and exhaustive residue searches (the
-engine behind the modular-obstruction checks).
+Pure functions on Python ints: perfect-square detection, divisor
+enumeration, and exhaustive residue searches (the engine behind the
+modular-obstruction checks).
 
 It also holds the square sieve: quadratic-residue tables for a fixed set of
 small prime powers whose product is `_SIEVE_MODULUS` (about 2^68).  A
@@ -15,13 +15,6 @@ from __future__ import annotations
 import math
 from itertools import product
 from typing import Callable, Sequence
-
-
-def floor_sqrt(n: int) -> int:
-    """Largest r >= 0 with r*r <= n.  Raises ValueError for negative input."""
-    if n < 0:
-        raise ValueError(f"floor_sqrt requires n >= 0, got {n}")
-    return math.isqrt(n)
 
 
 def is_perfect_square(n: int) -> int | None:

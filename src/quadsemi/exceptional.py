@@ -20,9 +20,10 @@ silently absorbed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .arith import floor_sqrt, is_perfect_square, residue_search
+from .arith import is_perfect_square, residue_search
 from .dynamics import GeneratorSet, QuadraticMap
 from .heights import RIGOR_BOX, compute_iterate_bound
 from .portraits import (
@@ -143,7 +144,7 @@ def scan_exceptional_pairs(cmin: int, cmax: int) -> list[tuple[int, int]]:
     """
     if cmin > cmax:
         raise ValueError(f"--min must not exceed --max, got [{cmin}, {cmax}]")
-    top = floor_sqrt(floor_sqrt(max(-cmin, 0))) + 2  # both shapes < cmin from s = top on
+    top = math.isqrt(math.isqrt(max(-cmin, 0))) + 2  # both shapes < cmin from s = top on
     shapes = {shape_constant(kind, s)
               for s in range(top) for kind in (FIXED_SQUARE, TWO_CYCLE_SQUARE)}
     cs = sorted(c for c in shapes if cmin <= c <= cmax)
@@ -286,22 +287,6 @@ def check_exceptional_prefix(s: int) -> ExceptionalPrefixReport:
         s=s, c1=c1, c2=c2, n_iterate=n,
         subchecks=tuple(subchecks), sweep_bound=PREFIX_SWEEP_BOUND, failure=failure,
     )
-
-
-def critical_orbit_square_check(c: int, n_max: int) -> int | None:
-    """First n in 2..n_max where f^n(0) is a perfect square, or None if none is.
-
-    For c outside {0, -1} no such n exists; this is the desk-scale spot check
-    of that fact, not a proof.
-    """
-    if c in (0, -1):
-        raise ValueError("the orbit check needs c outside {0, -1}")
-    v = c  # f(0)
-    for n in range(2, n_max + 1):
-        v = v * v + c
-        if is_perfect_square(v) is not None:
-            return n
-    return None
 
 
 @dataclass(frozen=True)

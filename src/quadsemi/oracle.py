@@ -21,10 +21,10 @@ from __future__ import annotations
 import random
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd, isqrt
 
-from .dynamics import GeneratorSet, compose_word, stability_certificate
+from .dynamics import GeneratorSet, compose_word, scan_words
 
 ORACLE_DEGREE_CAP = 32  # largest degree the oracle accepts
 
@@ -422,10 +422,12 @@ class CrossValidationReport:
 def cross_validate(gens: GeneratorSet, max_len: int) -> CrossValidationReport:
     """Run both routes on every word of length 1..max_len and compare.
 
-    Each word goes to the orbit certificate and to the exact oracle, whose
-    Zassenhaus search always decides, so every word gets both verdicts.
-    Words compose to degree 2^max_len, which must not exceed
-    ORACLE_DEGREE_CAP (32, so max_len <= 5).
+    The orbit certificate's verdicts come from `scan_words`, the fast path
+    users run, so a set over SCAN_BUDGET words is rejected before any oracle
+    call.  Each word then goes to the exact oracle, whose Zassenhaus search
+    always decides, so every word gets both verdicts.  Words compose to
+    degree 2^max_len, which must not exceed ORACLE_DEGREE_CAP (32, so
+    max_len <= 5).
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -434,27 +436,25 @@ def cross_validate(gens: GeneratorSet, max_len: int) -> CrossValidationReport:
             f"words of length {max_len} compose to degree {2**max_len}, "
             f"beyond the oracle cap {ORACLE_DEGREE_CAP}"
         )
+    # by length, then in dictionary order (the sort is stable)
+    scanned = sorted(scan_words(gens, max_len), key=lambda pair: len(pair[0]))
     forbidden = []
     unknown_irreducible = []
-    checked = 0
     counters = dict.fromkeys(COUNTER_NAMES, 0)
     token = _counters.set(counters)
     try:
-        for n in range(1, max_len + 1):
-            for word in product(range(len(gens.maps)), repeat=n):
-                checked += 1
-                certified = stability_certificate(gens, word).certified
-                irreducible = is_irreducible_exact(compose_word(gens, word))
-                if certified and not irreducible:
-                    forbidden.append(word)
-                elif not certified and irreducible:
-                    unknown_irreducible.append(word)
+        for word, verdict in scanned:
+            irreducible = is_irreducible_exact(compose_word(gens, word))
+            if verdict.certified and not irreducible:
+                forbidden.append(word)
+            elif not verdict.certified and irreducible:
+                unknown_irreducible.append(word)
     finally:
         _counters.reset(token)
     return CrossValidationReport(
         generator_cs=gens.cs,
         max_len=max_len,
-        words_checked=checked,
+        words_checked=len(scanned),
         forbidden=tuple(forbidden),
         unknown_irreducible=tuple(unknown_irreducible),
         counters=counters,

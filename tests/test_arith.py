@@ -8,7 +8,6 @@ from quadsemi.arith import (
     _SIEVE_MODULUS,
     _SIEVE_TABLES,
     _passes_square_sieve,
-    floor_sqrt,
     is_perfect_square,
     positive_divisors,
     residue_search,
@@ -22,23 +21,6 @@ def test_perfect_square_examples():
     assert is_perfect_square(-4) is None
 
 
-def test_floor_sqrt_examples():
-    assert floor_sqrt(0) == 0
-    assert floor_sqrt(15) == 3
-    assert floor_sqrt(10**40) == 10**20
-
-
-def test_floor_sqrt_rejects_negative():
-    with pytest.raises(ValueError):
-        floor_sqrt(-1)
-
-
-@given(st.integers(min_value=0, max_value=10**30))
-def test_floor_sqrt_sandwich(n):
-    r = floor_sqrt(n)
-    assert r * r <= n < (r + 1) * (r + 1)
-
-
 @given(st.integers(min_value=-10**18, max_value=10**18))
 def test_square_detection_matches_floor_sqrt(n):
     r = is_perfect_square(n)
@@ -47,7 +29,7 @@ def test_square_detection_matches_floor_sqrt(n):
     elif r is not None:
         assert r >= 0 and r * r == n
     else:
-        assert floor_sqrt(n) ** 2 != n
+        assert math.isqrt(n) ** 2 != n
 
 
 def test_positive_divisors_examples():

@@ -581,3 +581,14 @@ def test_scan_words_over_budget_exits_2_at_once(capsys, cs):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert "more than 1048576 words" in err
+
+
+def test_cross_validate_over_the_scan_budget_exits_2_at_once(capsys):
+    # 16 generators to length 5 make 1,118,480 words, over the 2^20 budget,
+    # so no oracle call starts
+    cs = ",".join(str(c) for c in range(1, 17))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["cross-validate", "-c", cs, "-L", "5"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "more than 1048576 words" in err

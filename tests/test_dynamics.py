@@ -413,9 +413,11 @@ def test_monte_carlo_memo_is_bounded_by_the_trial_count():
     assert peak < 64 * 1024
 
 
-def test_monte_carlo_decides_each_memoized_prefix_once(monkeypatch):
-    # every trial over one generator draws the same word, so the memo holds
-    # all its levels and the orbit is evaluated once, not once per trial
+@pytest.mark.parametrize("cs,depth,trials", [((7,), 8, 100), ((-14, 40), 6, 64),
+                                               ((3, -7, 11), 4, 81)])
+def test_monte_carlo_reads_every_memoized_entry_from_the_table(cs, depth, trials, monkeypatch):
+    # with s^depth <= trials the memo covers every level, so no trial
+    # decides an entry itself
     calls = []
 
     def counting(cs, word, k):
@@ -423,6 +425,22 @@ def test_monte_carlo_decides_each_memoized_prefix_once(monkeypatch):
         return _entry_root(cs, word, k)
 
     monkeypatch.setattr(dynamics, "_entry_root", counting)
-    S = GeneratorSet.from_cs([7])
-    assert monte_carlo_stability(S, SequenceSampler.uniform(1, 5), 8, 100) == 1.0
-    assert calls == list(range(1, 9))
+    S = GeneratorSet.from_cs(cs)
+    sampler = SequenceSampler.uniform(len(cs), 5)
+    assert monte_carlo_stability(S, sampler, depth, trials) \
+        == reference_monte_carlo(cs, sampler, depth, trials)
+    assert calls == []
+
+
+def test_monte_carlo_memo_peak_per_trial():
+    # the memo holds 2 * 4096 - 2 verdict pointers and, while a level is
+    # built, two residue levels; one sized s^depth would take about 8 MiB
+    trials = 4096
+    S = GeneratorSet.from_cs([-14, 40])
+    tracemalloc.start()
+    try:
+        monte_carlo_stability(S, SequenceSampler.uniform(2, 1), 20, trials)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * trials

@@ -1,9 +1,10 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadsemi.arith import floor_sqrt, is_perfect_square
+from quadsemi.arith import is_perfect_square
 from quadsemi.dynamics import GeneratorSet, QuadraticMap, stability_certificate
 from quadsemi.exceptional import (
     CERTIFIED,
@@ -18,7 +19,6 @@ from quadsemi.exceptional import (
     check_exceptional_prefix,
     closed_form_of,
     construct_irreducible_prefix,
-    critical_orbit_square_check,
     is_exceptional_pair,
     scan_exceptional_pairs,
 )
@@ -99,7 +99,7 @@ def test_scan_matches_reference_on_random_boxes(a, b):
 
 
 def _family_parameter_reference(a, b):
-    limit = floor_sqrt(floor_sqrt(abs(b) + 2)) + 2
+    limit = math.isqrt(math.isqrt(abs(b) + 2)) + 2
     for s in range(limit + 1):
         if a == s * s - s**4 and b == -1 - s * s - s**4:
             return s
@@ -165,20 +165,22 @@ def test_exceptional_prefix_reports():
 
 
 def test_critical_orbit_square_check():
-    assert critical_orbit_square_check(-2, 10) is None
-    assert critical_orbit_square_check(3, 10) is None
-    assert critical_orbit_square_check(-12, 10) is None
-    with pytest.raises(ValueError):
-        critical_orbit_square_check(0, 5)
-    with pytest.raises(ValueError):
-        critical_orbit_square_check(-1, 5)
+    # entry 1 of the one-letter word (0,)*n over {c} is -c, and entry k >= 2
+    # is f^k(0), a square only for c in {0, -1}, where -c already is one
+    for c in (-2, 3, -12):
+        assert stability_certificate(GeneratorSet.from_cs([c]), (0,) * 10).certified, c
+    for c in (0, -1):
+        v = stability_certificate(GeneratorSet.from_cs([c]), (0,) * 5)
+        assert v.first_square_index == 1, c
 
 
 def test_critical_orbit_square_check_range():
     for c in range(-200, 201):
-        if c in (0, -1):
-            continue
-        assert critical_orbit_square_check(c, 12) is None, c
+        v = stability_certificate(GeneratorSet.from_cs([c]), (0,) * 12)
+        if is_perfect_square(-c) is not None:
+            assert v.first_square_index == 1, c
+        else:
+            assert v.certified, c
 
 
 def test_construct_prefix_non_exceptional():

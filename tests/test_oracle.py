@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from quadsemi.arith import is_perfect_square, positive_divisors
-from quadsemi.dynamics import GeneratorSet, compose_word
+from quadsemi.dynamics import GeneratorSet, compose_word, stability_certificate
 from quadsemi.oracle import (
     COUNTER_NAMES,
     _prime_scan,
@@ -136,6 +136,33 @@ def test_cross_validate_examples():
 
     rep = cross_validate(GeneratorSet.from_cs([-4]), 1)
     assert rep.passed and rep.words_checked == 1
+
+
+def reference_cross_validate(gens, max_len):
+    """Every word by length, then in dictionary order, one certificate each."""
+    forbidden, unknown_irreducible, checked = [], [], 0
+    for n in range(1, max_len + 1):
+        for word in product(range(len(gens.maps)), repeat=n):
+            checked += 1
+            certified = stability_certificate(gens, word).certified
+            irreducible = is_irreducible_exact(compose_word(gens, word))
+            if certified and not irreducible:
+                forbidden.append(word)
+            elif not certified and irreducible:
+                unknown_irreducible.append(word)
+    return checked, tuple(forbidden), tuple(unknown_irreducible)
+
+
+# reducible letters x^2 - 1, x^2 - 4, x^2 - 9 and the constant 0; the second,
+# third and fourth sets have irreducible words with a square, and (-12, 4, 0)
+# lists (0, 1) before (0, 0, 1): by length first, not in dictionary order
+@pytest.mark.parametrize("cs,max_len", [((-1, -12), 3), ((-12, 4, 0), 3), ((0, -8, 3), 3),
+                                        ((-4, 9), 3), ((-9, 2, 0), 2), ((-4, 73), 4)])
+def test_cross_validate_equals_reference(cs, max_len):
+    gens = GeneratorSet.from_cs(cs)
+    rep = cross_validate(gens, max_len)
+    assert (rep.words_checked, rep.forbidden, rep.unknown_irreducible) \
+        == reference_cross_validate(gens, max_len)
 
 
 def test_cross_validate_depth_cap():

@@ -1,7 +1,9 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from quadsemi.arith import floor_sqrt, is_perfect_square, residue_search
+from quadsemi.arith import is_perfect_square, residue_search
 from quadsemi.dynamics import QuadraticMap
 from quadsemi.portraits import (
     FIXED_SQUARE,
@@ -47,8 +49,8 @@ def test_recognize_square_periodic_examples():
 
 
 def _recognize_reference(c):
-    """Exhaustive search of s = 0 .. floor_sqrt(floor_sqrt(|c|)) + 2, fixed shape first."""
-    limit = floor_sqrt(floor_sqrt(abs(c))) + 2
+    """Exhaustive search of s = 0 .. isqrt(isqrt(|c|)) + 2, fixed shape first."""
+    limit = math.isqrt(math.isqrt(abs(c))) + 2
     for s in range(limit + 1):
         if c == s * s - s**4:
             return SquareForm(FIXED_SQUARE, s)
