@@ -38,6 +38,7 @@ from .arith import _SIEVE_MODULUS, _passes_square_sieve, is_perfect_square
 
 COMPOSE_DEGREE_CAP = 256  # largest degree compose_word builds
 SCAN_BUDGET = 1 << 20  # most words scan_words visits
+SCAN_LETTER_BUDGET = 19 * SCAN_BUDGET  # most letters in the words scan_words builds
 
 
 @dataclass(frozen=True)
@@ -234,25 +235,42 @@ def _verdict_levels(gens: GeneratorSet, max_len: int) -> Iterator[list[Stability
         yield verdicts
 
 
+def _check_scan_budget(s: int, max_len: int) -> None:
+    """Reject a scan of s generators to max_len over SCAN_BUDGET or SCAN_LETTER_BUDGET.
+
+    The scan builds every word as a tuple: sum s^k words holding sum k*s^k
+    letters, k = 1..max_len.  With s >= 2 the word budget admits max_len <= 19
+    only, so its letters are at most 19 * SCAN_BUDGET and the letter budget
+    rejects nothing more; it bounds the one-generator scan, whose one word
+    per length adds up to max_len * (max_len + 1) / 2 letters.
+    """
+    words = letters = 0
+    size = 1
+    for k in range(1, max_len + 1):
+        size *= s
+        words += size
+        letters += k * size
+        if words > SCAN_BUDGET:
+            raise ValueError(f"a scan to length {max_len} visits more than "
+                             f"{SCAN_BUDGET} words (the scan budget)")
+    if letters > SCAN_LETTER_BUDGET:
+        raise ValueError(f"a scan to length {max_len} builds more than "
+                         f"{SCAN_LETTER_BUDGET} letters (the scan budget)")
+
+
 def scan_words(
     gens: GeneratorSet, max_len: int
 ) -> list[tuple[tuple[int, ...], StabilityVerdict]]:
     """(word, verdict) for every word of length 1..max_len, in dictionary order.
 
     The verdicts come from `_verdict_levels`; the words are built during a
-    preorder walk over its levels.  More than SCAN_BUDGET words in all are
-    rejected before any work.
+    preorder walk over its levels.  A scan over either budget
+    (`_check_scan_budget`) is rejected before any work.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     s = len(gens.maps)
-    total, size = 0, 1
-    for _ in range(max_len):
-        size *= s
-        total += size
-        if total > SCAN_BUDGET:
-            raise ValueError(f"a scan to length {max_len} visits more than "
-                             f"{SCAN_BUDGET} words (the scan budget)")
+    _check_scan_budget(s, max_len)
     if max_len == 0:
         return []
     levels = list(_verdict_levels(gens, max_len))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import is_perfect_square, residue_search
+from .arith import _SIEVE_TABLES, is_perfect_square, residue_search
 from .dynamics import GeneratorSet, QuadraticMap
 from .heights import RIGOR_BOX, compute_iterate_bound
 from .portraits import (
@@ -139,8 +139,14 @@ def scan_exceptional_pairs(cmin: int, cmax: int) -> list[tuple[int, int]]:
 
     Condition (1) forces both constants into a square shape, so only the
     O(|cmin|^(1/4)) shape constants (`portraits.shape_constant`) in the box are
-    paired, ascending, each pair decided by its witnesses: O(|cmin|^(1/2)) pair
-    tests, each O(1) big-integer work.
+    paired, ascending; each of them has a square periodic point, so condition
+    (1) holds for every pair.  Condition (2) is then tested first, exactly:
+    each constant's preperiodic set is computed once, and `meets` holds the
+    ordered pairs (c1, c2) with some p - c1 a square for p in PrePer(c2), one
+    square test per target.  Only a pair that meets in both directions gets
+    the full witness verdict `is_exceptional_pair`, so the list is the one
+    the verdict alone would give: O(|cmin|^(1/2)) square tests and one verdict
+    per output pair.
     """
     if cmin > cmax:
         raise ValueError(f"--min must not exceed --max, got [{cmin}, {cmax}]")
@@ -148,11 +154,19 @@ def scan_exceptional_pairs(cmin: int, cmax: int) -> list[tuple[int, int]]:
     shapes = {shape_constant(kind, s)
               for s in range(top) for kind in (FIXED_SQUARE, TWO_CYCLE_SQUARE)}
     cs = sorted(c for c in shapes if cmin <= c <= cmax)
+    pre = {c: preper_set(c) for c in cs}
+    meets = {
+        (c1, c2)
+        for c1 in cs
+        for c2 in cs
+        if c2 != c1 and any(is_perfect_square(p - c1) is not None for p in pre[c2])
+    }
     return [
         (c1, c2)
         for c1 in cs
         for c2 in cs
-        if c2 != c1 and is_exceptional_pair(c1, c2).is_exceptional
+        if (c1, c2) in meets and (c2, c1) in meets
+        and is_exceptional_pair(c1, c2).is_exceptional
     ]
 
 
@@ -236,23 +250,57 @@ class ExceptionalPrefixReport:
         return self.failure is None and all(ok for _, ok in self.subchecks)
 
 
+def _first_square_image(c_outer: int, c_inner: int, n: int, bound: int) -> tuple[int, int] | None:
+    """(b, v) for the smallest b in 0..bound with v = f_outer^n(f_inner(f_outer(b))) a square.
+
+    Whether v is a square modulo m depends only on b mod m, so for each
+    factor (m, squares) of the square sieve (`arith._SIEVE_TABLES`) the map
+    is evaluated once per residue r < m with small integers, and every b
+    whose residue gives a non-residue is dropped: its v is no square mod m,
+    hence no square.  Only the survivors are built exactly and tested with
+    `isqrt`, in ascending order, so the b found is the smallest.
+    """
+    steps = (c_outer, c_inner) + (c_outer,) * n  # innermost map first
+    candidates = range(bound + 1)
+    for m, squares in _SIEVE_TABLES:
+        residue_ok = []
+        for v in range(m):
+            for c in steps:
+                v = (v * v + c) % m
+            residue_ok.append(v in squares)
+        candidates = [b for b in candidates if residue_ok[b % m]]
+        if not candidates:
+            return None
+    for b in candidates:
+        v = b
+        for c in steps:
+            v = v * v + c
+        if is_perfect_square(v) is not None:
+            return b, v
+    return None
+
+
 def check_exceptional_prefix(s: int) -> ExceptionalPrefixReport:
     """Re-verify, for the family pair with parameter s, that f1^N(f2(f1(b))) is never square.
 
     Reproduces each finite step of the argument computationally: the only
     candidate preperiodic images are +-s^2 and +-(1-s^2); the 1-s^2 branch dies
     because 1-s^2 < 0, and the +-s^2 branches die by a mod-4 obstruction and
-    the nonsquareness of s^4 + 1.  A direct sweep over |b| <= PREFIX_SWEEP_BOUND
-    double checks the conclusion (only b^2 enters, so b >= 0 suffices).  N is
-    `compute_iterate_bound` at its default box and iterations.
+    the nonsquareness of s^4 + 1.  A sweep over |b| <= PREFIX_SWEEP_BOUND
+    double checks the conclusion (only b^2 enters, so b >= 0 suffices).  The
+    sweep is sieved (`_first_square_image`): per-factor residue tables of the
+    square sieve rule out almost every b without building its value, each
+    rejection a proof of nonsquareness, and only the survivors are built and
+    tested exactly; `failure` is the smallest square b, as a plain sweep
+    would find it.  N is `compute_iterate_bound` at its default box and
+    iterations.
     """
     if s in (0, 1, -1):
         raise ValueError("the family prefix needs |s| >= 2")
     s = abs(s)
     c1 = shape_constant(FIXED_SQUARE, s)
     c2 = shape_constant(TWO_CYCLE_SQUARE, s)
-    phi1, phi2 = QuadraticMap(c1), QuadraticMap(c2)
-    n = compute_iterate_bound(phi1).N
+    n = compute_iterate_bound(QuadraticMap(c1)).N
 
     subchecks = []
     # landing on +-(1 - s^2) would force the square 1 - s^2, which is negative
@@ -277,15 +325,10 @@ def check_exceptional_prefix(s: int) -> ExceptionalPrefixReport:
          c2 not in preper_set(c1))
     )
 
-    failure = None
-    for b in range(PREFIX_SWEEP_BOUND + 1):
-        v = phi1.iterate(n, phi2(phi1(b)))
-        if is_perfect_square(v) is not None:
-            failure = (b, v)
-            break
     return ExceptionalPrefixReport(
-        s=s, c1=c1, c2=c2, n_iterate=n,
-        subchecks=tuple(subchecks), sweep_bound=PREFIX_SWEEP_BOUND, failure=failure,
+        s=s, c1=c1, c2=c2, n_iterate=n, subchecks=tuple(subchecks),
+        sweep_bound=PREFIX_SWEEP_BOUND,
+        failure=_first_square_image(c1, c2, n, PREFIX_SWEEP_BOUND),
     )
 
 

@@ -583,6 +583,15 @@ def test_scan_words_over_budget_exits_2_at_once(capsys, cs):
     assert "more than 1048576 words" in err
 
 
+def test_one_generator_scan_over_the_letter_budget_exits_2_at_once(capsys):
+    # one million words, within the word budget, would hold 5 * 10^11 letters
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["scan-words", "-c", "1", "-L", "1000000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "letters (the scan budget)" in err
+
+
 def test_cross_validate_over_the_scan_budget_exits_2_at_once(capsys):
     # 16 generators to length 5 make 1,118,480 words, over the 2^20 budget,
     # so no oracle call starts

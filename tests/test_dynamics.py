@@ -10,6 +10,7 @@ from quadsemi import dynamics
 from quadsemi.arith import is_perfect_square
 from quadsemi.dynamics import (
     SCAN_BUDGET,
+    SCAN_LETTER_BUDGET,
     GeneratorSet,
     QuadraticMap,
     SequenceSampler,
@@ -18,6 +19,7 @@ from quadsemi.dynamics import (
     _GOLDEN,
     _MASK64,
     _STREAM,
+    _check_scan_budget,
     _entry_root,
     _mix64,
     adjusted_critical_orbit,
@@ -91,6 +93,25 @@ def test_stability_certificate_examples():
     assert not v.certified and v.first_square_index == 1 and v.witness_root == 2
 
 
+def test_one_letter_words_certified_iff_negated_constant_nonsquare():
+    # entry 1 of the one-letter word (0,)*n over {c} is -c, and entry k >= 2
+    # is f^k(0), a square only for c in {0, -1}, where -c already is one
+    for c in (-2, 3, -12):
+        assert stability_certificate(GeneratorSet.from_cs([c]), (0,) * 10).certified, c
+    for c in (0, -1):
+        v = stability_certificate(GeneratorSet.from_cs([c]), (0,) * 5)
+        assert v.first_square_index == 1, c
+
+
+def test_one_letter_words_certified_iff_negated_constant_nonsquare_range():
+    for c in range(-200, 201):
+        v = stability_certificate(GeneratorSet.from_cs([c]), (0,) * 12)
+        if is_perfect_square(-c) is not None:
+            assert v.first_square_index == 1, c
+        else:
+            assert v.certified, c
+
+
 def test_word_validation():
     S = GeneratorSet.from_cs([1, 2])
     with pytest.raises(ValueError):
@@ -114,6 +135,33 @@ def test_scan_words_single_generator_and_edge_cases():
     assert scan_words(GeneratorSet.from_cs([1, 2]), 0) == []
     with pytest.raises(ValueError):
         scan_words(GeneratorSet.from_cs([1, 2]), 25)  # budget
+
+
+def _admits(s, max_len):
+    try:
+        _check_scan_budget(s, max_len)
+    except ValueError:
+        return False
+    return True
+
+
+def test_letter_budget_admits_every_scan_the_word_budget_admits():
+    # with two or more generators the word count alone decides, as it did
+    # before the letter budget; the rule is checked, no scan is run
+    for s in list(range(2, 40)) + [1023, 1024, SCAN_BUDGET, SCAN_BUDGET + 1]:
+        for max_len in range(0, 30):
+            words = sum(s**k for k in range(1, max_len + 1))
+            assert _admits(s, max_len) == (words <= SCAN_BUDGET), (s, max_len)
+
+
+def test_letter_budget_bounds_the_one_generator_scan():
+    # one word per length, max_len * (max_len + 1) / 2 letters in all
+    top = max(n for n in range(10_000) if n * (n + 1) // 2 <= SCAN_LETTER_BUDGET)
+    assert _admits(1, top) and not _admits(1, top + 1)
+    with pytest.raises(ValueError, match="letters"):
+        _check_scan_budget(1, 1_000_000)
+    with pytest.raises(ValueError, match="more than 1048576 words"):
+        _check_scan_budget(1, SCAN_BUDGET + 1)
 
 
 def test_scan_words_dictionary_order():

@@ -1,9 +1,11 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadsemi import exceptional
 from quadsemi.arith import is_perfect_square
 from quadsemi.dynamics import GeneratorSet, QuadraticMap, stability_certificate
 from quadsemi.exceptional import (
@@ -15,6 +17,7 @@ from quadsemi.exceptional import (
     THREE_LETTER,
     TWO_LETTER,
     _family_parameter,
+    _first_square_image,
     certify_no_square_images,
     check_exceptional_prefix,
     closed_form_of,
@@ -22,7 +25,12 @@ from quadsemi.exceptional import (
     is_exceptional_pair,
     scan_exceptional_pairs,
 )
-from quadsemi.portraits import recognize_square_periodic
+from quadsemi.portraits import (
+    FIXED_SQUARE,
+    TWO_CYCLE_SQUARE,
+    recognize_square_periodic,
+    shape_constant,
+)
 
 
 def test_sporadic_pair():
@@ -71,9 +79,8 @@ def test_scan_matches_classification_small_grid():
     assert pairs == expected
 
 
-def _scan_reference(cmin, cmax):
-    """Every shape constant c1 against every c2 of the box, by witnesses alone."""
-    cs = range(cmin, cmax + 1)
+def _pairs_reference(cs):
+    """Every c1 of cs with a square periodic point against every c2, by witnesses alone."""
     return [
         (c1, c2)
         for c1 in cs
@@ -81,6 +88,11 @@ def _scan_reference(cmin, cmax):
         for c2 in cs
         if c2 != c1 and is_exceptional_pair(c1, c2).is_exceptional
     ]
+
+
+def _scan_reference(cmin, cmax):
+    """Every shape constant c1 against every c2 of the box, by witnesses alone."""
+    return _pairs_reference(range(cmin, cmax + 1))
 
 
 @pytest.mark.parametrize("box", [
@@ -96,6 +108,34 @@ def test_scan_matches_reference(box):
 def test_scan_matches_reference_on_random_boxes(a, b):
     box = (min(a, b), max(a, b))
     assert scan_exceptional_pairs(*box) == _scan_reference(*box)
+
+
+@pytest.mark.parametrize("box", [(-1500, 1500), (-10**6, 10**6)])
+def test_scan_gives_a_full_verdict_only_to_the_output_pairs(box, monkeypatch):
+    # the exact prefilter on condition (2) leaves exactly the exceptional pairs
+    calls = []
+
+    def counting(c1, c2):
+        calls.append((c1, c2))
+        return is_exceptional_pair(c1, c2)
+
+    monkeypatch.setattr(exceptional, "is_exceptional_pair", counting)
+    pairs = scan_exceptional_pairs(*box)
+    assert calls == pairs
+    assert len(pairs) == {(-1500, 1500): 16, (-10**6, 10**6): 66}[box]
+
+
+@pytest.mark.extended
+def test_scan_matches_reference_over_the_shape_constants_of_a_wide_box():
+    # the box is too wide for _scan_reference's walk over every constant, so
+    # the reference pairs the box's shape constants, s^4 <= 10^9
+    lo, hi = -10**9, 10**9
+    shapes = {shape_constant(kind, s)
+              for s in range(180) for kind in (FIXED_SQUARE, TWO_CYCLE_SQUARE)}
+    cs = sorted(c for c in shapes if lo <= c <= hi)
+    pairs = scan_exceptional_pairs(lo, hi)
+    assert len(pairs) == 358
+    assert pairs == _pairs_reference(cs)
 
 
 def _family_parameter_reference(a, b):
@@ -150,8 +190,47 @@ def test_certified_direction_agrees_with_sweep():
             assert is_perfect_square(v) is None, (c1, c2, b)
 
 
+def _first_square_image_reference(c_outer, c_inner, n, bound):
+    """The plain sweep: build f_outer^n(f_inner(f_outer(b))) for every b and test it."""
+    outer, inner = QuadraticMap(c_outer), QuadraticMap(c_inner)
+    for b in range(bound + 1):
+        v = outer.iterate(n, inner(outer(b)))
+        if is_perfect_square(v) is not None:
+            return b, v
+    return None
+
+
+def _sweep_triples(count, seed):
+    """Seeded (c_outer, c_inner, n) triples; a quarter of them have a square at some b > 0.
+
+    With c_outer = 0 and n = 0 the value is b^4 + c_inner, which is the
+    square (b0^2 + j)^2 at b = b0 when c_inner = 2*j*b0^2 + j^2.
+    """
+    rng = random.Random(seed)
+    triples = []
+    for i in range(count):
+        if i % 4 == 0:
+            b0, j = rng.randint(1, 150), rng.randint(1, 5)
+            triples.append((0, 2 * j * b0 * b0 + j * j, 0))
+        else:
+            triples.append((rng.randint(-60, 60), rng.randint(-60, 60), rng.randint(0, 3)))
+    return triples
+
+
+def test_sieved_sweep_equals_plain_sweep():
+    family = [(shape_constant(FIXED_SQUARE, s), shape_constant(TWO_CYCLE_SQUARE, s), n)
+              for s in range(2, 7) for n in range(4)]
+    found = 0
+    for c_outer, c_inner, n in _sweep_triples(400, 15) + family:
+        got = _first_square_image(c_outer, c_inner, n, 200)
+        assert got == _first_square_image_reference(c_outer, c_inner, n, 200), \
+            (c_outer, c_inner, n)
+        found += got is not None and got[0] > 0
+    assert found >= 100  # the comparison covers squares found past b = 0
+
+
 def test_exceptional_prefix_reports():
-    for s in (2, 3):
+    for s in range(2, 13):
         rep = check_exceptional_prefix(s)
         assert rep.sweep_bound == 1000
         assert rep.passed, rep
@@ -162,25 +241,6 @@ def test_exceptional_prefix_reports():
         check_exceptional_prefix(1)
     with pytest.raises(ValueError):
         check_exceptional_prefix(0)
-
-
-def test_critical_orbit_square_check():
-    # entry 1 of the one-letter word (0,)*n over {c} is -c, and entry k >= 2
-    # is f^k(0), a square only for c in {0, -1}, where -c already is one
-    for c in (-2, 3, -12):
-        assert stability_certificate(GeneratorSet.from_cs([c]), (0,) * 10).certified, c
-    for c in (0, -1):
-        v = stability_certificate(GeneratorSet.from_cs([c]), (0,) * 5)
-        assert v.first_square_index == 1, c
-
-
-def test_critical_orbit_square_check_range():
-    for c in range(-200, 201):
-        v = stability_certificate(GeneratorSet.from_cs([c]), (0,) * 12)
-        if is_perfect_square(-c) is not None:
-            assert v.first_square_index == 1, c
-        else:
-            assert v.certified, c
 
 
 def test_construct_prefix_non_exceptional():
