@@ -4,10 +4,10 @@ Pure functions on Python ints: perfect-square detection, divisor
 enumeration, and exhaustive residue searches (the engine behind the
 modular-obstruction checks).
 
-It also holds the square sieve: quadratic-residue tables for a fixed set of
-small prime powers whose product is `_SIEVE_MODULUS` (about 2^68).  A
-square is a square modulo every m, so a residue mod `_SIEVE_MODULUS` that
-fails one table proves its integer is no square, without building it.
+It also holds the square sieve's quadratic-residue tables, one for each of
+a fixed set of small prime powers m.  A square is a square modulo every m,
+so a residue mod m that fails its table proves the integer no square,
+without building it.
 """
 
 from __future__ import annotations
@@ -26,19 +26,7 @@ def is_perfect_square(n: int) -> int | None:
 
 
 _SIEVE_FACTORS = (64, 9, 25, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-_SIEVE_MODULUS = math.prod(_SIEVE_FACTORS)
 _SIEVE_TABLES = tuple((m, frozenset(x * x % m for x in range(m))) for m in _SIEVE_FACTORS)
-
-
-def _passes_square_sieve(residue: int) -> bool:
-    """False proves that no n with n % _SIEVE_MODULUS == residue is a square.
-
-    True proves nothing; the caller must still test the exact integer.
-    """
-    for m, squares in _SIEVE_TABLES:
-        if residue % m not in squares:
-            return False
-    return True
 
 
 def positive_divisors(n: int) -> list[int]:

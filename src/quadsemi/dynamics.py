@@ -12,29 +12,53 @@ so a word with a square in its orbit gets the verdict "unknown", never
 "reducible".
 
 Entries grow doubly exponentially (about 11,000 bits at length 12 with
-|c| <= 50), so the certificate first evaluates each entry modulo the square
-sieve's modulus M with small-integer arithmetic (`arith._SIEVE_MODULUS`).
-A square is a square modulo every divisor of M, so an entry whose residue
-fails a factor's quadratic-residue table is proved a nonsquare.  Only an
-entry that passes every table is built exactly and tested with `isqrt`,
-and every reported square and root comes from that exact entry.
+|c| <= 50), yet every square entry is small, and the words whose orbit
+meets one are read by a finite automaton that builds no entry.  Write a
+word as (p1, p2, p3, ..., pj) and let v = f_{p3}(...f_{pj}(0)), with v = 0
+for j = 2.  Entry j is f_{p1}(f_{p2}(v)), a square exactly when v is the
+X-coordinate of an integral point on the curve
 
-Evaluating entry k alone takes k modular steps, because the new letter is
-the innermost map.  The many-word paths share that work instead through one
-level-order verdict table, `_verdict_levels`, which derives each word's last
-residue from the residue of its inner suffix in one modular step.
-`scan_words` walks its levels, `monte_carlo_stability` looks up every short
-prefix in them, and `oracle.cross_validate` reads them through `scan_words`.
+    Y^2 = (X^2 + c2)^2 + c1,    c1 = c_{p1}, c2 = c_{p2}.
+
+With c1 = 0 entry 1, which is -c1, is already the square 0.  Otherwise
+(Y - U)(Y + U) = c1 with U = X^2 + c2 and |Y| != |U|, so |c1| >= 2|U| - 1
+and X^2 <= (|c1| + 1)/2 + |c2|.  Let C = max |c| and take an escape radius
+R with R(R - 1) > C and R^2 >= 2C + 1.  Then every point has |X| <= R, and
+|x| > R gives |x^2 + c| > |x|: a value that leaves [-R, R] never returns.
+So an inner value v that lies on the curve lies in B, the set of integers
+reached from 0 by chains of the maps that stay inside [-R, R].  B is small
+(at most 10 elements over 3,000 random sets of up to 4 constants with |c|
+up to 10^12), and it is listed directly; the curve's points are never
+enumerated, which would take about sqrt(C) steps.
+
+The automaton reads a word outermost letter first.  After p1, with entry
+1 a nonsquare, its state is ("one", p1).  After p2 it is S_2 = {v in B :
+(v^2 + c2)^2 + c1 a square}, and each further letter p maps a set S to
+{y in B : y^2 + c_p in S}.  By induction on j, a y in B lies in S_j exactly
+when f_{p3}(...f_{pj}(y)) lies on the curve: if f_{pj}(y) stays inside
+[-R, R] it lies in B, and if not, no later value is a point.  So entry j is
+a square exactly when S_j holds 0.  That state is the absorbing dead state;
+the empty set is absorbing too and certifies every longer word.  Every
+state is a subset of B, so only a few occur.
+
+`_OrbitAutomaton` holds the transition table and fills each cell on its
+first use.  `stability_certificate` steps it once per letter,
+`monte_carlo_stability` once per drawn letter, and the level-order verdict
+table `_verdict_levels` once per word and level; `scan_words` reads that
+table, and `oracle.cross_validate` reads it through `scan_words`.  Only a
+word that dies builds an exact entry: the one square entry, for its root.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .arith import _SIEVE_MODULUS, _passes_square_sieve, is_perfect_square
+from .arith import is_perfect_square
 
 COMPOSE_DEGREE_CAP = 256  # largest degree compose_word builds
 SCAN_BUDGET = 1 << 20  # most words scan_words visits
@@ -121,34 +145,128 @@ def _check_word(gens: GeneratorSet, word: Sequence[int]) -> None:
             raise ValueError(f"word index {i} out of range for {k} generators")
 
 
-def _entry(cs: Sequence[int], word: Sequence[int], k: int, modulus: int = 0) -> int:
-    """Orbit entry k (1-based) of `word`: exact, or reduced mod `modulus` if nonzero.
-
-    Entry k depends only on the first k letters.  Mod `modulus` no
-    intermediate value exceeds modulus**2.
-    """
+def _entry(cs: Sequence[int], word: Sequence[int], k: int) -> int:
+    """Exact orbit entry k (1-based) of `word`; it depends only on the first k letters."""
     if k == 1:
-        v = -cs[word[0]]
-        return v % modulus if modulus else v
+        return -cs[word[0]]
     v = 0
-    if modulus:
-        for j in range(k - 1, -1, -1):
-            v = (v * v + cs[word[j]]) % modulus
-    else:
-        for j in range(k - 1, -1, -1):
-            v = v * v + cs[word[j]]
+    for j in range(k - 1, -1, -1):
+        v = v * v + cs[word[j]]
     return v
 
 
-def _entry_root(cs: Sequence[int], word: Sequence[int], k: int) -> int | None:
-    """Root of orbit entry k if that entry is a perfect square, else None.
+def _square_verdict(cs: Sequence[int], word: Sequence[int], k: int) -> StabilityVerdict:
+    """The verdict of a word whose first square entry is entry k, with its root."""
+    return StabilityVerdict(False, k, is_perfect_square(_entry(cs, word, k)))
 
-    The sieve sees the entry mod M; only an entry that passes it is built
-    exactly and tested with `is_perfect_square`.
+
+_DEAD, _FREE, _START = 0, 1, 2  # ids of the fixed automaton states
+_UNKNOWN = -1  # a transition-table cell not filled yet
+
+
+def _escape_radius(cs: Sequence[int]) -> int:
+    """R with R(R - 1) > max|c| and R^2 >= 2 max|c| + 1 (see the module docstring)."""
+    big = max(abs(c) for c in cs)
+    return max((1 + math.isqrt(1 + 4 * big)) // 2 + 1, math.isqrt(2 * big + 1) + 2)
+
+
+def _bounded_reach(cs: Sequence[int], radius: int) -> frozenset[int]:
+    """B: the integers reached from 0 by chains of x -> x^2 + c inside [-radius, radius]."""
+    ordered = sorted(cs)
+    reach = {0}
+    todo = [0]
+    while todo:
+        sq = todo.pop() ** 2
+        # x^2 + c lies in [-radius, radius] exactly for c in [-radius - sq, radius - sq]
+        lo = bisect_left(ordered, -radius - sq)
+        for c in ordered[lo:bisect_right(ordered, radius - sq, lo)]:
+            y = sq + c
+            if y not in reach:
+                reach.add(y)
+                todo.append(y)
+    return frozenset(reach)
+
+
+class _OrbitAutomaton:
+    """The orbit automaton of a generator tuple (module docstring), filled on demand.
+
+    States have integer ids: _DEAD (an entry so far is a square), _FREE (the
+    empty set: no later entry can be a square), _START, and then ("one", p1)
+    and the nonempty sets S in order of discovery.  `trans[state][letter]` is
+    the next state's id, or _UNKNOWN until `step` first computes it, so only
+    the transitions a caller reaches are ever built.  A new state shares one
+    all-_UNKNOWN row until its first cell is filled, so a scan of one-letter
+    words over s generators allocates s states, not s rows.
     """
-    if not _passes_square_sieve(_entry(cs, word, k, _SIEVE_MODULUS)):
-        return None
-    return is_perfect_square(_entry(cs, word, k))
+
+    def __init__(self, cs: Sequence[int]) -> None:
+        self.cs = tuple(cs)
+        s = len(self.cs)
+        self._blank = [_UNKNOWN] * s
+        self.trans: list[list[int]] = [[_DEAD] * s, [_FREE] * s, [_UNKNOWN] * s]
+        self.keys: list[object] = [None, frozenset(), None]
+        self.ids: dict[object, int] = {}
+        self._reach: frozenset[int] | None = None  # B, built on first use
+        self._letters = sorted(range(s), key=self.cs.__getitem__)
+        self._sorted_cs = [self.cs[p] for p in self._letters]
+
+    def _id(self, key: object) -> int:
+        if isinstance(key, frozenset):
+            if 0 in key:
+                return _DEAD
+            if not key:
+                return _FREE
+        state = self.ids.get(key)
+        if state is None:
+            state = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.trans.append(self._blank)
+        return state
+
+    def _curve_row(self, c1: int) -> list[int]:
+        """The row of a state ("one", p1) with c1 = c_{p1}: S_2 for every second letter.
+
+        S_2 holds the v in B that are X-coordinates of integral points on
+        Y^2 = (X^2 + c2)^2 + c1.  For c1 != 0 every point has |X^2 + c2| <=
+        (|c1| + 1) // 2, so each v is tested against one window of constants.
+        """
+        if self._reach is None:
+            self._reach = _bounded_reach(self.cs, _escape_radius(self.cs))
+        half = (abs(c1) + 1) // 2
+        ordered = self._sorted_cs
+        hits: dict[int, list[int]] = {}
+        for v in self._reach:
+            sq = v * v
+            lo = bisect_left(ordered, -half - sq)
+            for i in range(lo, bisect_right(ordered, half - sq, lo)):
+                if is_perfect_square((sq + ordered[i]) ** 2 + c1) is not None:
+                    hits.setdefault(self._letters[i], []).append(v)
+        row = [_FREE] * len(self.cs)
+        for letter, values in hits.items():
+            row[letter] = self._id(frozenset(values))
+        return row
+
+    def step(self, state: int, letter: int) -> int:
+        """The state after reading `letter` in `state`; fills the table cell once."""
+        row = self.trans[state]
+        if row[letter] != _UNKNOWN:
+            return row[letter]
+        key = self.keys[state]
+        if isinstance(key, tuple):
+            self.trans[state] = row = self._curve_row(self.cs[key[1]])
+            return row[letter]
+        c = self.cs[letter]
+        if state == _START:
+            nxt = _DEAD if is_perfect_square(-c) is not None else self._id(("one", letter))
+        else:
+            # key is a nonempty subset of B, so B is built already
+            roots = (is_perfect_square(t - c) for t in key)
+            nxt = self._id(frozenset(y for r in roots if r is not None
+                                     for y in (r, -r)) & self._reach)
+        if row is self._blank:
+            self.trans[state] = row = self._blank.copy()
+        row[letter] = nxt
+        return nxt
 
 
 def adjusted_critical_orbit(gens: GeneratorSet, word: Sequence[int]) -> list[int]:
@@ -161,16 +279,19 @@ def adjusted_critical_orbit(gens: GeneratorSet, word: Sequence[int]) -> list[int
 def stability_certificate(gens: GeneratorSet, word: Sequence[int]) -> StabilityVerdict:
     """Certify irreducibility of the composed word by scanning its orbit for squares.
 
-    Each entry is sieved mod M first; a sieve rejection proves the entry a
-    nonsquare, because a square stays a square modulo every divisor of M.
-    Stops at the first perfect square; entries after it are never computed.
+    The orbit automaton reads one letter per entry and stops at the first
+    square entry, the only entry built exactly (for its root), or at the
+    empty state, which certifies the rest of the word.
     """
     _check_word(gens, word)
-    cs = gens.cs
-    for k in range(1, len(word) + 1):
-        r = _entry_root(cs, word, k)
-        if r is not None:
-            return StabilityVerdict(False, first_square_index=k, witness_root=r)
+    automaton = _OrbitAutomaton(gens.cs)
+    state = _START
+    for k, letter in enumerate(word, start=1):
+        state = automaton.step(state, letter)
+        if state == _DEAD:
+            return _square_verdict(gens.cs, word, k)
+        if state == _FREE:
+            break
     return _CERTIFIED
 
 
@@ -206,32 +327,41 @@ def _verdict_levels(gens: GeneratorSet, max_len: int) -> Iterator[list[Stability
     """For k = 1..max_len, the verdicts of all s^k length-k words in index order.
 
     Index a length-k word in base s with its first letter w1 as the most
-    significant digit, and let V_k[idx] be f_{w1}(...f_{wk}(0)) mod M.  The
-    innermost letter is the last one, so V_k[idx] = V_{k-1}[idx mod s^(k-1)]^2
-    + c_{w1}: one modular step per word gives the residue of its last orbit
-    entry.  A word whose prefix (idx // s) already holds a square takes the
-    prefix's verdict; any other word has its last entry sieved mod M, and only
-    an entry that passes the sieve is built exactly, from the word decoded
-    from idx, as in `stability_certificate`.  Square-free words share the
-    `_CERTIFIED` verdict.  Only one residue level is kept from level to
-    level; each yielded list holds one pointer per word.
+    significant digit.  The automaton reads the outermost letter first, so a
+    word's prefix is idx // s, and the level's states are its prefixes'
+    states stepped once each: one table lookup per word.  A word takes its
+    prefix's verdict unless its own step dies; only such a word is decoded
+    from idx and has its square entry built, as in `stability_certificate`.
+    Square-free words share the `_CERTIFIED` verdict.  Each yielded list
+    holds one pointer per word; only one state level is kept, and none once
+    every word is dead or in the empty state.
     """
     s = len(gens.maps)
     cs = gens.cs
-    modulus = _SIEVE_MODULUS
+    automaton = _OrbitAutomaton(cs)
+    trans = automaton.trans
+    letters = range(s)
+    states, live = [_START], [_START]
     verdicts = [_CERTIFIED]
-    residues = [0]
     for k in range(1, max_len + 1):
-        residues = [(v * v + c) % modulus for c in cs for v in residues]
-        # entry 1 is -c_{w1}, the negated level-1 value
-        entries = residues if k > 1 else [-v % modulus for v in residues]
-        verdicts = [v for v in verdicts for _ in range(s)]  # each word's prefix
-        for idx, v in enumerate(entries):
-            if verdicts[idx] is _CERTIFIED and _passes_square_sieve(v):
+        # live holds the distinct states of this level's prefixes that are
+        # neither dead nor free: only their rows can lead to a new square
+        dying = {}
+        for state in live:
+            for letter in letters:
+                automaton.step(state, letter)
+            row = trans[state]
+            if _DEAD in row:
+                dying[state] = [p for p in letters if row[p] == _DEAD]
+        verdicts = [v for v in verdicts for _ in letters]  # each word's prefix
+        for i in compress(count(), map(dying.__contains__, states)):
+            for p in dying[states[i]]:
+                idx = i * s + p
                 word = [idx // s**j % s for j in range(k - 1, -1, -1)]
-                r = is_perfect_square(_entry(cs, word, k))
-                if r is not None:
-                    verdicts[idx] = StabilityVerdict(False, k, r)
+                verdicts[idx] = _square_verdict(cs, word, k)
+        live = sorted({nxt for state in live for nxt in trans[state]} - {_DEAD, _FREE})
+        if live:  # once every word is dead or free, the states are not read again
+            states = [nxt for state in states for nxt in trans[state]]
         yield verdicts
 
 
@@ -263,30 +393,22 @@ def scan_words(
 ) -> list[tuple[tuple[int, ...], StabilityVerdict]]:
     """(word, verdict) for every word of length 1..max_len, in dictionary order.
 
-    The verdicts come from `_verdict_levels`; the words are built during a
-    preorder walk over its levels.  A scan over either budget
-    (`_check_scan_budget`) is rejected before any work.
+    The verdicts come from `_verdict_levels`; each level's words are built
+    from the last level's, in index order, and one sort puts the levels in
+    dictionary order, since a prefix sorts before its extensions.  A scan
+    over either budget (`_check_scan_budget`) is rejected before any work.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     s = len(gens.maps)
     _check_scan_budget(s, max_len)
-    if max_len == 0:
-        return []
-    levels = list(_verdict_levels(gens, max_len))
-
-    # dictionary order is the preorder walk of the tree of words
     out: list[tuple[tuple[int, ...], StabilityVerdict]] = []
-    k, idx, word = 1, 0, (0,)
-    while k:
-        out.append((word, levels[k - 1][idx]))
-        if k < max_len:
-            k, idx, word = k + 1, idx * s, word + (0,)
-            continue
-        while k and idx % s == s - 1:
-            k, idx, word = k - 1, idx // s, word[:-1]
-        idx += 1
-        word = word[:-1] + (idx % s,)
+    words: list[tuple[int, ...]] = [()]
+    tails = [(letter,) for letter in range(s)]
+    for verdicts in _verdict_levels(gens, max_len):
+        words = [w + tail for w in words for tail in tails]
+        out += zip(words, verdicts)
+    out.sort(key=itemgetter(0))
     return out
 
 
@@ -347,13 +469,12 @@ def monte_carlo_stability(
     time and stops at the first square entry, so letters after it are never
     drawn.
 
-    Trials share their short prefixes, so those are looked up, not decided
-    per trial: the memo is every level of `_verdict_levels` with s^k <=
-    trials, indexed as there, at most about 2 * trials verdict pointers.
-    Building it holds two residue levels at once; traced with tracemalloc,
-    the peak was about 75 bytes per trial at {-14, 40}, depth 20, 4096
-    trials, and 9.4 MiB at 200,000 trials.  Deeper entries are decided per
-    trial.
+    Each drawn letter is one step of the orbit automaton, a table lookup
+    once the cell is filled.  A trial also stops at the empty state, whose
+    word stays square-free whatever letters follow, so its later letters are
+    never drawn either; the estimate is the same, since every trial has its
+    own stream.  The table is all the memory a run keeps, so the memory
+    does not grow with the trial count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -362,31 +483,26 @@ def monte_carlo_stability(
     if len(sampler.weights) != len(gens.maps):
         raise ValueError("sampler weight count must match the generator count")
     cum = sampler._cumulative()
-    s = len(gens.maps)
-    last = s - 1
-    cs = gens.cs
-    memo_depth, size = 0, s
-    while memo_depth < depth and size <= trials:
-        memo_depth += 1
-        size *= s
-    memo = list(_verdict_levels(gens, memo_depth))
+    last = len(gens.maps) - 1
+    automaton = _OrbitAutomaton(gens.cs)
+    trans, step = automaton.trans, automaton.step
     seed = sampler.seed
     hits = 0
     for t in range(trials):
-        state = _mix64((seed ^ (t * _STREAM)) & _MASK64)
-        word: list[int] = []
-        idx = 0
-        for k in range(1, depth + 1):
-            state = (state + _GOLDEN) & _MASK64
-            u = _mix64(state) / 18446744073709551616.0  # 2**64, can round to 1.0
+        rand = _mix64((seed ^ (t * _STREAM)) & _MASK64)
+        state = _START
+        for _ in range(depth):
+            # _mix64 inlined: the letter stream equals the one _mix64 gives
+            rand = (rand + _GOLDEN) & _MASK64
+            z = ((rand ^ (rand >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            u = (z ^ (z >> 31)) / 18446744073709551616.0  # 2**64, can round to 1.0
             letter = min(bisect_right(cum, u), last)
-            word.append(letter)
-            if k <= memo_depth:
-                idx = idx * s + letter
-                if memo[k - 1][idx] is not _CERTIFIED:
-                    break
-            elif _entry_root(cs, word, k) is not None:
+            nxt = trans[state][letter]
+            if nxt == _UNKNOWN:
+                nxt = step(state, letter)
+            if nxt <= _FREE:
                 break
-        else:
-            hits += 1
+            state = nxt
+        hits += nxt != _DEAD
     return hits / trials

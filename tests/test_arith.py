@@ -5,9 +5,7 @@ from hypothesis import given, strategies as st
 
 from quadsemi.arith import (
     _SIEVE_FACTORS,
-    _SIEVE_MODULUS,
     _SIEVE_TABLES,
-    _passes_square_sieve,
     is_perfect_square,
     positive_divisors,
     residue_search,
@@ -91,8 +89,12 @@ def test_residue_search_agrees_with_nested_loops(coeffs, m):
     assert residue_search([expr], 2, m) == expected
 
 
+def _passes_every_table(n):
+    """False proves n no square: its residue mod some table's modulus is no square."""
+    return all(n % m in squares for m, squares in _SIEVE_TABLES)
+
+
 def test_sieve_tables_follow_their_formula():
-    assert _SIEVE_MODULUS == math.prod(_SIEVE_FACTORS)
     assert [m for m, _ in _SIEVE_TABLES] == list(_SIEVE_FACTORS)
     for m, squares in _SIEVE_TABLES:
         assert squares == {x * x % m for x in range(m)}
@@ -109,15 +111,15 @@ def test_sieve_tables_match_euler_criterion():
 
 
 def test_every_small_square_passes_the_sieve():
-    assert all(_passes_square_sieve(r * r % _SIEVE_MODULUS) for r in range(10**4 + 1))
+    assert all(_passes_every_table(r * r) for r in range(10**4 + 1))
 
 
 @given(st.integers(min_value=0, max_value=1 << 12000))
 def test_every_large_square_passes_the_sieve(r):
-    assert _passes_square_sieve(r * r % _SIEVE_MODULUS)
+    assert _passes_every_table(r * r)
 
 
 def test_sieve_rejects_almost_every_nonsquare():
     start = 10**12
     nonsquares = [n for n in range(start, start + 10**4) if is_perfect_square(n) is None]
-    assert sum(_passes_square_sieve(n % _SIEVE_MODULUS) for n in nonsquares) <= 5
+    assert sum(_passes_every_table(n) for n in nonsquares) <= 5

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from bisect import bisect_right
 from itertools import product
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quadsemi import dynamics
-from quadsemi.arith import is_perfect_square
+from quadsemi.arith import _SIEVE_TABLES, is_perfect_square
+from quadsemi.diophantine import quartic_curve_points
 from quadsemi.dynamics import (
     SCAN_BUDGET,
     SCAN_LETTER_BUDGET,
@@ -16,11 +18,15 @@ from quadsemi.dynamics import (
     SequenceSampler,
     StabilityVerdict,
     _CERTIFIED,
+    _DEAD,
     _GOLDEN,
     _MASK64,
     _STREAM,
+    _START,
+    _OrbitAutomaton,
+    _bounded_reach,
     _check_scan_budget,
-    _entry_root,
+    _escape_radius,
     _mix64,
     adjusted_critical_orbit,
     compose_word,
@@ -356,6 +362,31 @@ def test_monte_carlo_uniform_draw_of_one_picks_the_last_generator():
         == reference_monte_carlo((-4, -12), sampler, 3, 1)
 
 
+SIEVE_MODULUS = math.prod(m for m, _ in _SIEVE_TABLES)
+
+
+def sieved_entry_root(cs, word):
+    """Root of the word's last orbit entry if it is a square, else None.
+
+    An entry past the first is evaluated mod SIEVE_MODULUS first; a residue
+    that is no square mod some table's modulus proves the entry a nonsquare.
+    Only an entry that passes every table is built exactly and tested with
+    isqrt.
+    """
+    if len(word) == 1:
+        entry = -cs[word[0]]
+    else:
+        v = 0
+        for letter in reversed(word):
+            v = (v * v + cs[letter]) % SIEVE_MODULUS
+        if any(v % m not in squares for m, squares in _SIEVE_TABLES):
+            return None
+        entry = 0
+        for letter in reversed(word):
+            entry = entry * entry + cs[letter]
+    return math.isqrt(entry) if entry >= 0 and math.isqrt(entry) ** 2 == entry else None
+
+
 def dfs_scan_reference(
     gens: GeneratorSet, max_len: int
 ) -> list[tuple[tuple[int, ...], StabilityVerdict]]:
@@ -364,9 +395,9 @@ def dfs_scan_reference(
     Dictionary order lists each word before its extensions, then moves to the
     next sibling; verdicts are shared down the tree, so a prefix whose orbit
     already contains a square settles its whole subtree for free.  A new
-    word's last entry is sieved mod M before it is built exactly, as in
-    `stability_certificate`, so a certified word costs no big-integer work.
-    More than SCAN_BUDGET words in all are rejected.
+    word's last entry goes through `sieved_entry_root`, so a certified word
+    costs no big-integer work.  More than SCAN_BUDGET words in all are
+    rejected.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
@@ -390,7 +421,7 @@ def dfs_scan_reference(
             w2 = word + (i,)
             verdict = inherited
             if verdict is None:
-                r = _entry_root(cs, w2, len(w2))
+                r = sieved_entry_root(cs, w2)
                 if r is not None:
                     verdict = StabilityVerdict(False, len(w2), r)
             children.append((w2, verdict))
@@ -411,35 +442,43 @@ def test_scan_words_equals_dfs_reference(cs, max_len):
     assert scan_words(S, max_len) == dfs_scan_reference(S, max_len)
 
 
-# three nonsquare entries of (-16, 4) up to length 9 pass the sieve
+# (-16, 4) has three nonsquare entries up to length 9 that pass the square sieve
 @pytest.mark.parametrize("cs,max_len", DFS_CASES + [((-16, 4), 9)])
-def test_scan_words_tests_exactly_the_entries_that_pass_the_sieve(cs, max_len, monkeypatch):
-    # only a square-free prefix's new entry that passes the sieve is built exactly
-    calls = []
+def test_scan_words_builds_exact_entries_only_for_dying_words(cs, max_len, monkeypatch):
+    # each word whose own last entry is its first square has that entry built
+    # once and tested once; no other word's entry is built
+    events = []
+    real_entry, real_square = dynamics._entry, dynamics.is_perfect_square
 
-    def counting(n):
-        calls.append(n)
-        return is_perfect_square(n)
+    def entry(cs, word, k):
+        value = real_entry(cs, word, k)
+        events.append(("entry", tuple(word[:k]), value))
+        return value
 
-    monkeypatch.setattr(dynamics, "is_perfect_square", counting)
+    def square(n):
+        events.append(("square", n))
+        return real_square(n)
+
+    monkeypatch.setattr(dynamics, "_entry", entry)
+    monkeypatch.setattr(dynamics, "is_perfect_square", square)
     S = GeneratorSet.from_cs(cs)
-    dfs_scan_reference(S, max_len)
-    expected = len(calls)
-    calls.clear()
-    scan_words(S, max_len)
-    assert len(calls) == expected
+    result = scan_words(S, max_len)
+    dying = sorted(w for w, v in result if v.first_square_index == len(w))
+    built = [(i, e) for i, e in enumerate(events) if e[0] == "entry"]
+    assert sorted(word for _, (_, word, _) in built) == dying
+    assert all(events[i + 1] == ("square", value) for i, (_, _, value) in built)
+    assert result == dfs_scan_reference(S, max_len)
 
 
-# sets and weights for the memo's edge cases: skewed weights that keep most
-# trials square-free, one generator, three generators, a square above the sieve
+# sets and weights for edge cases: skewed weights that keep most trials
+# square-free, one generator, three generators, a square far above 2^64
 MEMO_CASES = [((-4, -12), (1.0, 30.0), 5), ((7,), (1.0,), 5),
               ((-21, 5, -11), (1.0, 1.0, 1.0), 5), (DEEP_SQUARE_SET, (1.0, 1.0), 15)]
 
 
 @pytest.mark.parametrize("cs,weights,seed", MEMO_CASES)
 def test_monte_carlo_memo_edges_equal_reference(cs, weights, seed):
-    # s^k - 1, s^k and s^k + 1 trials put the memo's last level just below,
-    # at and above the boundary s^k <= trials
+    # trial counts just below, at and above powers of the generator count
     S = GeneratorSet.from_cs(cs)
     sampler = SequenceSampler(weights, seed)
     counts = sorted({b**k + d for b in {2, max(len(cs), 2)}
@@ -449,30 +488,19 @@ def test_monte_carlo_memo_edges_equal_reference(cs, weights, seed):
             == reference_monte_carlo(cs, sampler, 8, trials), trials
 
 
-def test_monte_carlo_memo_is_bounded_by_the_trial_count():
-    # a memo sized s^depth would take 3^12 = 531441 bytes here
-    S = GeneratorSet.from_cs([3, -7, 11])
-    tracemalloc.start()
-    try:
-        monte_carlo_stability(S, SequenceSampler.uniform(3, 1), 12, 1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 1024
-
-
 @pytest.mark.parametrize("cs,depth,trials", [((7,), 8, 100), ((-14, 40), 6, 64),
                                                ((3, -7, 11), 4, 81)])
 def test_monte_carlo_reads_every_memoized_entry_from_the_table(cs, depth, trials, monkeypatch):
-    # with s^depth <= trials the memo covers every level, so no trial
-    # decides an entry itself
+    # every entry's verdict is a transition-table cell, filled once and then
+    # read: no trial builds an exact entry
     calls = []
+    real_entry = dynamics._entry
 
     def counting(cs, word, k):
         calls.append(k)
-        return _entry_root(cs, word, k)
+        return real_entry(cs, word, k)
 
-    monkeypatch.setattr(dynamics, "_entry_root", counting)
+    monkeypatch.setattr(dynamics, "_entry", counting)
     S = GeneratorSet.from_cs(cs)
     sampler = SequenceSampler.uniform(len(cs), 5)
     assert monte_carlo_stability(S, sampler, depth, trials) \
@@ -480,15 +508,120 @@ def test_monte_carlo_reads_every_memoized_entry_from_the_table(cs, depth, trials
     assert calls == []
 
 
-def test_monte_carlo_memo_peak_per_trial():
-    # the memo holds 2 * 4096 - 2 verdict pointers and, while a level is
-    # built, two residue levels; one sized s^depth would take about 8 MiB
-    trials = 4096
-    S = GeneratorSet.from_cs([-14, 40])
+def _traced_peak(fn):
     tracemalloc.start()
     try:
-        monte_carlo_stability(S, SequenceSampler.uniform(2, 1), 20, trials)
+        fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 100 * trials
+    return peak
+
+
+def test_monte_carlo_peak_does_not_grow_with_trials():
+    # a run keeps only the transition table, whatever the trial count
+    S = GeneratorSet.from_cs([-14, 40])
+    sampler = SequenceSampler.uniform(2, 1)
+    peaks = [_traced_peak(lambda: monte_carlo_stability(S, sampler, 20, trials))
+             for trials in (2_000, 20_000)]
+    assert abs(peaks[1] - peaks[0]) < 16 * 1024, peaks
+
+
+# --- the orbit automaton against the exact references
+
+NEAR_2_100 = st.integers((1 << 100) - 1000, (1 << 100) + 1000).map(
+    lambda n: n * (-1) ** (n % 2))
+small_sets = st.lists(st.integers(-100, 100), min_size=1, max_size=4, unique=True)
+# sets with 0, with a square -c, and with two constants near 2^100
+automaton_sets = st.one_of(
+    small_sets,
+    small_sets.map(lambda cs: list(dict.fromkeys([0] + cs))),
+    st.tuples(st.integers(0, 10), small_sets).map(
+        lambda t: list(dict.fromkeys([-t[0] ** 2] + t[1]))),
+    st.lists(NEAR_2_100, min_size=2, max_size=2, unique=True).flatmap(
+        lambda big: st.lists(st.integers(-100, 100), max_size=2).map(
+            lambda small: list(dict.fromkeys(big + small)))),
+)
+
+
+@given(automaton_sets, st.data())
+@example([0, -9, 5], None)
+@example([(1 << 100) + 1, -(1 << 100) + 3, -1], None)
+@settings(max_examples=40, deadline=None)
+def test_automaton_equals_exact_references(cs, data):
+    S = GeneratorSet.from_cs(cs)
+    max_len = {1: 9, 2: 6, 3: 4}.get(len(cs), 3)
+    assert scan_words(S, max_len) == dfs_scan_reference(S, max_len)
+    seed = 7 if data is None else data.draw(st.integers(0, (1 << 64) - 1))
+    sampler = SequenceSampler.uniform(len(cs), seed)
+    assert monte_carlo_stability(S, sampler, 9, 60) \
+        == reference_monte_carlo(cs, sampler, 9, 60)
+    words = [w for n in (7, 8) for w in product(range(len(cs)), repeat=n)]
+    for word in words[::max(1, len(words) // 40)]:
+        assert stability_certificate(S, word) == reference_certificate(cs, word)
+
+
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=3, unique=True))
+@example([-14, 40])
+@example([0, -1])
+@example(list(DEEP_SQUARE_SET))
+@settings(max_examples=40, deadline=None)
+def test_inner_values_escape_or_stay_in_the_reach(cs):
+    # every F(u)(0), |u| <= 7, lies in B or beyond R, where it grows for good
+    radius = _escape_radius(cs)
+    big = max(abs(c) for c in cs)
+    assert radius * (radius - 1) > big and radius**2 >= 2 * big + 1
+    reach = _bounded_reach(cs, radius)
+    assert all(abs(v) <= radius for v in reach)
+    values = [0]
+    for _ in range(7):
+        values = [v * v + c for v in values for c in cs]
+        assert all(v in reach or abs(v) > radius for v in values)
+    assert all(abs(x * x + c) > abs(x) for x in (radius + 1, -radius - 1) for c in cs)
+
+
+@given(st.lists(st.integers(-60, 60), min_size=1, max_size=4, unique=True))
+@example([-4, -12])
+@example([-72, -91])
+@example([-12, -21])
+@example([-59, -51])  # (9^2 - 51)^2 - 59 = 29^2: a point with X^2 > max|c| + sqrt(max|c|)
+@settings(max_examples=60, deadline=None)
+def test_second_states_equal_the_curve_points(cs):
+    # after (p1, p2) the state is S_2, the X-coordinates in B of the points of
+    # Y^2 = (X^2 + c2)^2 + c1, or dead when 0 is one; quartic_curve_points
+    # lists every point once its bound passes the factoring box
+    automaton = _OrbitAutomaton(cs)
+    radius = _escape_radius(cs)
+    reach = _bounded_reach(cs, radius)
+    for p1, p2 in product(range(len(cs)), repeat=2):
+        one = automaton.step(_START, p1)
+        if one == _DEAD:
+            assert is_perfect_square(-cs[p1]) is not None
+            continue
+        c1, c2 = cs[p1], cs[p2]
+        points = quartic_curve_points(1, 2 * c2, c2 * c2 + c1, 10**4)
+        assert all(abs(q) <= radius for q, _ in points)
+        expected = {q for q, _ in points} & reach
+        state = automaton.step(one, p2)
+        if 0 in expected:
+            assert state == _DEAD
+        else:
+            assert automaton.keys[state] == expected
+
+
+def test_deep_square_scan_is_fast():
+    # B holds the orbit of 0 under x^2 + 3 up to 2^58; the curve's X range
+    # reaches 2^58 too, and is never walked
+    S = GeneratorSet.from_cs(DEEP_SQUARE_SET)
+    start = time.perf_counter()
+    result = scan_words(S, 9)
+    assert time.perf_counter() - start < 0.5
+    assert dict(result)[(1,) + (0,) * 7] == StabilityVerdict(False, 8, V7 + 1)
+
+
+def test_automaton_dead_state_follows_the_first_square():
+    automaton = _OrbitAutomaton((-4, -12))
+    state = automaton.step(_START, 1)  # entry 1 is 12
+    assert state > _START
+    assert automaton.step(state, 0) == _DEAD  # entry 2 is (0 - 4)^2 - 12 = 4
+    assert automaton.step(_DEAD, 1) == _DEAD
