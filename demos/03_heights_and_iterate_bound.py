@@ -4,6 +4,9 @@ The bound N has the property that f^N(a) being a perfect square forces a to
 be preperiodic; it is assembled from an exact integral-point enumeration
 (divisor factoring of the constant) and a box-searched minimal positive
 height, and the box caveat travels with every result as a rigor flag.
+No certificate uses this bound any more: the square-image certificates of
+demo 04 take their N exactly from the same integral points and their
+integer preimages, and carry the rigor flag "exact".
 """
 
 from quadsemi import (
@@ -42,5 +45,6 @@ for c in [-12, -21, 3, 1, 17]:
     print(f"c={c:>4}: hmin {bound.hmin:.6f}, B {bound.B:.6f}, "
           f"N = {bound.N}   [{rigor}]")
 
-print("\nA square value of f^N can only come from a preperiodic argument,")
-print("which is how the square-image certificates in the prefix recipes close.")
+print("\nA square value of f^N can only come from a preperiodic argument.")
+print("The prefix certificates (demo 04) need no height: f^N(z) is a square")
+print("exactly when f^(N-2)(z) is the X of an integral point on Y^2 = f(f(X)).")

@@ -3,11 +3,6 @@
 Pure functions on Python ints: perfect-square detection, divisor
 enumeration, and exhaustive residue searches (the engine behind the
 modular-obstruction checks).
-
-It also holds the square sieve's quadratic-residue tables, one for each of
-a fixed set of small prime powers m.  A square is a square modulo every m,
-so a residue mod m that fails its table proves the integer no square,
-without building it.
 """
 
 from __future__ import annotations
@@ -23,10 +18,6 @@ def is_perfect_square(n: int) -> int | None:
         return None
     r = math.isqrt(n)
     return r if r * r == n else None
-
-
-_SIEVE_FACTORS = (64, 9, 25, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-_SIEVE_TABLES = tuple((m, frozenset(x * x % m for x in range(m))) for m in _SIEVE_FACTORS)
 
 
 def positive_divisors(n: int) -> list[int]:

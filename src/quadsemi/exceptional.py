@@ -16,6 +16,17 @@ irreducible; the family pairs with |s| >= 2 need the longer three-letter
 prefix.  Any empirical contradiction of these facts raises
 TheoremViolationError with the full diagnostic payload instead of being
 silently absorbed.
+
+Every N is exact and minimal, and needs no floats.  For f = x^2 + c, c != 0,
+f^N(z) (N >= 2) is a square exactly when z lies in T_(N-2), where T_0 holds
+the X-coordinates of the integral points on Y^2 = f(f(X)) (a monic quartic
+with 4 a4 a0 - a2^2 = 4c != 0, so factoring lists them all) and
+T_j = {y : y^2 + c in T_(j-1)}.  So N certifies a prefix f^N o g exactly
+when T_(N-2), pulled back the same way through g, is empty.  Once some T_j
+repeats an earlier one the sequence cycles, so if no N has certified by
+then, none ever will.  A repeat must come: if every t in T_(j-1) has
+|t| <= M with M >= |c| + 1, every y in T_j has y^2 <= M + |c| <= M^2, so
+all T_j lie in one interval [-M, M].
 """
 
 from __future__ import annotations
@@ -23,9 +34,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import _SIEVE_TABLES, is_perfect_square, residue_search
-from .dynamics import GeneratorSet, QuadraticMap
-from .heights import RIGOR_BOX, compute_iterate_bound
+from .arith import is_perfect_square, residue_search
+from .diophantine import quartic_curve_points
+from .dynamics import GeneratorSet
 from .portraits import (
     FIXED_SQUARE,
     TWO_CYCLE_SQUARE,
@@ -45,7 +56,7 @@ FAMILY = "family"                # {s^2 - s^4, -1 - s^2 - s^4}
 TWO_LETTER = "two-letter"
 THREE_LETTER = "three-letter"
 
-PREFIX_SWEEP_BOUND = 1000  # |b| swept by check_exceptional_prefix
+RIGOR_EXACT = "exact"
 
 
 class TheoremViolationError(RuntimeError):
@@ -170,12 +181,48 @@ def scan_exceptional_pairs(cmin: int, cmax: int) -> list[tuple[int, int]]:
     ]
 
 
+def _pullback(values: frozenset[int], c: int) -> frozenset[int]:
+    """The integers y with y^2 + c in `values`."""
+    roots = (is_perfect_square(t - c) for t in values)
+    return frozenset(y for r in roots if r is not None for y in (r, -r))
+
+
+def _square_set(c: int) -> frozenset[int]:
+    """T_0 for x^2 + c, c != 0: the X-coordinates on Y^2 = f(f(X)), complete by factoring.
+
+    Every point has X^2 <= 2|c|, inside the scan bound |c| + 1.
+    """
+    return frozenset(q for q, _ in quartic_curve_points(1, 2 * c, c * c + c, abs(c) + 1))
+
+
+def _minimal_iterate(c_outer: int, inner: tuple[int, ...]) -> int | None:
+    """Least N >= 2 with f_outer^N(g(b)) never a square, or None if no N works.
+
+    g composes the maps x^2 + c for c in `inner`, outermost first; the T_j
+    are those of the module docstring.
+    """
+    t = _square_set(c_outer)
+    seen = set()
+    n = 2
+    while t not in seen:
+        seen.add(t)
+        hits = t
+        for c in inner:
+            hits = _pullback(hits, c)
+        if not hits:
+            return n
+        t = _pullback(t, c_outer)
+        n += 1
+    return None
+
+
 @dataclass(frozen=True)
 class SquareImageCertificate:
     """Whether f_outer^N(f_inner(b)) can be a perfect square for integer b.
 
-    'certified' asserts it cannot (for the recorded N); 'refuted' carries an
-    explicit b whose image is a square; 'inapplicable' means the hypotheses
+    'certified' asserts it cannot for the recorded N, the least such;
+    'refuted' asserts that no N works and carries the smallest b >= 0 whose
+    image is a square at N = 2; 'inapplicable' means the hypotheses
     (distinct constants outside {0, -1}) fail.
     """
 
@@ -192,92 +239,51 @@ class SquareImageCertificate:
 def certify_no_square_images(c1: int, c2: int) -> SquareImageCertificate:
     """Certified / refuted / inapplicable verdict for squares among f1^N(f2(b)).
 
-    A square value of f1^N forces its argument into the preperiodic set of f1,
-    so it suffices that f1 has no square periodic point, or that no integer
-    image b^2 + c2 lands in PrePer(f1), or that the finitely many landing
-    points all have nonsquare N-th iterates.  N is `compute_iterate_bound`
-    at its default box and iterations.
+    f1^N(f2(b)) is a square exactly when b^2 + c2 lies in T_(N-2), the
+    integer preimages under f1^(N-2) of the X-coordinates on Y^2 = f1(f1(X)).
+    A certificate carries the least N for which no b does; the T_j lie in one
+    interval, so they repeat, and a repeat before any such N refutes every N
+    (module docstring).
     """
     if c1 in (0, -1) or c2 in (0, -1) or c1 == c2:
         return SquareImageCertificate(
             INAPPLICABLE, c1, c2,
             reason="needs distinct constants outside {0, -1}",
         )
-    phi1 = QuadraticMap(c1)
-    bound = compute_iterate_bound(phi1)
-    if recognize_square_periodic(c1) is None:
+    n = _minimal_iterate(c1, (c2,))
+    if n is not None:
         return SquareImageCertificate(
-            CERTIFIED, c1, c2, n_iterate=bound.N, rigor=bound.rigor,
-            reason="the outer map has no square periodic point",
+            CERTIFIED, c1, c2, n_iterate=n, rigor=RIGOR_EXACT,
+            reason=(f"no integer image of the inner map lies in T_{n - 2}, "
+                    f"the set where f^{n} takes square values"),
         )
-    hits = sorted(
-        p for p in preper_set(c1) if is_perfect_square(p - c2) is not None
-    )
-    if not hits:
-        return SquareImageCertificate(
-            CERTIFIED, c1, c2, n_iterate=bound.N, rigor=bound.rigor,
-            reason="no integer image of the inner map is preperiodic for the outer map",
-        )
-    for p in hits:
-        v = phi1.iterate(bound.N, p)
-        if is_perfect_square(v) is not None:
-            b = is_perfect_square(p - c2)
-            return SquareImageCertificate(
-                REFUTED, c1, c2, n_iterate=bound.N, rigor=bound.rigor,
-                reason=f"f^{bound.N}({p}) = {v} is a perfect square",
-                witness_b=b, witness_value=v,
-            )
+    b = min(map(abs, _pullback(_square_set(c1), c2)))
+    p = b * b + c2
+    v = (p * p + c1) ** 2 + c1
     return SquareImageCertificate(
-        CERTIFIED, c1, c2, n_iterate=bound.N, rigor=bound.rigor,
-        reason="every preperiodic image has a nonsquare N-th iterate",
+        REFUTED, c1, c2, n_iterate=2, rigor=RIGOR_EXACT,
+        reason=(f"f^2({p}) = {v} is a perfect square, and the preimage sets "
+                "repeat with a square image at every N"),
+        witness_b=b, witness_value=v,
     )
 
 
 @dataclass(frozen=True)
 class ExceptionalPrefixReport:
-    """Finite certificate that f1^N o f2 o f1 avoids square values on the family pair."""
+    """Finite certificate that f1^N o f2 o f1 avoids square values on the family pair.
+
+    n_iterate is the least such N, or None if none exists.
+    """
 
     s: int
     c1: int
     c2: int
-    n_iterate: int
+    n_iterate: int | None
     subchecks: tuple[tuple[str, bool], ...]
-    sweep_bound: int
-    failure: tuple[int, int] | None = None  # (b, square value) if the sweep found one
 
     @property
     def passed(self) -> bool:
-        return self.failure is None and all(ok for _, ok in self.subchecks)
-
-
-def _first_square_image(c_outer: int, c_inner: int, n: int, bound: int) -> tuple[int, int] | None:
-    """(b, v) for the smallest b in 0..bound with v = f_outer^n(f_inner(f_outer(b))) a square.
-
-    Whether v is a square modulo m depends only on b mod m, so for each
-    factor (m, squares) of the square sieve (`arith._SIEVE_TABLES`) the map
-    is evaluated once per residue r < m with small integers, and every b
-    whose residue gives a non-residue is dropped: its v is no square mod m,
-    hence no square.  Only the survivors are built exactly and tested with
-    `isqrt`, in ascending order, so the b found is the smallest.
-    """
-    steps = (c_outer, c_inner) + (c_outer,) * n  # innermost map first
-    candidates = range(bound + 1)
-    for m, squares in _SIEVE_TABLES:
-        residue_ok = []
-        for v in range(m):
-            for c in steps:
-                v = (v * v + c) % m
-            residue_ok.append(v in squares)
-        candidates = [b for b in candidates if residue_ok[b % m]]
-        if not candidates:
-            return None
-    for b in candidates:
-        v = b
-        for c in steps:
-            v = v * v + c
-        if is_perfect_square(v) is not None:
-            return b, v
-    return None
+        return self.n_iterate is not None and all(ok for _, ok in self.subchecks)
 
 
 def check_exceptional_prefix(s: int) -> ExceptionalPrefixReport:
@@ -286,21 +292,15 @@ def check_exceptional_prefix(s: int) -> ExceptionalPrefixReport:
     Reproduces each finite step of the argument computationally: the only
     candidate preperiodic images are +-s^2 and +-(1-s^2); the 1-s^2 branch dies
     because 1-s^2 < 0, and the +-s^2 branches die by a mod-4 obstruction and
-    the nonsquareness of s^4 + 1.  A sweep over |b| <= PREFIX_SWEEP_BOUND
-    double checks the conclusion (only b^2 enters, so b >= 0 suffices).  The
-    sweep is sieved (`_first_square_image`): per-factor residue tables of the
-    square sieve rule out almost every b without building its value, each
-    rejection a proof of nonsquareness, and only the survivors are built and
-    tested exactly; `failure` is the smallest square b, as a plain sweep
-    would find it.  N is `compute_iterate_bound` at its default box and
-    iterations.
+    the nonsquareness of s^4 + 1.  N is the least with no f2(f1(b)) in
+    T_(N-2), the preimage set where f1^N takes square values; the search
+    ends because the T_j repeat (module docstring).
     """
     if s in (0, 1, -1):
         raise ValueError("the family prefix needs |s| >= 2")
     s = abs(s)
     c1 = shape_constant(FIXED_SQUARE, s)
     c2 = shape_constant(TWO_CYCLE_SQUARE, s)
-    n = compute_iterate_bound(QuadraticMap(c1)).N
 
     subchecks = []
     # landing on +-(1 - s^2) would force the square 1 - s^2, which is negative
@@ -326,9 +326,8 @@ def check_exceptional_prefix(s: int) -> ExceptionalPrefixReport:
     )
 
     return ExceptionalPrefixReport(
-        s=s, c1=c1, c2=c2, n_iterate=n, subchecks=tuple(subchecks),
-        sweep_bound=PREFIX_SWEEP_BOUND,
-        failure=_first_square_image(c1, c2, n, PREFIX_SWEEP_BOUND),
+        s=s, c1=c1, c2=c2, n_iterate=_minimal_iterate(c1, (c2, c1)),
+        subchecks=tuple(subchecks),
     )
 
 
@@ -346,7 +345,7 @@ class PrefixRecipe:
     n_iterate: int
     shape: str  # TWO_LETTER or THREE_LETTER
     certificate: str
-    rigor: str = RIGOR_BOX
+    rigor: str = RIGOR_EXACT
 
     def prefix_word(self) -> tuple[int, ...]:
         w = (self.outer,) * self.n_iterate + (self.inner,)
@@ -387,7 +386,7 @@ def construct_irreducible_prefix(gens: GeneratorSet) -> PrefixRecipe:
             if cert.status == CERTIFIED:
                 return PrefixRecipe(
                     outer=oi, inner=ii, n_iterate=cert.n_iterate, shape=TWO_LETTER,
-                    certificate=cert.reason, rigor=cert.rigor or RIGOR_BOX,
+                    certificate=cert.reason,
                 )
         raise TheoremViolationError(
             "both orderings of a non-exceptional pair were refuted, "
@@ -417,7 +416,8 @@ def construct_irreducible_prefix(gens: GeneratorSet) -> PrefixRecipe:
     return PrefixRecipe(
         outer=outer, inner=inner, n_iterate=report.n_iterate, shape=THREE_LETTER,
         certificate=(
-            f"family pair with s={s}: {checks}; "
-            f"sweep clean to |b| <= {report.sweep_bound}"
+            f"family pair with s={s}: {checks}; no integer b has f2(f1(b)) in "
+            f"T_{report.n_iterate - 2}, the set where f1^{report.n_iterate} "
+            "takes square values"
         ),
     )

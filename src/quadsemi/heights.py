@@ -1,5 +1,8 @@
 """Canonical heights with explicit error bounds, and the iterate bound N.
 
+They feed the `heights` command and demo 03 only: no certificate rests on
+them, since `exceptional` finds each certificate's iterate N exactly.
+
 The canonical height of a under f(x) = x^2 + c is hhat(a) = lim h(f^n(a))/2^n
 with h(x) = log max(|x|, 1).  For integer x the one-step defect is uniformly
 bounded:

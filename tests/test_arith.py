@@ -4,8 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quadsemi.arith import (
-    _SIEVE_FACTORS,
-    _SIEVE_TABLES,
     is_perfect_square,
     positive_divisors,
     residue_search,
@@ -87,39 +85,3 @@ def test_residue_search_agrees_with_nested_loops(coeffs, m):
         (x, y) for x in range(m) for y in range(m) if expr(x, y) % m == 0
     ]
     assert residue_search([expr], 2, m) == expected
-
-
-def _passes_every_table(n):
-    """False proves n no square: its residue mod some table's modulus is no square."""
-    return all(n % m in squares for m, squares in _SIEVE_TABLES)
-
-
-def test_sieve_tables_follow_their_formula():
-    assert [m for m, _ in _SIEVE_TABLES] == list(_SIEVE_FACTORS)
-    for m, squares in _SIEVE_TABLES:
-        assert squares == {x * x % m for x in range(m)}
-
-
-def test_sieve_tables_match_euler_criterion():
-    # independent of the table formula: for an odd prime p, r != 0 is a
-    # square mod p iff r^((p-1)/2) == 1 mod p
-    for p, squares in _SIEVE_TABLES:
-        if p in (64, 9, 25):
-            continue
-        euler = {0} | {r for r in range(1, p) if pow(r, (p - 1) // 2, p) == 1}
-        assert squares == euler and len(squares) == (p + 1) // 2
-
-
-def test_every_small_square_passes_the_sieve():
-    assert all(_passes_every_table(r * r) for r in range(10**4 + 1))
-
-
-@given(st.integers(min_value=0, max_value=1 << 12000))
-def test_every_large_square_passes_the_sieve(r):
-    assert _passes_every_table(r * r)
-
-
-def test_sieve_rejects_almost_every_nonsquare():
-    start = 10**12
-    nonsquares = [n for n in range(start, start + 10**4) if is_perfect_square(n) is None]
-    assert sum(_passes_every_table(n) for n in nonsquares) <= 5

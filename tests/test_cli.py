@@ -43,6 +43,7 @@ def normalized(report):
     ("scan_words.json", ["scan-words", "-c", "-14,40", "-L", "8"]),
     ("mc_stability.json", ["mc-stability", "-c", "-4,-12", "-L", "10",
                            "-T", "20000", "--seed", "7"]),
+    ("construct_prefix.json", ["construct-prefix", "-c", "-12,-21,-4"]),
 ])
 def test_golden_reports(capsys, name, argv):
     code, report = run_json(capsys, argv)
@@ -245,6 +246,16 @@ def test_construct_prefix(capsys):
 
     code, _, err = run(capsys, ["construct-prefix", "-c", "-4,-9"])
     assert code == 2 and "irreducible" in err
+
+
+def test_construct_prefix_takes_the_first_order_that_certifies_exactly(capsys):
+    # (-3, -5) certifies at N = 3, so the first-listed map stays outermost
+    code, report = run_json(capsys, ["construct-prefix", "-c", "-3,-5"])
+    assert code == 0
+    v = report["verdicts"]
+    assert report["witnesses"]["rigor"] == "exact"
+    assert v["outer_c"] == -3 and v["inner_c"] == -5 and v["n_iterate"] == 3
+    assert v["prefix_word"] == [1, 1, 1, 2]
 
 
 def test_mc_stability_deterministic(capsys):

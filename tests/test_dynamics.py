@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quadsemi import dynamics
-from quadsemi.arith import _SIEVE_TABLES, is_perfect_square
+from quadsemi.arith import is_perfect_square
 from quadsemi.diophantine import quartic_curve_points
 from quadsemi.dynamics import (
     SCAN_BUDGET,
@@ -360,6 +360,49 @@ def test_monte_carlo_uniform_draw_of_one_picks_the_last_generator():
     assert _trial_word(SEED_DRAWING_ONE, 0, 3, sampler._cumulative(), 2)[0] == 1
     assert monte_carlo_stability(S, sampler, 3, 1) \
         == reference_monte_carlo((-4, -12), sampler, 3, 1)
+
+
+# The square sieve's quadratic-residue tables, one for each of a fixed set of
+# small prime powers m.  A square is a square modulo every m, so a residue
+# mod m that fails its table proves the integer no square, without building it.
+_SIEVE_FACTORS = (64, 9, 25, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_SIEVE_TABLES = tuple((m, frozenset(x * x % m for x in range(m))) for m in _SIEVE_FACTORS)
+
+
+def _passes_every_table(n):
+    """False proves n no square: its residue mod some table's modulus is no square."""
+    return all(n % m in squares for m, squares in _SIEVE_TABLES)
+
+
+def test_sieve_tables_follow_their_formula():
+    assert [m for m, _ in _SIEVE_TABLES] == list(_SIEVE_FACTORS)
+    for m, squares in _SIEVE_TABLES:
+        assert squares == {x * x % m for x in range(m)}
+
+
+def test_sieve_tables_match_euler_criterion():
+    # independent of the table formula: for an odd prime p, r != 0 is a
+    # square mod p iff r^((p-1)/2) == 1 mod p
+    for p, squares in _SIEVE_TABLES:
+        if p in (64, 9, 25):
+            continue
+        euler = {0} | {r for r in range(1, p) if pow(r, (p - 1) // 2, p) == 1}
+        assert squares == euler and len(squares) == (p + 1) // 2
+
+
+def test_every_small_square_passes_the_sieve():
+    assert all(_passes_every_table(r * r) for r in range(10**4 + 1))
+
+
+@given(st.integers(min_value=0, max_value=1 << 12000))
+def test_every_large_square_passes_the_sieve(r):
+    assert _passes_every_table(r * r)
+
+
+def test_sieve_rejects_almost_every_nonsquare():
+    start = 10**12
+    nonsquares = [n for n in range(start, start + 10**4) if is_perfect_square(n) is None]
+    assert sum(_passes_every_table(n) for n in nonsquares) <= 5
 
 
 SIEVE_MODULUS = math.prod(m for m, _ in _SIEVE_TABLES)

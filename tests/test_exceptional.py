@@ -3,11 +3,18 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quadsemi import exceptional
 from quadsemi.arith import is_perfect_square
-from quadsemi.dynamics import GeneratorSet, QuadraticMap, stability_certificate
+from quadsemi.dynamics import (
+    _DEAD,
+    _START,
+    GeneratorSet,
+    QuadraticMap,
+    _OrbitAutomaton,
+    stability_certificate,
+)
 from quadsemi.exceptional import (
     CERTIFIED,
     FAMILY,
@@ -17,7 +24,6 @@ from quadsemi.exceptional import (
     THREE_LETTER,
     TWO_LETTER,
     _family_parameter,
-    _first_square_image,
     certify_no_square_images,
     check_exceptional_prefix,
     closed_form_of,
@@ -25,9 +31,11 @@ from quadsemi.exceptional import (
     is_exceptional_pair,
     scan_exceptional_pairs,
 )
+from quadsemi.heights import compute_iterate_bound
 from quadsemi.portraits import (
     FIXED_SQUARE,
     TWO_CYCLE_SQUARE,
+    preper_set,
     recognize_square_periodic,
     shape_constant,
 )
@@ -175,6 +183,11 @@ def test_certify_no_square_images_examples():
     cert = certify_no_square_images(-3, 5)
     assert cert.status == CERTIFIED
 
+    # b = 2 gives f(f(-1)) = 1, a square, at N = 2, but no b gives one at N = 3
+    cert = certify_no_square_images(-3, -5)
+    assert cert.status == CERTIFIED and cert.n_iterate == 3
+    assert cert.rigor == "exact"
+
     assert certify_no_square_images(0, 5).status == INAPPLICABLE
     assert certify_no_square_images(5, -1).status == INAPPLICABLE
     assert certify_no_square_images(5, 5).status == INAPPLICABLE
@@ -190,49 +203,140 @@ def test_certified_direction_agrees_with_sweep():
             assert is_perfect_square(v) is None, (c1, c2, b)
 
 
-def _first_square_image_reference(c_outer, c_inner, n, bound):
-    """The plain sweep: build f_outer^n(f_inner(f_outer(b))) for every b and test it."""
-    outer, inner = QuadraticMap(c_outer), QuadraticMap(c_inner)
-    for b in range(bound + 1):
-        v = outer.iterate(n, inner(outer(b)))
-        if is_perfect_square(v) is not None:
-            return b, v
-    return None
+# every ordered pair of distinct constants outside {0, -1} in [-40, 40]^2
+GRID_PAIRS = [(c1, c2) for c1 in range(-40, 41) for c2 in range(-40, 41)
+              if c1 != c2 and c1 not in (0, -1) and c2 not in (0, -1)]
 
 
-def _sweep_triples(count, seed):
-    """Seeded (c_outer, c_inner, n) triples; a quarter of them have a square at some b > 0.
+def _square_images(c_outer, c_inner, n, bound):
+    """Every b in 0..bound with f_outer^n(f_inner(b)) a square, built plainly.
 
-    With c_outer = 0 and n = 0 the value is b^4 + c_inner, which is the
-    square (b0^2 + j)^2 at b = b0 when c_inner = 2*j*b0^2 + j^2.
+    Only b^2 enters, so b >= 0 covers |b| <= bound.
     """
-    rng = random.Random(seed)
-    triples = []
-    for i in range(count):
-        if i % 4 == 0:
-            b0, j = rng.randint(1, 150), rng.randint(1, 5)
-            triples.append((0, 2 * j * b0 * b0 + j * j, 0))
+    outer, inner = QuadraticMap(c_outer), QuadraticMap(c_inner)
+    return [b for b in range(bound + 1)
+            if is_perfect_square(outer.iterate(n, inner(b))) is not None]
+
+
+@pytest.mark.parametrize("bound", [
+    200, pytest.param(2000, marks=pytest.mark.extended)])
+def test_exact_iterate_leaves_no_square_in_plain_sweep(bound):
+    refuted = 0
+    for c1, c2 in GRID_PAIRS:
+        cert = certify_no_square_images(c1, c2)
+        assert cert.rigor == "exact", (c1, c2)
+        if cert.status == REFUTED:
+            refuted += 1
+            # the witness is the smallest b >= 0 with a square at N = 2
+            assert cert.n_iterate == 2
+            b = cert.witness_b
+            assert QuadraticMap(c1).iterate(2, QuadraticMap(c2)(b)) == cert.witness_value
+            assert is_perfect_square(cert.witness_value) is not None
+            assert _square_images(c1, c2, 2, b)[0] == b, (c1, c2)
+            continue
+        assert cert.status == CERTIFIED
+        assert _square_images(c1, c2, cert.n_iterate, bound) == [], (c1, c2)
+        if cert.n_iterate > 2:
+            # N - 1 has a square image, so N is minimal
+            assert _square_images(c1, c2, cert.n_iterate - 1, bound), (c1, c2)
+    assert refuted == 17
+
+
+def heights_certificate_reference(c1, c2):
+    """(status, N) of the height-based certificate: N from `compute_iterate_bound`.
+
+    A square value of f1^N forces its argument into PrePer(f1), so it
+    suffices that f1 has no square periodic point, or that no integer image
+    b^2 + c2 lands in PrePer(f1), or that the landing points all have
+    nonsquare N-th iterates.
+    """
+    phi1 = QuadraticMap(c1)
+    n = compute_iterate_bound(phi1).N
+    if recognize_square_periodic(c1) is None:
+        return CERTIFIED, n
+    hits = [p for p in preper_set(c1) if is_perfect_square(p - c2) is not None]
+    if any(is_perfect_square(phi1.iterate(n, p)) is not None for p in hits):
+        return REFUTED, n
+    return CERTIFIED, n
+
+
+def test_exact_iterate_never_exceeds_the_heights_iterate():
+    lower = certified_only_exactly = 0
+    for c1, c2 in GRID_PAIRS:
+        status, n = heights_certificate_reference(c1, c2)
+        cert = certify_no_square_images(c1, c2)
+        if status == CERTIFIED:
+            assert cert.status == CERTIFIED and cert.n_iterate <= n, (c1, c2)
+            lower += cert.n_iterate < n
         else:
-            triples.append((rng.randint(-60, 60), rng.randint(-60, 60), rng.randint(0, 3)))
-    return triples
+            # the reference found a square at its N, so that N cannot certify
+            assert cert.status == REFUTED or cert.n_iterate != n, (c1, c2)
+            certified_only_exactly += cert.status == CERTIFIED
+    assert lower == 271 and certified_only_exactly == 16
 
 
-def test_sieved_sweep_equals_plain_sweep():
-    family = [(shape_constant(FIXED_SQUARE, s), shape_constant(TWO_CYCLE_SQUARE, s), n)
-              for s in range(2, 7) for n in range(4)]
-    found = 0
-    for c_outer, c_inner, n in _sweep_triples(400, 15) + family:
-        got = _first_square_image(c_outer, c_inner, n, 200)
-        assert got == _first_square_image_reference(c_outer, c_inner, n, 200), \
-            (c_outer, c_inner, n)
-        found += got is not None and got[0] > 0
-    assert found >= 100  # the comparison covers squares found past b = 0
+def test_every_family_prefix_certifies():
+    for s in range(2, 41):
+        rep = check_exceptional_prefix(s)
+        assert rep.passed and rep.n_iterate >= 2, s
+        S = GeneratorSet.from_cs([rep.c2, rep.c1])
+        rec = construct_irreducible_prefix(S)
+        assert rec.shape == THREE_LETTER and rec.n_iterate == rep.n_iterate
+        assert rec.rigor == "exact"
+
+
+def _dead_reachable(cs, word):
+    """Whether the orbit automaton reaches _DEAD from the state after `word`."""
+    automaton = _OrbitAutomaton(cs)
+    state = _START
+    for letter in word:
+        state = automaton.step(state, letter)
+    seen, todo = {state}, [state]
+    while todo:
+        state = todo.pop()
+        if state == _DEAD:
+            return True
+        for letter in range(len(cs)):
+            nxt = automaton.step(state, letter)
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return False
+
+
+def _seeded_generator_sets(count, seed):
+    """Seeded sets of 2-4 constants up to 10^6 in size, with two irreducible maps."""
+    rng = random.Random(seed)
+    sets = []
+    while len(sets) < count:
+        top = rng.choice((10, 100, 10**4, 10**6))
+        cs = list({rng.randint(-top, top) for _ in range(rng.randint(2, 4))})
+        if sum(is_perfect_square(-c) is None for c in cs) >= 2:
+            sets.append(cs)
+    return sets
+
+
+def test_recipes_never_reach_the_dead_state():
+    # the recipe's promise, checked by the orbit automaton: no extension of
+    # the prefix word has a square entry
+    family = [[shape_constant(FIXED_SQUARE, s), shape_constant(TWO_CYCLE_SQUARE, s), 5]
+              for s in range(2, 12)]
+    for cs in _seeded_generator_sets(300, 17) + family + [[-3, -5], [-12, -21, -4]]:
+        rec = construct_irreducible_prefix(GeneratorSet.from_cs(cs))
+        assert not _dead_reachable(cs, rec.prefix_word()), (cs, rec)
+
+
+@given(st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=4, unique=True))
+@settings(max_examples=60, deadline=None)
+def test_recipes_never_reach_the_dead_state_on_random_sets(cs):
+    assume(sum(is_perfect_square(-c) is None for c in cs) >= 2)
+    rec = construct_irreducible_prefix(GeneratorSet.from_cs(cs))
+    assert not _dead_reachable(cs, rec.prefix_word()), (cs, rec)
 
 
 def test_exceptional_prefix_reports():
     for s in range(2, 13):
         rep = check_exceptional_prefix(s)
-        assert rep.sweep_bound == 1000
         assert rep.passed, rep
         assert rep.n_iterate >= 2
         names = [name for name, _ in rep.subchecks]
