@@ -1,8 +1,10 @@
 """Exact arbitrary-precision integer helpers.
 
-Pure functions on Python ints: perfect-square detection, divisor
-enumeration, and exhaustive residue searches (the engine behind the
-modular-obstruction checks).
+Pure functions on Python ints: perfect-square detection, the integer
+preimages of a value set under x^2 + c (the one backward step behind the
+preperiodic sets, the orbit automaton's states and the square-value sets
+of the prefix certificates), divisor enumeration, and exhaustive residue
+searches (the engine behind the modular-obstruction checks).
 """
 
 from __future__ import annotations
@@ -18,6 +20,12 @@ def is_perfect_square(n: int) -> int | None:
         return None
     r = math.isqrt(n)
     return r if r * r == n else None
+
+
+def square_preimages(values: frozenset[int], c: int) -> frozenset[int]:
+    """The integers y with y^2 + c in `values`."""
+    roots = (is_perfect_square(v - c) for v in values)
+    return frozenset(y for r in roots if r is not None for y in (r, -r))
 
 
 def positive_divisors(n: int) -> list[int]:

@@ -42,11 +42,11 @@ the empty set is absorbing too and certifies every longer word.  Every
 state is a subset of B, so only a few occur.
 
 `_OrbitAutomaton` holds the transition table and fills each cell on its
-first use.  `stability_certificate` steps it once per letter,
-`monte_carlo_stability` once per drawn letter, and the level-order verdict
-table `_verdict_levels` once per word and level; `scan_words` reads that
-table, and `oracle.cross_validate` reads it through `scan_words`.  Only a
-word that dies builds an exact entry: the one square entry, for its root.
+first use; a set state steps by `arith.square_preimages`, cut to B.
+`stability_certificate` steps it once per letter, `monte_carlo_stability`
+once per drawn letter, and `scan_words` once per word and level, and
+`oracle.cross_validate` reads it through `scan_words`.  Only a word that
+dies builds an exact entry: the one square entry, for its root.
 """
 
 from __future__ import annotations
@@ -56,9 +56,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress, count
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .arith import is_perfect_square
+from .arith import is_perfect_square, square_preimages
 
 COMPOSE_DEGREE_CAP = 256  # largest degree compose_word builds
 SCAN_BUDGET = 1 << 20  # most words scan_words visits
@@ -260,9 +260,7 @@ class _OrbitAutomaton:
             nxt = _DEAD if is_perfect_square(-c) is not None else self._id(("one", letter))
         else:
             # key is a nonempty subset of B, so B is built already
-            roots = (is_perfect_square(t - c) for t in key)
-            nxt = self._id(frozenset(y for r in roots if r is not None
-                                     for y in (r, -r)) & self._reach)
+            nxt = self._id(square_preimages(key, c) & self._reach)
         if row is self._blank:
             self.trans[state] = row = self._blank.copy()
         row[letter] = nxt
@@ -323,48 +321,6 @@ def _poly_square(p: list[int]) -> list[int]:
     return out
 
 
-def _verdict_levels(gens: GeneratorSet, max_len: int) -> Iterator[list[StabilityVerdict]]:
-    """For k = 1..max_len, the verdicts of all s^k length-k words in index order.
-
-    Index a length-k word in base s with its first letter w1 as the most
-    significant digit.  The automaton reads the outermost letter first, so a
-    word's prefix is idx // s, and the level's states are its prefixes'
-    states stepped once each: one table lookup per word.  A word takes its
-    prefix's verdict unless its own step dies; only such a word is decoded
-    from idx and has its square entry built, as in `stability_certificate`.
-    Square-free words share the `_CERTIFIED` verdict.  Each yielded list
-    holds one pointer per word; only one state level is kept, and none once
-    every word is dead or in the empty state.
-    """
-    s = len(gens.maps)
-    cs = gens.cs
-    automaton = _OrbitAutomaton(cs)
-    trans = automaton.trans
-    letters = range(s)
-    states, live = [_START], [_START]
-    verdicts = [_CERTIFIED]
-    for k in range(1, max_len + 1):
-        # live holds the distinct states of this level's prefixes that are
-        # neither dead nor free: only their rows can lead to a new square
-        dying = {}
-        for state in live:
-            for letter in letters:
-                automaton.step(state, letter)
-            row = trans[state]
-            if _DEAD in row:
-                dying[state] = [p for p in letters if row[p] == _DEAD]
-        verdicts = [v for v in verdicts for _ in letters]  # each word's prefix
-        for i in compress(count(), map(dying.__contains__, states)):
-            for p in dying[states[i]]:
-                idx = i * s + p
-                word = [idx // s**j % s for j in range(k - 1, -1, -1)]
-                verdicts[idx] = _square_verdict(cs, word, k)
-        live = sorted({nxt for state in live for nxt in trans[state]} - {_DEAD, _FREE})
-        if live:  # once every word is dead or free, the states are not read again
-            states = [nxt for state in states for nxt in trans[state]]
-        yield verdicts
-
-
 def _check_scan_budget(s: int, max_len: int) -> None:
     """Reject a scan of s generators to max_len over SCAN_BUDGET or SCAN_LETTER_BUDGET.
 
@@ -393,20 +349,49 @@ def scan_words(
 ) -> list[tuple[tuple[int, ...], StabilityVerdict]]:
     """(word, verdict) for every word of length 1..max_len, in dictionary order.
 
-    The verdicts come from `_verdict_levels`; each level's words are built
-    from the last level's, in index order, and one sort puts the levels in
-    dictionary order, since a prefix sorts before its extensions.  A scan
-    over either budget (`_check_scan_budget`) is rejected before any work.
+    A scan over either budget (`_check_scan_budget`) is rejected before any
+    work.  Level k holds the s^k length-k words in index order: index a word
+    in base s with its first letter as the most significant digit, so word
+    i * s + p is word i of level k - 1 extended by letter p.  The automaton
+    reads the outermost letter first, so a level's states are its prefixes'
+    states stepped once each: one table lookup per word.  A word takes its
+    prefix's verdict unless its own step dies; only such a word has its
+    square entry built, as in `stability_certificate`.  Square-free words
+    share the `_CERTIFIED` verdict.  Only one state level is kept, and none
+    once every word is dead or in the empty state.  One sort puts the levels
+    in dictionary order, since a prefix sorts before its extensions.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     s = len(gens.maps)
     _check_scan_budget(s, max_len)
+    cs = gens.cs
+    automaton = _OrbitAutomaton(cs)
+    trans = automaton.trans
+    letters = range(s)
+    tails = [(letter,) for letter in letters]
     out: list[tuple[tuple[int, ...], StabilityVerdict]] = []
     words: list[tuple[int, ...]] = [()]
-    tails = [(letter,) for letter in range(s)]
-    for verdicts in _verdict_levels(gens, max_len):
+    states, live = [_START], [_START]
+    verdicts = [_CERTIFIED]
+    for k in range(1, max_len + 1):
+        # live holds the distinct states of this level's prefixes that are
+        # neither dead nor free: only their rows can lead to a new square
+        dying = {}
+        for state in live:
+            for letter in letters:
+                automaton.step(state, letter)
+            row = trans[state]
+            if _DEAD in row:
+                dying[state] = [p for p in letters if row[p] == _DEAD]
         words = [w + tail for w in words for tail in tails]
+        verdicts = [v for v in verdicts for _ in letters]  # each word's prefix
+        for i in compress(count(), map(dying.__contains__, states)):
+            for p in dying[states[i]]:
+                verdicts[i * s + p] = _square_verdict(cs, words[i * s + p], k)
+        live = sorted({nxt for state in live for nxt in trans[state]} - {_DEAD, _FREE})
+        if live:  # once every word is dead or free, the states are not read again
+            states = [nxt for state in states for nxt in trans[state]]
         out += zip(words, verdicts)
     out.sort(key=itemgetter(0))
     return out

@@ -21,12 +21,12 @@ Every N is exact and minimal, and needs no floats.  For f = x^2 + c, c != 0,
 f^N(z) (N >= 2) is a square exactly when z lies in T_(N-2), where T_0 holds
 the X-coordinates of the integral points on Y^2 = f(f(X)) (a monic quartic
 with 4 a4 a0 - a2^2 = 4c != 0, so factoring lists them all) and
-T_j = {y : y^2 + c in T_(j-1)}.  So N certifies a prefix f^N o g exactly
-when T_(N-2), pulled back the same way through g, is empty.  Once some T_j
-repeats an earlier one the sequence cycles, so if no N has certified by
-then, none ever will.  A repeat must come: if every t in T_(j-1) has
-|t| <= M with M >= |c| + 1, every y in T_j has y^2 <= M + |c| <= M^2, so
-all T_j lie in one interval [-M, M].
+T_j = {y : y^2 + c in T_(j-1)} (`arith.square_preimages`).  So N
+certifies a prefix f^N o g exactly when T_(N-2), pulled back the same way
+through g, is empty.  Once some T_j repeats an earlier one the sequence
+cycles, so if no N has certified by then, none ever will.  A repeat must
+come: if every t in T_(j-1) has |t| <= M with M >= |c| + 1, every y in T_j
+has y^2 <= M + |c| <= M^2, so all T_j lie in one interval [-M, M].
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import is_perfect_square, residue_search
+from .arith import is_perfect_square, residue_search, square_preimages
 from .diophantine import quartic_curve_points
 from .dynamics import GeneratorSet
 from .portraits import (
@@ -181,12 +181,6 @@ def scan_exceptional_pairs(cmin: int, cmax: int) -> list[tuple[int, int]]:
     ]
 
 
-def _pullback(values: frozenset[int], c: int) -> frozenset[int]:
-    """The integers y with y^2 + c in `values`."""
-    roots = (is_perfect_square(t - c) for t in values)
-    return frozenset(y for r in roots if r is not None for y in (r, -r))
-
-
 def _square_set(c: int) -> frozenset[int]:
     """T_0 for x^2 + c, c != 0: the X-coordinates on Y^2 = f(f(X)), complete by factoring.
 
@@ -208,10 +202,10 @@ def _minimal_iterate(c_outer: int, inner: tuple[int, ...]) -> int | None:
         seen.add(t)
         hits = t
         for c in inner:
-            hits = _pullback(hits, c)
+            hits = square_preimages(hits, c)
         if not hits:
             return n
-        t = _pullback(t, c_outer)
+        t = square_preimages(t, c_outer)
         n += 1
     return None
 
@@ -257,7 +251,7 @@ def certify_no_square_images(c1: int, c2: int) -> SquareImageCertificate:
             reason=(f"no integer image of the inner map lies in T_{n - 2}, "
                     f"the set where f^{n} takes square values"),
         )
-    b = min(map(abs, _pullback(_square_set(c1), c2)))
+    b = min(map(abs, square_preimages(_square_set(c1), c2)))
     p = b * b + c2
     v = (p * p + c1) ** 2 + c1
     return SquareImageCertificate(
@@ -361,9 +355,11 @@ def construct_irreducible_prefix(gens: GeneratorSet) -> PrefixRecipe:
     """Build a prefix whose extensions by arbitrary words are all certified irreducible.
 
     Picks the first two generators x^2 + c with -c nonsquare (the irreducible
-    ones).  A non-exceptional pair yields a two-letter recipe from whichever
-    ordering certifies; the family pair yields the three-letter recipe with
-    the square-fixed-point map outermost.  Failure of both orderings for a
+    ones).  A non-exceptional pair yields a two-letter recipe from the
+    ordering that certifies with the smaller N, the listed one on a tie;
+    the reverse ordering is tried only when the listed one does not certify
+    at N = 2, the least N there is.  The family pair yields the
+    three-letter recipe with the square-fixed-point map outermost.  Failure of both orderings for a
     non-exceptional pair contradicts the classification and raises
     TheoremViolationError rather than guessing.  The certificates come from
     `certify_no_square_images` and `check_exceptional_prefix`.
@@ -379,15 +375,18 @@ def construct_irreducible_prefix(gens: GeneratorSet) -> PrefixRecipe:
     verdict = is_exceptional_pair(c1, c2)
 
     if not verdict.is_exceptional:
-        certs = []
-        for oi, ii in ((i0, j0), (j0, i0)):
-            cert = certify_no_square_images(gens.maps[oi].c, gens.maps[ii].c)
-            certs.append(cert)
-            if cert.status == CERTIFIED:
-                return PrefixRecipe(
-                    outer=oi, inner=ii, n_iterate=cert.n_iterate, shape=TWO_LETTER,
-                    certificate=cert.reason,
-                )
+        certs = [certify_no_square_images(c1, c2)]
+        if certs[0].status != CERTIFIED or certs[0].n_iterate > 2:
+            certs.append(certify_no_square_images(c2, c1))
+        found = [(cert.n_iterate, k)
+                 for k, cert in enumerate(certs) if cert.status == CERTIFIED]
+        if found:
+            k = min(found)[1]  # a tie keeps the listed ordering
+            oi, ii = ((i0, j0), (j0, i0))[k]
+            return PrefixRecipe(
+                outer=oi, inner=ii, n_iterate=certs[k].n_iterate, shape=TWO_LETTER,
+                certificate=certs[k].reason,
+            )
         raise TheoremViolationError(
             "both orderings of a non-exceptional pair were refuted, "
             "contradicting the classification of exceptional pairs",

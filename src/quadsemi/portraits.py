@@ -2,17 +2,20 @@
 
 Rational periodic points of a monic integer quadratic are integers of period
 1 or 2 (no larger period occurs over Q), so the periodic part is read off the
-discriminants of x^2 - x + c and x^2 + x + c + 1.  A map whose periodic part
-contains a perfect square falls into exactly one of two one-parameter shapes,
-and then the whole preperiodic set has a closed form.  This module is the one
+discriminants of x^2 - x + c and x^2 + x + c + 1.  The preperiodic set of
+every map is the backward closure of its periodic points under
+`arith.square_preimages`, which is finite.  A map whose periodic part
+contains a perfect square falls into exactly one of two one-parameter
+shapes, whose preperiodic sets have a closed form.  This module is the one
 place that defines both (`shape_constant` and `PREPER_TARGETS`):
 
     c = s^2 - s^4      ->  {s^2, -s^2, 1-s^2, -(1-s^2)}   (square fixed point)
     c = -1 - s^2 - s^4 ->  {s^2, -s^2, 1+s^2, -(1+s^2)}   (square in a 2-cycle)
 
-For every other c the preperiodic set is the backward closure of the periodic
-points, and `brute_force_preper` provides an independent orbit-simulation
-oracle for cross-checking both paths.
+`preper_set` does not read the closed form; it is data for the callers that
+need the targets as formulas in s, and the tests check it against the
+closure.  `brute_force_preper` provides an independent orbit-simulation
+oracle for cross-checking the closure.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import is_perfect_square
+from .arith import is_perfect_square, square_preimages
 
 FIXED_SQUARE = "fixed-square"
 TWO_CYCLE_SQUARE = "two-cycle-square"
@@ -103,32 +106,17 @@ def recognize_square_periodic(c: int) -> SquareForm | None:
 def preper_set(c: int) -> frozenset[int]:
     """All rational (hence integer) preperiodic points of x^2 + c.
 
-    Uses the closed form when a square periodic point exists, otherwise the
-    backward closure of the periodic points: repeatedly adjoin the integer
-    preimages +-sqrt(p - c) until nothing new appears (always finite).
+    The backward closure of the periodic points: adjoin the integer
+    preimages +-sqrt(p - c) of the newest points until nothing new appears
+    (always finite).  For the two square shapes this equals the closed form
+    `PREPER_TARGETS`.
     """
-    form = recognize_square_periodic(c)
-    if form is not None:
-        s2 = form.s * form.s
-        return frozenset(sign * s2 + offset for sign, offset in PREPER_TARGETS[form.kind])
     fixed, cycles = rational_periodic_points(c)
-    pts = set(fixed)
-    for a, b in cycles:
-        pts.add(a)
-        pts.add(b)
-    frontier = set(pts)
+    pts = frontier = fixed.union(*cycles)
     while frontier:
-        new = set()
-        for p in frontier:
-            r = is_perfect_square(p - c)
-            if r is None:
-                continue
-            for y in (r, -r):
-                if y not in pts:
-                    new.add(y)
-        pts |= new
-        frontier = new
-    return frozenset(pts)
+        frontier = square_preimages(frontier, c) - pts
+        pts |= frontier
+    return pts
 
 
 def brute_force_preper(c: int) -> frozenset[int]:

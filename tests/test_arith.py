@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +8,7 @@ from quadsemi.arith import (
     is_perfect_square,
     positive_divisors,
     residue_search,
+    square_preimages,
 )
 
 
@@ -26,6 +28,16 @@ def test_square_detection_matches_floor_sqrt(n):
         assert r >= 0 and r * r == n
     else:
         assert math.isqrt(n) ** 2 != n
+
+
+def test_square_preimages_match_brute_force():
+    # every y with y^2 + c in [-200, 200] and |c| <= 60 has y^2 <= 260 < 21^2
+    rng = random.Random(7)
+    for c in range(-60, 61):
+        for _ in range(8):
+            values = frozenset(rng.sample(range(-200, 201), rng.randint(0, 12)))
+            expected = {y for y in range(-20, 21) if y * y + c in values}
+            assert square_preimages(values, c) == expected, (c, values)
 
 
 def test_positive_divisors_examples():

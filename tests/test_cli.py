@@ -248,14 +248,14 @@ def test_construct_prefix(capsys):
     assert code == 2 and "irreducible" in err
 
 
-def test_construct_prefix_takes_the_first_order_that_certifies_exactly(capsys):
-    # (-3, -5) certifies at N = 3, so the first-listed map stays outermost
+def test_construct_prefix_takes_the_order_with_the_smaller_n(capsys):
+    # (-3, -5) certifies at N = 3 and (-5, -3) at N = 2, so -5 goes outermost
     code, report = run_json(capsys, ["construct-prefix", "-c", "-3,-5"])
     assert code == 0
     v = report["verdicts"]
     assert report["witnesses"]["rigor"] == "exact"
-    assert v["outer_c"] == -3 and v["inner_c"] == -5 and v["n_iterate"] == 3
-    assert v["prefix_word"] == [1, 1, 1, 2]
+    assert v["outer_c"] == -5 and v["inner_c"] == -3 and v["n_iterate"] == 2
+    assert v["prefix_word"] == [2, 2, 1]
 
 
 def test_mc_stability_deterministic(capsys):

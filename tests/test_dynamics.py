@@ -515,12 +515,12 @@ def test_scan_words_builds_exact_entries_only_for_dying_words(cs, max_len, monke
 
 # sets and weights for edge cases: skewed weights that keep most trials
 # square-free, one generator, three generators, a square far above 2^64
-MEMO_CASES = [((-4, -12), (1.0, 30.0), 5), ((7,), (1.0,), 5),
-              ((-21, 5, -11), (1.0, 1.0, 1.0), 5), (DEEP_SQUARE_SET, (1.0, 1.0), 15)]
+TABLE_CASES = [((-4, -12), (1.0, 30.0), 5), ((7,), (1.0,), 5),
+               ((-21, 5, -11), (1.0, 1.0, 1.0), 5), (DEEP_SQUARE_SET, (1.0, 1.0), 15)]
 
 
-@pytest.mark.parametrize("cs,weights,seed", MEMO_CASES)
-def test_monte_carlo_memo_edges_equal_reference(cs, weights, seed):
+@pytest.mark.parametrize("cs,weights,seed", TABLE_CASES)
+def test_monte_carlo_table_edges_equal_reference(cs, weights, seed):
     # trial counts just below, at and above powers of the generator count
     S = GeneratorSet.from_cs(cs)
     sampler = SequenceSampler(weights, seed)
@@ -533,7 +533,7 @@ def test_monte_carlo_memo_edges_equal_reference(cs, weights, seed):
 
 @pytest.mark.parametrize("cs,depth,trials", [((7,), 8, 100), ((-14, 40), 6, 64),
                                                ((3, -7, 11), 4, 81)])
-def test_monte_carlo_reads_every_memoized_entry_from_the_table(cs, depth, trials, monkeypatch):
+def test_monte_carlo_reads_every_entry_from_the_automaton_table(cs, depth, trials, monkeypatch):
     # every entry's verdict is a transition-table cell, filled once and then
     # read: no trial builds an exact entry
     calls = []

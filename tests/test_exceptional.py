@@ -275,6 +275,25 @@ def test_exact_iterate_never_exceeds_the_heights_iterate():
     assert lower == 271 and certified_only_exactly == 16
 
 
+def test_recipe_takes_the_ordering_with_the_smaller_iterate():
+    # changed counts the pairs where the listed ordering certifies, but the
+    # reverse one certifies at a smaller N
+    changed = 0
+    for c1, c2 in GRID_PAIRS:
+        if is_perfect_square(-c1) is not None or is_perfect_square(-c2) is not None \
+                or is_exceptional_pair(c1, c2).is_exceptional:
+            continue
+        listed, reverse = certify_no_square_images(c1, c2), certify_no_square_images(c2, c1)
+        n = min(cert.n_iterate for cert in (listed, reverse) if cert.status == CERTIFIED)
+        rec = construct_irreducible_prefix(GeneratorSet.from_cs([c1, c2]))
+        assert rec.shape == TWO_LETTER and rec.n_iterate == n, (c1, c2)
+        # a tie keeps the listed ordering
+        listed_wins = listed.status == CERTIFIED and listed.n_iterate == n
+        assert rec.outer == (0 if listed_wins else 1), (c1, c2)
+        changed += listed.status == CERTIFIED and not listed_wins
+    assert changed == 47
+
+
 def test_every_family_prefix_certifies():
     for s in range(2, 41):
         rep = check_exceptional_prefix(s)

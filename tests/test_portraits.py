@@ -7,6 +7,7 @@ from quadsemi.arith import is_perfect_square, residue_search
 from quadsemi.dynamics import QuadraticMap
 from quadsemi.portraits import (
     FIXED_SQUARE,
+    PREPER_TARGETS,
     TWO_CYCLE_SQUARE,
     SquareForm,
     brute_force_preper,
@@ -106,6 +107,13 @@ def _shape_cases(lo, hi):
 def test_closed_form_preper_matches_brute_force_on_shapes(kind, s):
     c = shape_constant(kind, s)
     assert preper_set(c) == brute_force_preper(c)
+
+
+def test_closure_equals_the_closed_form_on_shapes():
+    for kind, targets in PREPER_TARGETS.items():
+        for s in [*range(2001), 10**6, 10**9, 2**70 + 3]:
+            closed = {sign * s * s + offset for sign, offset in targets}
+            assert preper_set(shape_constant(kind, s)) == closed, (kind, s)
 
 
 def test_the_two_square_forms_never_collide():
