@@ -41,12 +41,13 @@ a square exactly when S_j holds 0.  That state is the absorbing dead state;
 the empty set is absorbing too and certifies every longer word.  Every
 state is a subset of B, so only a few occur.
 
-`_OrbitAutomaton` holds the transition table and fills each cell on its
-first use; a set state steps by `arith.square_preimages`, cut to B.
-`stability_certificate` steps it once per letter, `monte_carlo_stability`
-once per drawn letter, and `scan_words` once per word and level, and
-`oracle.cross_validate` reads it through `scan_words`.  Only a word that
-dies builds an exact entry: the one square entry, for its root.
+`_OrbitAutomaton` holds the transition table and builds each state's row
+whole, on the state's first use; a set state steps by
+`arith.square_preimages`, cut to B.  `stability_certificate` steps it once
+per letter, `monte_carlo_stability` once per drawn letter, and `scan_words`
+once per word, and `oracle.cross_validate` reads it through `scan_words`.
+Only a word that dies builds an exact entry: the one square entry, for its
+root.
 """
 
 from __future__ import annotations
@@ -54,8 +55,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress, count
-from operator import itemgetter
 from typing import Sequence
 
 from .arith import is_perfect_square, square_preimages
@@ -161,7 +160,6 @@ def _square_verdict(cs: Sequence[int], word: Sequence[int], k: int) -> Stability
 
 
 _DEAD, _FREE, _START = 0, 1, 2  # ids of the fixed automaton states
-_UNKNOWN = -1  # a transition-table cell not filled yet
 
 
 def _escape_radius(cs: Sequence[int]) -> int:
@@ -192,18 +190,17 @@ class _OrbitAutomaton:
 
     States have integer ids: _DEAD (an entry so far is a square), _FREE (the
     empty set: no later entry can be a square), _START, and then ("one", p1)
-    and the nonempty sets S in order of discovery.  `trans[state][letter]` is
-    the next state's id, or _UNKNOWN until `step` first computes it, so only
-    the transitions a caller reaches are ever built.  A new state shares one
-    all-_UNKNOWN row until its first cell is filled, so a scan of one-letter
-    words over s generators allocates s states, not s rows.
+    and the nonempty sets S in order of discovery.  `trans[state]` is the
+    state's row, the next state's id for every letter, or None until `row`
+    first builds it, so only the rows of states a caller reaches are ever
+    built.  A scan of one-letter words over s generators builds the start
+    row alone: s square tests, and B is never listed.
     """
 
     def __init__(self, cs: Sequence[int]) -> None:
         self.cs = tuple(cs)
         s = len(self.cs)
-        self._blank = [_UNKNOWN] * s
-        self.trans: list[list[int]] = [[_DEAD] * s, [_FREE] * s, [_UNKNOWN] * s]
+        self.trans: list[list[int] | None] = [[_DEAD] * s, [_FREE] * s, None]
         self.keys: list[object] = [None, frozenset(), None]
         self.ids: dict[object, int] = {}
         self._reach: frozenset[int] | None = None  # B, built on first use
@@ -220,7 +217,7 @@ class _OrbitAutomaton:
         if state is None:
             state = self.ids[key] = len(self.keys)
             self.keys.append(key)
-            self.trans.append(self._blank)
+            self.trans.append(None)
         return state
 
     def _curve_row(self, c1: int) -> list[int]:
@@ -246,25 +243,24 @@ class _OrbitAutomaton:
             row[letter] = self._id(frozenset(values))
         return row
 
-    def step(self, state: int, letter: int) -> int:
-        """The state after reading `letter` in `state`; fills the table cell once."""
+    def row(self, state: int) -> list[int]:
+        """The next state's id for every letter read in `state`; built once, whole."""
         row = self.trans[state]
-        if row[letter] != _UNKNOWN:
-            return row[letter]
-        key = self.keys[state]
-        if isinstance(key, tuple):
-            self.trans[state] = row = self._curve_row(self.cs[key[1]])
-            return row[letter]
-        c = self.cs[letter]
-        if state == _START:
-            nxt = _DEAD if is_perfect_square(-c) is not None else self._id(("one", letter))
-        else:
-            # key is a nonempty subset of B, so B is built already
-            nxt = self._id(square_preimages(key, c) & self._reach)
-        if row is self._blank:
-            self.trans[state] = row = self._blank.copy()
-        row[letter] = nxt
-        return nxt
+        if row is None:
+            key, cs = self.keys[state], self.cs
+            if state == _START:
+                row = [_DEAD if is_perfect_square(-c) is not None else self._id(("one", p))
+                       for p, c in enumerate(cs)]
+            elif isinstance(key, tuple):
+                row = self._curve_row(cs[key[1]])
+            else:  # key is a nonempty subset of B, so B is built already
+                row = [self._id(square_preimages(key, c) & self._reach) for c in cs]
+            self.trans[state] = row
+        return row
+
+    def step(self, state: int, letter: int) -> int:
+        """The state after reading `letter` in `state`."""
+        return self.row(state)[letter]
 
 
 def adjusted_critical_orbit(gens: GeneratorSet, word: Sequence[int]) -> list[int]:
@@ -350,16 +346,13 @@ def scan_words(
     """(word, verdict) for every word of length 1..max_len, in dictionary order.
 
     A scan over either budget (`_check_scan_budget`) is rejected before any
-    work.  Level k holds the s^k length-k words in index order: index a word
-    in base s with its first letter as the most significant digit, so word
-    i * s + p is word i of level k - 1 extended by letter p.  The automaton
-    reads the outermost letter first, so a level's states are its prefixes'
-    states stepped once each: one table lookup per word.  A word takes its
-    prefix's verdict unless its own step dies; only such a word has its
-    square entry built, as in `stability_certificate`.  Square-free words
-    share the `_CERTIFIED` verdict.  Only one state level is kept, and none
-    once every word is dead or in the empty state.  One sort puts the levels
-    in dictionary order, since a prefix sorts before its extensions.
+    work.  The words are walked depth first, in preorder, from an explicit
+    stack, so they come out in dictionary order.  The automaton reads the
+    outermost letter first, so a word's state is its prefix's state stepped
+    once: one table lookup per word.  A word takes its prefix's verdict
+    unless its own step dies; only such a word has its square entry built,
+    as in `stability_certificate`.  Square-free words share the
+    `_CERTIFIED` verdict.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
@@ -367,33 +360,23 @@ def scan_words(
     _check_scan_budget(s, max_len)
     cs = gens.cs
     automaton = _OrbitAutomaton(cs)
-    trans = automaton.trans
-    letters = range(s)
-    tails = [(letter,) for letter in letters]
+    trans, row = automaton.trans, automaton.row
+    letters = range(s - 1, -1, -1)  # pushed last first, so popped in order
     out: list[tuple[tuple[int, ...], StabilityVerdict]] = []
-    words: list[tuple[int, ...]] = [()]
-    states, live = [_START], [_START]
-    verdicts = [_CERTIFIED]
-    for k in range(1, max_len + 1):
-        # live holds the distinct states of this level's prefixes that are
-        # neither dead nor free: only their rows can lead to a new square
-        dying = {}
-        for state in live:
-            for letter in letters:
-                automaton.step(state, letter)
-            row = trans[state]
-            if _DEAD in row:
-                dying[state] = [p for p in letters if row[p] == _DEAD]
-        words = [w + tail for w in words for tail in tails]
-        verdicts = [v for v in verdicts for _ in letters]  # each word's prefix
-        for i in compress(count(), map(dying.__contains__, states)):
-            for p in dying[states[i]]:
-                verdicts[i * s + p] = _square_verdict(cs, words[i * s + p], k)
-        live = sorted({nxt for state in live for nxt in trans[state]} - {_DEAD, _FREE})
-        if live:  # once every word is dead or free, the states are not read again
-            states = [nxt for state in states for nxt in trans[state]]
-        out += zip(words, verdicts)
-    out.sort(key=itemgetter(0))
+    stack = [((), _START, _CERTIFIED)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        word, state, verdict = pop()
+        if word:
+            out.append((word, verdict))
+        if len(word) < max_len:
+            nxt = trans[state] or row(state)
+            for p in letters:
+                w = word + (p,)
+                if nxt[p] == _DEAD and state != _DEAD:
+                    push((w, _DEAD, _square_verdict(cs, w, len(w))))
+                else:
+                    push((w, nxt[p], verdict))
     return out
 
 
@@ -414,6 +397,8 @@ class SequenceSampler:
             raise ValueError("sampler needs at least one weight")
         if not all(math.isfinite(w) and w > 0 for w in self.weights):
             raise ValueError(f"all weights must be positive and finite, got {self.weights}")
+        if not math.isfinite(sum(self.weights)):
+            raise ValueError(f"the weights must have a finite sum, got {self.weights}")
 
     @classmethod
     def uniform(cls, k: int, seed: int) -> "SequenceSampler":
@@ -455,11 +440,11 @@ def monte_carlo_stability(
     drawn.
 
     Each drawn letter is one step of the orbit automaton, a table lookup
-    once the cell is filled.  A trial also stops at the empty state, whose
-    word stays square-free whatever letters follow, so its later letters are
-    never drawn either; the estimate is the same, since every trial has its
-    own stream.  The table is all the memory a run keeps, so the memory
-    does not grow with the trial count.
+    once the state's row is built.  A trial also stops at the empty state,
+    whose word stays square-free whatever letters follow, so its later
+    letters are never drawn either; the estimate is the same, since every
+    trial has its own stream.  The table is all the memory a run keeps, so
+    the memory does not grow with the trial count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -470,7 +455,7 @@ def monte_carlo_stability(
     cum = sampler._cumulative()
     last = len(gens.maps) - 1
     automaton = _OrbitAutomaton(gens.cs)
-    trans, step = automaton.trans, automaton.step
+    trans, row = automaton.trans, automaton.row
     seed = sampler.seed
     hits = 0
     for t in range(trials):
@@ -483,9 +468,7 @@ def monte_carlo_stability(
             z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
             u = (z ^ (z >> 31)) / 18446744073709551616.0  # 2**64, can round to 1.0
             letter = min(bisect_right(cum, u), last)
-            nxt = trans[state][letter]
-            if nxt == _UNKNOWN:
-                nxt = step(state, letter)
+            nxt = (trans[state] or row(state))[letter]
             if nxt <= _FREE:
                 break
             state = nxt

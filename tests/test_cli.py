@@ -356,6 +356,15 @@ def test_mc_stability_non_finite_weights_exit_2(capsys, weights):
     assert err.startswith("error:") and "positive and finite" in err
 
 
+def test_mc_stability_weights_with_an_overflowing_sum_exit_2(capsys):
+    code, out, err = run(capsys, [
+        "mc-stability", "-c", "-4,-12", "-L", "10", "-T", "200",
+        "--seed", "3", "--weights", "1e308,1e308",
+    ])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "finite sum" in err
+
+
 @pytest.mark.parametrize("weights", ["1,,2", "a,1"])
 def test_mc_stability_malformed_weights_exit_2(capsys, weights):
     code, out, err = run(capsys, [

@@ -221,6 +221,13 @@ def test_sampler_rejects_non_finite_weights(bad):
         SequenceSampler((bad, 1.0), 1)
 
 
+def test_sampler_rejects_weights_whose_sum_overflows():
+    # 1e308 + 1e308 is inf, which would make letter 0's share 0.0
+    with pytest.raises(ValueError, match="finite sum.*1e\\+308"):
+        SequenceSampler((1e308, 1e308), 1)
+    assert SequenceSampler((1e308, 7e307), 1)._cumulative() == [1e308 / (1e308 + 7e307), 1.0]
+
+
 def test_monte_carlo_single_trial_is_bernoulli():
     S = GeneratorSet.from_cs([-4, -12])
     est = monte_carlo_stability(S, SequenceSampler.uniform(2, 123), 5, 1)
@@ -472,7 +479,7 @@ def dfs_scan_reference(
     return out
 
 
-# (constants, length) pairs on which the level scan must equal the depth-first one
+# (constants, length) pairs on which scan_words must equal the reference walk
 DFS_CASES = [((-14, 40), 12), ((3, -7, 11), 8), ((-1, -2), 12), ((-4, -12), 12),
              (DEEP_SQUARE_SET, 9)]
 
@@ -534,8 +541,8 @@ def test_monte_carlo_table_edges_equal_reference(cs, weights, seed):
 @pytest.mark.parametrize("cs,depth,trials", [((7,), 8, 100), ((-14, 40), 6, 64),
                                                ((3, -7, 11), 4, 81)])
 def test_monte_carlo_reads_every_entry_from_the_automaton_table(cs, depth, trials, monkeypatch):
-    # every entry's verdict is a transition-table cell, filled once and then
-    # read: no trial builds an exact entry
+    # every entry's verdict is read from the transition table, where each
+    # state's row is built once: no trial builds an exact entry
     calls = []
     real_entry = dynamics._entry
 
@@ -668,3 +675,45 @@ def test_automaton_dead_state_follows_the_first_square():
     assert state > _START
     assert automaton.step(state, 0) == _DEAD  # entry 2 is (0 - 4)^2 - 12 = 4
     assert automaton.step(_DEAD, 1) == _DEAD
+
+
+@pytest.mark.parametrize("cs", [(-14, 40), (-4, -12), DEEP_SQUARE_SET])
+@pytest.mark.parametrize("run", [
+    lambda S: scan_words(S, 12),
+    lambda S: monte_carlo_stability(S, SequenceSampler.uniform(2, 5), 12, 2000)])
+def test_every_row_is_built_once(cs, run, monkeypatch):
+    # a ("one", p1) row is one _curve_row call, and a set state's row is one
+    # square_preimages call per letter: no state's row is built twice
+    calls = []
+    real_curve_row = _OrbitAutomaton._curve_row
+    real_preimages = dynamics.square_preimages
+
+    def curve_row(self, c1):
+        calls.append(("curve", c1))
+        return real_curve_row(self, c1)
+
+    def preimages(values, c):
+        calls.append((values, c))
+        return real_preimages(values, c)
+
+    monkeypatch.setattr(_OrbitAutomaton, "_curve_row", curve_row)
+    monkeypatch.setattr(dynamics, "square_preimages", preimages)
+    S = GeneratorSet.from_cs(cs)
+    run(S)
+    assert calls
+    assert len(calls) == len(set(calls))
+    set_keys = [key for key, _ in calls if key != "curve"]
+    assert all(set_keys.count(key) == len(S) for key in set_keys)
+
+
+def test_one_letter_scan_builds_the_start_row_alone(monkeypatch):
+    # s square tests on the start row; neither B nor a curve row is built
+    def refuse(*args):
+        raise AssertionError("built beyond the start row")
+
+    monkeypatch.setattr(_OrbitAutomaton, "_curve_row", refuse)
+    monkeypatch.setattr(dynamics, "_bounded_reach", refuse)
+    cs = range(-1000, 1000)
+    result = scan_words(GeneratorSet.from_cs(cs), 1)
+    assert [w for w, _ in result] == [(p,) for p in range(2000)]
+    assert [v.certified for _, v in result] == [is_perfect_square(-c) is None for c in cs]
