@@ -2,9 +2,9 @@
 
 Pure functions on Python ints: perfect-square detection, the integer
 preimages of a value set under x^2 + c (the one backward step behind the
-preperiodic sets, the orbit automaton's states and the square-value sets
-of the prefix certificates), divisor enumeration, and exhaustive residue
-searches (the engine behind the modular-obstruction checks).
+preperiodic sets and the square-value sets of the prefix certificates),
+divisor enumeration, and exhaustive residue searches (the engine behind
+the modular-obstruction checks).
 """
 
 from __future__ import annotations

@@ -96,6 +96,14 @@ def cmd_orbit(args) -> Outcome:
     gens = _gens(args)
     word = _parse_word(args.w, len(gens))
     entries = adjusted_critical_orbit(gens, word)
+    # the interpreter refuses to print an int past this many digits (0: no limit)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        bound = 10**limit
+        for k, e in enumerate(entries, start=1):
+            if abs(e) >= bound:
+                raise ValueError(f"orbit entry {k} of the {len(word)}-letter word has more "
+                                 f"than {limit} digits, too many to print; use a shorter word")
     verdict = stability_certificate(gens, word)
     return Outcome(
         {"cs": list(gens.cs), "word": _one_based(word)},

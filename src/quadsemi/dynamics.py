@@ -32,22 +32,24 @@ up to 10^12), and it is listed directly; the curve's points are never
 enumerated, which would take about sqrt(C) steps.
 
 The automaton reads a word outermost letter first.  After p1, with entry
-1 a nonsquare, its state is ("one", p1).  After p2 it is S_2 = {v in B :
-(v^2 + c2)^2 + c1 a square}, and each further letter p maps a set S to
-{y in B : y^2 + c_p in S}.  By induction on j, a y in B lies in S_j exactly
-when f_{p3}(...f_{pj}(y)) lies on the curve: if f_{pj}(y) stays inside
-[-R, R] it lies in B, and if not, no later value is a point.  So entry j is
-a square exactly when S_j holds 0.  That state is the absorbing dead state;
-the empty set is absorbing too and certifies every longer word.  Every
-state is a subset of B, so only a few occur.
+1 a nonsquare, its state is the set Q(c1) of the values u = v^2 + c (v in
+B, c a constant) with u^2 + c1 a square, and each further letter p maps a
+value set X to {y in B : y^2 + c_p in X}.  So after p2 it is S_2 = {v in B :
+(v^2 + c2)^2 + c1 a square}.  By induction on j, a y in B lies in S_j
+exactly when f_{p3}(...f_{pj}(y)) lies on the curve: if f_{pj}(y) stays
+inside [-R, R] it lies in B, and if not, no later value is a point.  So
+entry j is a square exactly when S_j holds 0.  That state is the absorbing
+dead state; the empty set is absorbing too and certifies every longer word.
+Q(c1) holds 0 when c1 is a nonzero square, yet entry 1 is -c1, not c1, so
+its state is keyed by c1 and stays live.  Every later state is a subset of
+B, so only a few occur.
 
 `_OrbitAutomaton` holds the transition table and builds each state's row
-whole, on the state's first use; a set state steps by
-`arith.square_preimages`, cut to B.  `stability_certificate` steps it once
-per letter, `monte_carlo_stability` once per drawn letter, and `scan_words`
-once per word, and `oracle.cross_validate` reads it through `scan_words`.
-Only a word that dies builds an exact entry: the one square entry, for its
-root.
+whole, on its first use, from one pass over B and the state's values.
+`stability_certificate` steps it once per letter, `monte_carlo_stability`
+once per drawn letter, `scan_words` once per word, and
+`oracle.cross_validate` reads it through `scan_words`.  Only a word that
+dies builds an exact entry: the one square entry, for its root.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .arith import is_perfect_square, square_preimages
+from .arith import is_perfect_square
 
 COMPOSE_DEGREE_CAP = 256  # largest degree compose_word builds
 SCAN_BUDGET = 1 << 20  # most words scan_words visits
@@ -189,12 +191,13 @@ class _OrbitAutomaton:
     """The orbit automaton of a generator tuple (module docstring), filled on demand.
 
     States have integer ids: _DEAD (an entry so far is a square), _FREE (the
-    empty set: no later entry can be a square), _START, and then ("one", p1)
-    and the nonempty sets S in order of discovery.  `trans[state]` is the
-    state's row, the next state's id for every letter, or None until `row`
-    first builds it, so only the rows of states a caller reaches are ever
-    built.  A scan of one-letter words over s generators builds the start
-    row alone: s square tests, and B is never listed.
+    empty set: no later entry can be a square), _START, and then, in order
+    of discovery, the first-letter states, keyed by their constant c1 and
+    standing for Q(c1), and the nonempty subsets S of B.  `trans[state]` is
+    the state's row, the next state's id for every letter, or None until
+    `row` first builds it, so only the rows of states a caller reaches are
+    ever built.  A scan of one-letter words over s generators builds the
+    start row alone: s square tests, and neither B nor any Q(c1) is listed.
     """
 
     def __init__(self, cs: Sequence[int]) -> None:
@@ -204,8 +207,7 @@ class _OrbitAutomaton:
         self.keys: list[object] = [None, frozenset(), None]
         self.ids: dict[object, int] = {}
         self._reach: frozenset[int] | None = None  # B, built on first use
-        self._letters = sorted(range(s), key=self.cs.__getitem__)
-        self._sorted_cs = [self.cs[p] for p in self._letters]
+        self._sorted_cs = sorted(self.cs)
 
     def _id(self, key: object) -> int:
         if isinstance(key, frozenset):
@@ -220,28 +222,19 @@ class _OrbitAutomaton:
             self.trans.append(None)
         return state
 
-    def _curve_row(self, c1: int) -> list[int]:
-        """The row of a state ("one", p1) with c1 = c_{p1}: S_2 for every second letter.
+    def _square_values(self, c1: int) -> frozenset[int]:
+        """Q(c1), c1 != 0: the u = v^2 + c (v in B, c a constant) with u^2 + c1 a square.
 
-        S_2 holds the v in B that are X-coordinates of integral points on
-        Y^2 = (X^2 + c2)^2 + c1.  For c1 != 0 every point has |X^2 + c2| <=
-        (|c1| + 1) // 2, so each v is tested against one window of constants.
+        Every point of Y^2 = U^2 + c1 has |U| <= (|c1| + 1) // 2, so each v^2
+        meets one window of constants; each u is tested once.
         """
         if self._reach is None:
             self._reach = _bounded_reach(self.cs, _escape_radius(self.cs))
-        half = (abs(c1) + 1) // 2
-        ordered = self._sorted_cs
-        hits: dict[int, list[int]] = {}
-        for v in self._reach:
-            sq = v * v
-            lo = bisect_left(ordered, -half - sq)
-            for i in range(lo, bisect_right(ordered, half - sq, lo)):
-                if is_perfect_square((sq + ordered[i]) ** 2 + c1) is not None:
-                    hits.setdefault(self._letters[i], []).append(v)
-        row = [_FREE] * len(self.cs)
-        for letter, values in hits.items():
-            row[letter] = self._id(frozenset(values))
-        return row
+        half, ordered = (abs(c1) + 1) // 2, self._sorted_cs
+        candidates = {sq + c for sq in {v * v for v in self._reach}
+                      for c in ordered[bisect_left(ordered, -half - sq):
+                                       bisect_right(ordered, half - sq)]}
+        return frozenset(u for u in candidates if is_perfect_square(u * u + c1) is not None)
 
     def row(self, state: int) -> list[int]:
         """The next state's id for every letter read in `state`; built once, whole."""
@@ -249,12 +242,15 @@ class _OrbitAutomaton:
         if row is None:
             key, cs = self.keys[state], self.cs
             if state == _START:
-                row = [_DEAD if is_perfect_square(-c) is not None else self._id(("one", p))
-                       for p, c in enumerate(cs)]
-            elif isinstance(key, tuple):
-                row = self._curve_row(cs[key[1]])
-            else:  # key is a nonempty subset of B, so B is built already
-                row = [self._id(square_preimages(key, c) & self._reach) for c in cs]
+                row = [_DEAD if is_perfect_square(-c) is not None else self._id(c) for c in cs]
+            else:  # letter c sends the values X to {v in B : v^2 + c in X}
+                values = self._square_values(key) if isinstance(key, int) else key
+                hits: dict[int, list[int]] = {}
+                for v in self._reach:
+                    sq = v * v
+                    for x in values:
+                        hits.setdefault(x - sq, []).append(v)
+                row = [self._id(frozenset(hits.get(c, ()))) for c in cs]
             self.trans[state] = row
         return row
 

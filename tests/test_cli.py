@@ -84,6 +84,15 @@ def test_orbit_bad_word_index_is_usage_error(capsys):
     assert code == 2 and "out of range" in err
 
 
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_orbit_entry_too_long_to_print_exits_2(capsys, extra):
+    # entry 13 of 1^13 over {50} has more digits than the interpreter prints
+    code, out, err = run(capsys, ["orbit", "-c", "50", "-w", ",".join(["1"] * 13)] + extra)
+    assert code == 2 and out == ""
+    assert err.startswith("error: orbit entry 13 of the 13-letter word has more than")
+    assert "set_int_max_str_digits" not in err and "Traceback" not in err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -484,7 +484,11 @@ DFS_CASES = [((-14, 40), 12), ((3, -7, 11), 8), ((-1, -2), 12), ((-4, -12), 12),
              (DEEP_SQUARE_SET, 9)]
 
 
-@pytest.mark.parametrize("cs,max_len", DFS_CASES + [
+# 201 first letters, each with its own value set Q(c1) over one wide B
+DENSE = pytest.param(tuple(range(-100, 101)), 2, id="dense-201-2")
+
+
+@pytest.mark.parametrize("cs,max_len", DFS_CASES + [DENSE] + [
     pytest.param(cs, n, marks=pytest.mark.extended)
     for cs, n in [((-14, 40), 16), ((-4, -12), 16), ((3, -7, 11), 10)]])
 def test_scan_words_equals_dfs_reference(cs, max_len):
@@ -597,6 +601,7 @@ automaton_sets = st.one_of(
 @given(automaton_sets, st.data())
 @example([0, -9, 5], None)
 @example([(1 << 100) + 1, -(1 << 100) + 3, -1], None)
+@example([4, -1], None)  # 0 is in Q(4), yet entry 1 is -4; (0, 1, 1) has orbit [-4, 5, 4]
 @settings(max_examples=40, deadline=None)
 def test_automaton_equals_exact_references(cs, data):
     S = GeneratorSet.from_cs(cs)
@@ -682,36 +687,28 @@ def test_automaton_dead_state_follows_the_first_square():
     lambda S: scan_words(S, 12),
     lambda S: monte_carlo_stability(S, SequenceSampler.uniform(2, 5), 12, 2000)])
 def test_every_row_is_built_once(cs, run, monkeypatch):
-    # a ("one", p1) row is one _curve_row call, and a set state's row is one
-    # square_preimages call per letter: no state's row is built twice
-    calls = []
-    real_curve_row = _OrbitAutomaton._curve_row
-    real_preimages = dynamics.square_preimages
+    # a state whose row is still None when row() is entered gets its row
+    # built there: no state's row is built twice
+    built = []
+    real_row = _OrbitAutomaton.row
 
-    def curve_row(self, c1):
-        calls.append(("curve", c1))
-        return real_curve_row(self, c1)
+    def row(self, state):
+        if self.trans[state] is None:
+            built.append(state)
+        return real_row(self, state)
 
-    def preimages(values, c):
-        calls.append((values, c))
-        return real_preimages(values, c)
-
-    monkeypatch.setattr(_OrbitAutomaton, "_curve_row", curve_row)
-    monkeypatch.setattr(dynamics, "square_preimages", preimages)
-    S = GeneratorSet.from_cs(cs)
-    run(S)
-    assert calls
-    assert len(calls) == len(set(calls))
-    set_keys = [key for key, _ in calls if key != "curve"]
-    assert all(set_keys.count(key) == len(S) for key in set_keys)
+    monkeypatch.setattr(_OrbitAutomaton, "row", row)
+    run(GeneratorSet.from_cs(cs))
+    assert built
+    assert len(built) == len(set(built))
 
 
 def test_one_letter_scan_builds_the_start_row_alone(monkeypatch):
-    # s square tests on the start row; neither B nor a curve row is built
+    # s square tests on the start row; neither B nor a value set is built
     def refuse(*args):
         raise AssertionError("built beyond the start row")
 
-    monkeypatch.setattr(_OrbitAutomaton, "_curve_row", refuse)
+    monkeypatch.setattr(_OrbitAutomaton, "_square_values", refuse)
     monkeypatch.setattr(dynamics, "_bounded_reach", refuse)
     cs = range(-1000, 1000)
     result = scan_words(GeneratorSet.from_cs(cs), 1)
