@@ -4,8 +4,11 @@ Every subcommand prints a human-readable summary by default and a versioned
 JSON report with --json (schema described in docs/report-schema.md), on one
 line; ``python3 -m json.tool`` indents it for reading.  Each handler returns
 an ``Outcome``; ``main`` alone times the command, builds the report and
-prints it.  ``main`` builds its argument parser on its first call and reuses
-it, so repeated in-process calls do not pay for it again.
+prints it.  A witness may already be JSON text (``_JSONText``), which
+``main`` splices into the report as it stands; only ``scan-words`` makes
+one, its ``certified_words``.  ``main`` builds its argument parser on its
+first call and reuses it, so repeated in-process calls do not pay for it
+again.
 
 Exit codes: 0 = success / all checks passed / certificate obtained;
 1 = a check failed (lemma mismatch, refuted obstruction, forbidden
@@ -64,6 +67,40 @@ class Outcome(NamedTuple):
     stats: dict | None = None
 
 
+class _JSONText:
+    """A report value that is already JSON text; `main` writes it as it stands."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+# what json.dumps writes for a _JSONText before its text replaces it: a NUL,
+# which it escapes, and which no command-line argument can hold
+_SPLICE = "\x00"
+_SPLICED = json.dumps(_SPLICE)
+
+
+def _dumps(report: dict) -> str:
+    """``json.dumps(report)``, with each `_JSONText` witness written as its text.
+
+    A report with no such witness goes straight to ``json.dumps``.
+    """
+    if not any(isinstance(v, _JSONText) for v in report["witnesses"].values()):
+        return json.dumps(report)
+    texts = []
+
+    def splice(value):
+        if not isinstance(value, _JSONText):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        texts.append(value.text)
+        return _SPLICE
+
+    pieces = json.dumps(report, default=splice).split(_SPLICED)
+    return "".join(piece + text for piece, text in zip(pieces, texts)) + pieces[-1]
+
+
 def _parse_list(text: str, what: str, convert=int, kind: str = "integers") -> list:
     """The items of a comma-separated list; an empty or malformed item is a usage error."""
     try:
@@ -118,18 +155,39 @@ def cmd_orbit(args) -> Outcome:
     )
 
 
+def _open_texts(words: list[tuple[int, ...]], n_gens: int) -> list[str]:
+    """``str(_one_based(w))`` without its closing bracket, for each word.
+
+    The words must be prefix-closed and in dictionary order, as the certified
+    words of `scan_words` are.  A word's prefix is then the last word seen
+    one letter shorter, so each text is that prefix's text plus one letter.
+    """
+    heads = [f"[{i + 1}" for i in range(n_gens)]
+    tails = [f", {i + 1}" for i in range(n_gens)]
+    last = {}  # last[n]: the text of the last word seen of length n
+    texts = []
+    for w in words:
+        n = len(w)
+        last[n] = text = last[n - 1] + tails[w[-1]] if n > 1 else heads[w[0]]
+        texts.append(text)
+    return texts
+
+
 def cmd_scan_words(args) -> Outcome:
     gens = _gens(args)
     results = scan_words(gens, args.L)
     certified = [w for w, v in results if v.certified]
     lines = [f"{len(results)} words of length <= {args.L}; "
              f"{len(certified)} certified irreducible"]
+    # the word texts are built only for an output that prints them; main
+    # prints the witnesses only under --json
+    texts = _open_texts(certified, len(gens)) if args.json or args.verbose else []
     if args.verbose:
-        lines += [f"  {_one_based(w)}" for w in certified]
+        lines += [f"  {text}]" for text in texts]
     return Outcome(
         {"cs": list(gens.cs), "max_len": args.L},
         {"words": len(results), "certified": len(certified)},
-        {"certified_words": [_one_based(w) for w in certified]},
+        {"certified_words": _JSONText(f"[{'], '.join(texts)}]]" if texts else "[]")},
         lines,
     )
 
@@ -440,7 +498,7 @@ def main(argv: list[str] | None = None) -> int:
         if out.stats is not None:
             report["stats"] = out.stats
         report["timings"] = {"elapsed_s": round(time.perf_counter() - started, 6)}
-        print(json.dumps(report))
+        print(_dumps(report))
     else:
         print("\n".join(out.lines))
     return out.code

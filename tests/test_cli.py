@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import quadsemi
-from quadsemi import diophantine
-from quadsemi.cli import build_parser, main
+from quadsemi import cli, diophantine
+from quadsemi.cli import _one_based, build_parser, main
 from quadsemi.diophantine import registry, registry_checksum, registry_path
+from quadsemi.dynamics import GeneratorSet, scan_words
 from quadsemi.exceptional import closed_form_of
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -428,9 +429,19 @@ def test_threads_flag_is_a_usage_error(capsys, command):
 
 
 @pytest.mark.parametrize("command", sorted(VALID_ARGV))
-def test_report_shape(capsys, command):
+def test_report_shape(capsys, monkeypatch, command):
     argv = [command, *VALID_ARGV[command]]
+    dumps, calls = json.dumps, []
+
+    def recording(obj, **kwargs):
+        calls.append(kwargs)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", recording)
     code, out, _ = run(capsys, argv + ["--json"])
+    monkeypatch.undo()
+    # one json.dumps per report; only scan-words splices a pre-encoded value
+    assert ["default" in kwargs for kwargs in calls] == [command == "scan-words"]
     report = json.loads(out)
     assert out.splitlines() == [json.dumps(report)]  # one line, compact
     stats = ["stats"] if command == "cross-validate" else []
@@ -585,6 +596,48 @@ def test_scan_words_cli(capsys):
     assert code == 0
     assert report["verdicts"] == {"words": 14, "certified": 3}
     assert report["witnesses"]["certified_words"] == [[2], [2, 2], [2, 2, 2]]
+
+
+def _without_timings(report_line):
+    head, sep, tail = report_line.rpartition(', "timings": ')
+    assert sep and re.fullmatch(r'\{"elapsed_s": [0-9.e-]+\}\}\n', tail)
+    return head
+
+
+@pytest.mark.parametrize("cs,max_len", [
+    pytest.param(list(range(-1, -12, -1)), 2, id="eleven-generators"),
+    pytest.param([7], 30, id="one-generator-L30"),
+    pytest.param([-4, -12], 0, id="L0"),
+    pytest.param([0, -1], 3, id="none-certified"),
+    pytest.param([-6, -15, -27], 8, id="certified-with-gaps"),
+    pytest.param([-4, -12], 10, id="pair-L10"),
+])
+def test_scan_words_texts_match_the_list_encoding(capsys, monkeypatch, cs, max_len):
+    results = scan_words(GeneratorSet.from_cs(cs), max_len)
+    certified = [_one_based(w) for w, v in results if v.certified]
+    expected = json.dumps({
+        "schema": "quadsemi-report/2", "command": "scan-words",
+        "inputs": {"cs": cs, "max_len": max_len},
+        "verdicts": {"words": len(results), "certified": len(certified)},
+        "witnesses": {"certified_words": certified}, "timings": {}})
+    # the report and the listing build no list per word
+    monkeypatch.setattr(cli, "_one_based", lambda word: pytest.fail("_one_based called"))
+    argv = ["scan-words", "-c", ",".join(map(str, cs)), "-L", str(max_len)]
+    for extra in (["--json"], ["--json", "--verbose"]):
+        code, out, _ = run(capsys, argv + extra)
+        assert code == 0
+        assert _without_timings(out) == expected[:-len(', "timings": {}}')]
+    code, out, _ = run(capsys, argv + ["--verbose"])
+    assert code == 0
+    assert out.splitlines()[1:] == [f"  {w}" for w in certified]
+
+
+def test_terse_scan_words_builds_no_word_text(capsys, monkeypatch):
+    argv = ["scan-words", "-c", "-4,-12", "-L", "3"]
+    monkeypatch.setattr(cli, "_open_texts", lambda *a: pytest.fail("_open_texts called"))
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == "14 words of length <= 3; 3 certified irreducible\n"
 
 
 def test_console_script_entry_point():
