@@ -32,7 +32,9 @@ from .dynamics import (
     SequenceSampler,
     StabilityVerdict,
     adjusted_critical_orbit,
+    certified_counts,
     compose_word,
+    join_certified_words,
     monte_carlo_stability,
     scan_words,
     stability_certificate,

@@ -38,9 +38,11 @@ from .dynamics import (
     GeneratorSet,
     QuadraticMap,
     SequenceSampler,
+    _check_scan_budget,
     adjusted_critical_orbit,
+    certified_counts,
+    join_certified_words,
     monte_carlo_stability,
-    scan_words,
     stability_certificate,
 )
 from .exceptional import (
@@ -98,7 +100,10 @@ def _dumps(report: dict) -> str:
         return _SPLICE
 
     pieces = json.dumps(report, default=splice).split(_SPLICED)
-    return "".join(piece + text for piece, text in zip(pieces, texts)) + pieces[-1]
+    parts = [pieces[0]]
+    for text, piece in zip(texts, pieces[1:]):
+        parts += (text, piece)
+    return "".join(parts)
 
 
 def _parse_list(text: str, what: str, convert=int, kind: str = "integers") -> list:
@@ -155,39 +160,28 @@ def cmd_orbit(args) -> Outcome:
     )
 
 
-def _open_texts(words: list[tuple[int, ...]], n_gens: int) -> list[str]:
-    """``str(_one_based(w))`` without its closing bracket, for each word.
-
-    The words must be prefix-closed and in dictionary order, as the certified
-    words of `scan_words` are.  A word's prefix is then the last word seen
-    one letter shorter, so each text is that prefix's text plus one letter.
-    """
-    heads = [f"[{i + 1}" for i in range(n_gens)]
-    tails = [f", {i + 1}" for i in range(n_gens)]
-    last = {}  # last[n]: the text of the last word seen of length n
-    texts = []
-    for w in words:
-        n = len(w)
-        last[n] = text = last[n - 1] + tails[w[-1]] if n > 1 else heads[w[0]]
-        texts.append(text)
-    return texts
-
-
 def cmd_scan_words(args) -> Outcome:
     gens = _gens(args)
-    results = scan_words(gens, args.L)
-    certified = [w for w, v in results if v.certified]
-    lines = [f"{len(results)} words of length <= {args.L}; "
-             f"{len(certified)} certified irreducible"]
-    # the word texts are built only for an output that prints them; main
-    # prints the witnesses only under --json
-    texts = _open_texts(certified, len(gens)) if args.json or args.verbose else []
-    if args.verbose:
-        lines += [f"  {text}]" for text in texts]
+    words = _check_scan_budget(len(gens), args.L)
+    certified = sum(certified_counts(gens, args.L))
+    lines = [f"{words} words of length <= {args.L}; {certified} certified irreducible"]
+    # the word texts are built only for an output that prints them: main
+    # prints the witnesses under --json and the lines otherwise
+    witness = "[]"
+    if certified and (args.json or args.verbose):
+        heads = [f"[{i}" for i in range(1, len(gens) + 1)]
+        tails = [f", {i}" for i in range(1, len(gens) + 1)]
+        # the JSON list, or one "  [...]" line per word
+        sep = "], " if args.json else "]\n  "
+        text = join_certified_words(gens, args.L, heads, tails, sep)
+        if args.json:
+            witness = f"[{text}]]"
+        else:
+            lines.append(f"  {text}]")
     return Outcome(
         {"cs": list(gens.cs), "max_len": args.L},
-        {"words": len(results), "certified": len(certified)},
-        {"certified_words": _JSONText(f"[{'], '.join(texts)}]]" if texts else "[]")},
+        {"words": words, "certified": certified},
+        {"certified_words": _JSONText(witness)},
         lines,
     )
 

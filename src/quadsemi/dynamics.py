@@ -49,7 +49,11 @@ whole, on its first use, from one pass over B and the state's values.
 `stability_certificate` steps it once per letter, `monte_carlo_stability`
 once per drawn letter, `scan_words` once per word, and
 `oracle.cross_validate` reads it through `scan_words`.  Only a word that
-dies builds an exact entry: the one square entry, for its root.
+dies builds an exact entry: the one square entry, for its root.  Two
+readers build no word at all, since a word's certified extensions depend
+only on its state and the letters left: `certified_counts` counts the
+words reaching each state, length by length, and `join_certified_words`
+(the `scan-words` report) builds one text per (state, letters left).
 """
 
 from __future__ import annotations
@@ -62,8 +66,8 @@ from typing import Sequence
 from .arith import is_perfect_square
 
 COMPOSE_DEGREE_CAP = 256  # largest degree compose_word builds
-SCAN_BUDGET = 1 << 20  # most words scan_words visits
-SCAN_LETTER_BUDGET = 19 * SCAN_BUDGET  # most letters in the words scan_words builds
+SCAN_BUDGET = 1 << 20  # most words scan_words or join_certified_words visits
+SCAN_LETTER_BUDGET = 19 * SCAN_BUDGET  # most letters in the words a scan builds
 
 
 @dataclass(frozen=True)
@@ -313,14 +317,15 @@ def _poly_square(p: list[int]) -> list[int]:
     return out
 
 
-def _check_scan_budget(s: int, max_len: int) -> None:
-    """Reject a scan of s generators to max_len over SCAN_BUDGET or SCAN_LETTER_BUDGET.
+def _check_scan_budget(s: int, max_len: int) -> int:
+    """sum s^k, k = 1..max_len: the words a scan of s generators visits.
 
-    The scan builds every word as a tuple: sum s^k words holding sum k*s^k
-    letters, k = 1..max_len.  With s >= 2 the word budget admits max_len <= 19
-    only, so its letters are at most 19 * SCAN_BUDGET and the letter budget
-    rejects nothing more; it bounds the one-generator scan, whose one word
-    per length adds up to max_len * (max_len + 1) / 2 letters.
+    A scan over SCAN_BUDGET or SCAN_LETTER_BUDGET is rejected instead.  The
+    scan builds every word, as a tuple or as text: sum s^k words holding sum
+    k*s^k letters.  With s >= 2 the word budget admits max_len <= 19 only, so
+    its letters are at most 19 * SCAN_BUDGET and the letter budget rejects
+    nothing more; it bounds the one-generator scan, whose one word per length
+    adds up to max_len * (max_len + 1) / 2 letters.
     """
     words = letters = 0
     size = 1
@@ -334,6 +339,7 @@ def _check_scan_budget(s: int, max_len: int) -> None:
     if letters > SCAN_LETTER_BUDGET:
         raise ValueError(f"a scan to length {max_len} builds more than "
                          f"{SCAN_LETTER_BUDGET} letters (the scan budget)")
+    return words
 
 
 def scan_words(
@@ -374,6 +380,90 @@ def scan_words(
                 else:
                     push((w, nxt[p], verdict))
     return out
+
+
+_MARK = "\x00"  # a word's start in the templates of join_certified_words
+
+
+def join_certified_words(
+    gens: GeneratorSet, max_len: int, heads: Sequence[str], tails: Sequence[str], sep: str
+) -> str:
+    """The certified words of length 1..max_len as one text, in dictionary order.
+
+    Word (p1, p2, ..., pn) is written heads[p1] + tails[p2] + ... + tails[pn]
+    and the words are joined by sep: the text is sep.join over the certified
+    words of `scan_words(gens, max_len)`, under the same budget, yet no word
+    is built.  No piece may hold a NUL.
+
+    The certified words below a word depend only on its automaton state and
+    the letters left, so the texts below each such node are built once, as
+    one template: a NUL before each word's suffix text, in dictionary order.
+    A node's template joins, letter by letter, each live child's NUL and
+    piece, then the child's template with every NUL followed by that piece.
+    The text is the start's, with sep and the heads in place of NUL and the
+    tails; past the node work it is built by `str.replace` and `str.join`.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    s = len(gens.maps)
+    _check_scan_budget(s, max_len)
+    automaton = _OrbitAutomaton(gens.cs)
+    trans, row = automaton.trans, automaton.row
+    if s == 1:
+        # A node's template holds the text of every word below it, so each
+        # character is copied once per level above it.  With s >= 2 the word
+        # budget keeps max_len <= 19: at most 19 copies.  One generator has
+        # one word per length, to L = 6311 under the letter budget, and its
+        # templates would copy O(L^3) characters and recurse L deep; one
+        # string step per word keeps this chain linear in its text.
+        state, text, texts = _START, heads[0], []
+        while len(texts) < max_len:
+            state = automaton.step(state, 0)
+            if state == _DEAD:
+                break
+            texts.append(text)
+            text += tails[0]
+        return sep.join(texts)
+    memo: dict[tuple[int, int], str] = {}
+
+    def spread(state: int, left: int, mark: str, pieces: Sequence[str]) -> str:
+        # each live child's lead, then its template with every _MARK made that lead
+        parts = []
+        for p, nxt in enumerate(trans[state] or row(state)):
+            if nxt != _DEAD:
+                lead = mark + pieces[p]
+                parts += (lead, below(nxt, left - 1).replace(_MARK, lead))
+        return "".join(parts)
+
+    def below(state: int, left: int) -> str:
+        text = memo.get((state, left))
+        if text is None:
+            text = memo[(state, left)] = spread(state, left, _MARK, tails) if left else ""
+        return text
+
+    return spread(_START, max_len, sep, heads)[len(sep):] if max_len else ""
+
+
+def certified_counts(gens: GeneratorSet, max_len: int) -> list[int]:
+    """The number of certified words of each length 1..max_len, exactly.
+
+    A forward count over the automaton's states: how many words of each
+    length reach each state other than _DEAD.  It takes O(max_len * states *
+    s) steps and builds no word, so no scan budget applies.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    automaton = _OrbitAutomaton(gens.cs)
+    counts, level = [], {_START: 1}
+    for _ in range(max_len):
+        reached: dict[int, int] = {}
+        for state, n in level.items():
+            for nxt in automaton.row(state):
+                if nxt != _DEAD:
+                    reached[nxt] = reached.get(nxt, 0) + n
+        level = reached
+        counts.append(sum(level.values()))
+    return counts
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import quadsemi
-from quadsemi import cli, diophantine
+from quadsemi import cli, diophantine, dynamics
 from quadsemi.cli import _one_based, build_parser, main
 from quadsemi.diophantine import registry, registry_checksum, registry_path
-from quadsemi.dynamics import GeneratorSet, scan_words
+from quadsemi.dynamics import GeneratorSet, QuadraticMap, scan_words
 from quadsemi.exceptional import closed_form_of
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -604,15 +605,7 @@ def _without_timings(report_line):
     return head
 
 
-@pytest.mark.parametrize("cs,max_len", [
-    pytest.param(list(range(-1, -12, -1)), 2, id="eleven-generators"),
-    pytest.param([7], 30, id="one-generator-L30"),
-    pytest.param([-4, -12], 0, id="L0"),
-    pytest.param([0, -1], 3, id="none-certified"),
-    pytest.param([-6, -15, -27], 8, id="certified-with-gaps"),
-    pytest.param([-4, -12], 10, id="pair-L10"),
-])
-def test_scan_words_texts_match_the_list_encoding(capsys, monkeypatch, cs, max_len):
+def assert_scan_texts_match_the_list_encoding(capsys, monkeypatch, cs, max_len):
     results = scan_words(GeneratorSet.from_cs(cs), max_len)
     certified = [_one_based(w) for w, v in results if v.certified]
     expected = json.dumps({
@@ -621,23 +614,101 @@ def test_scan_words_texts_match_the_list_encoding(capsys, monkeypatch, cs, max_l
         "verdicts": {"words": len(results), "certified": len(certified)},
         "witnesses": {"certified_words": certified}, "timings": {}})
     # the report and the listing build no list per word
-    monkeypatch.setattr(cli, "_one_based", lambda word: pytest.fail("_one_based called"))
-    argv = ["scan-words", "-c", ",".join(map(str, cs)), "-L", str(max_len)]
-    for extra in (["--json"], ["--json", "--verbose"]):
-        code, out, _ = run(capsys, argv + extra)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_one_based", lambda word: pytest.fail("_one_based called"))
+        argv = ["scan-words", "-c", ",".join(map(str, cs)), "-L", str(max_len)]
+        for extra in (["--json"], ["--json", "--verbose"]):
+            code, out, _ = run(capsys, argv + extra)
+            assert code == 0
+            assert _without_timings(out) == expected[:-len(', "timings": {}}')]
+        code, out, _ = run(capsys, argv + ["--verbose"])
         assert code == 0
-        assert _without_timings(out) == expected[:-len(', "timings": {}}')]
-    code, out, _ = run(capsys, argv + ["--verbose"])
-    assert code == 0
-    assert out.splitlines()[1:] == [f"  {w}" for w in certified]
+        assert out.splitlines()[1:] == [f"  {w}" for w in certified]
+
+
+# x^2 + 2v + 1 maps v = (x^2+3)^7(0) to the square (v + 1)^2: word [2, 1, 1,
+# 1, 1, 1, 1, 1] dies at its 8th entry, a 117-bit square
+V7 = QuadraticMap(3).iterate(7, 0)
+DEEP_SQUARE_SET = [3, 2 * V7 + 1]
+
+
+@pytest.mark.parametrize("cs,max_len", [
+    pytest.param(list(range(-1, -12, -1)), 2, id="eleven-generators"),
+    pytest.param([7], 30, id="one-generator-L30"),
+    pytest.param([-4, -12], 0, id="L0"),
+    pytest.param([0, -1], 3, id="none-certified"),
+    pytest.param([-6, -15, -27], 8, id="certified-with-gaps"),
+    pytest.param([-4, -12], 10, id="pair-L10"),
+    pytest.param([-16, 4], 12, id="live-cycle-pair-L12"),
+    pytest.param([-21, 5, -11], 7, id="live-cycle-triple-L7"),
+    pytest.param(DEEP_SQUARE_SET, 9, id="deep-square-L9"),
+    pytest.param([-9, 5, -12], 6, id="first-letter-dies"),
+    pytest.param([7], 1, id="one-word"),
+])
+def test_scan_words_texts_match_the_list_encoding(capsys, monkeypatch, cs, max_len):
+    assert_scan_texts_match_the_list_encoding(capsys, monkeypatch, cs, max_len)
+
+
+@given(st.lists(st.integers(-60, 60), min_size=1, max_size=4, unique=True), st.integers(0, 7))
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_scan_words_texts_match_the_list_encoding_on_random_sets(
+        capsys, monkeypatch, cs, max_len):
+    assert_scan_texts_match_the_list_encoding(capsys, monkeypatch, cs, max_len)
+
+
+def test_scan_words_command_builds_no_word_tuples(capsys, monkeypatch):
+    def refuse(*args):
+        pytest.fail("scan_words called")
+
+    monkeypatch.setattr(dynamics, "scan_words", refuse)
+    monkeypatch.setattr(cli, "scan_words", refuse, raising=False)
+    argv = ["scan-words", "-c", "-16,4", "-L", "10"]
+    for extra in ([], ["--verbose"], ["--json"], ["--json", "--verbose"]):
+        code, _, _ = run(capsys, argv + extra)
+        assert code == 0
 
 
 def test_terse_scan_words_builds_no_word_text(capsys, monkeypatch):
     argv = ["scan-words", "-c", "-4,-12", "-L", "3"]
-    monkeypatch.setattr(cli, "_open_texts", lambda *a: pytest.fail("_open_texts called"))
+    monkeypatch.setattr(cli, "join_certified_words",
+                        lambda *a: pytest.fail("join_certified_words called"))
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert out == "14 words of length <= 3; 3 certified irreducible\n"
+
+
+@pytest.mark.extended
+def test_scan_words_at_the_word_budget_edge(capsys):
+    # 2^20 - 2 = 1,048,574 words, the longest two-generator scan the budget admits
+    results = scan_words(GeneratorSet.from_cs([-14, 40]), 19)
+    certified = [w for w, v in results if v.certified]
+    words = len(results)
+    del results
+    expected = "[" + ", ".join(str(_one_based(w)) for w in certified) + "]"
+    del certified
+    code, report_line, _ = run(capsys, ["scan-words", "-c", "-14,40", "-L", "19", "--json"])
+    assert code == 0
+    assert words == 1_048_574
+    head = _without_timings(report_line)
+    assert head.startswith('{"schema": "quadsemi-report/2", "command": "scan-words", '
+                           '"inputs": {"cs": [-14, 40], "max_len": 19}, '
+                           f'"verdicts": {{"words": {words}, "certified": ')
+    assert head.endswith(f', "witnesses": {{"certified_words": {expected}}}')
+
+
+@pytest.mark.extended
+def test_scan_words_at_the_letter_budget_edge(capsys):
+    # one generator to L = 6311, the longest scan the letter budget admits;
+    # every entry of x^2 + 1's orbit, -1, 2, 5, 26, ..., is a nonsquare
+    code, report_line, _ = run(capsys, ["scan-words", "-c", "1", "-L", "6311", "--json"])
+    assert code == 0
+    texts = ("[1" + ", 1" * (k - 1) + "]" for k in range(1, 6312))
+    assert _without_timings(report_line) == (
+        '{"schema": "quadsemi-report/2", "command": "scan-words", '
+        '"inputs": {"cs": [1], "max_len": 6311}, '
+        '"verdicts": {"words": 6311, "certified": 6311}, '
+        f'"witnesses": {{"certified_words": [{", ".join(texts)}]}}')
 
 
 def test_console_script_entry_point():

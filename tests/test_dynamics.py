@@ -29,7 +29,9 @@ from quadsemi.dynamics import (
     _escape_radius,
     _mix64,
     adjusted_critical_orbit,
+    certified_counts,
     compose_word,
+    join_certified_words,
     monte_carlo_stability,
     scan_words,
     stability_certificate,
@@ -488,12 +490,68 @@ DFS_CASES = [((-14, 40), 12), ((3, -7, 11), 8), ((-1, -2), 12), ((-4, -12), 12),
 DENSE = pytest.param(tuple(range(-100, 101)), 2, id="dense-201-2")
 
 
-@pytest.mark.parametrize("cs,max_len", DFS_CASES + [DENSE] + [
+SCAN_CASES = DFS_CASES + [DENSE] + [
     pytest.param(cs, n, marks=pytest.mark.extended)
-    for cs, n in [((-14, 40), 16), ((-4, -12), 16), ((3, -7, 11), 10)]])
+    for cs, n in [((-14, 40), 16), ((-4, -12), 16), ((3, -7, 11), 10)]]
+
+
+@pytest.mark.parametrize("cs,max_len", SCAN_CASES)
 def test_scan_words_equals_dfs_reference(cs, max_len):
     S = GeneratorSet.from_cs(cs)
     assert scan_words(S, max_len) == dfs_scan_reference(S, max_len)
+
+
+def certified_per_length(results, max_len):
+    """The certified words of each length 1..max_len among (word, verdict) pairs."""
+    counts = [0] * max_len
+    for word, verdict in results:
+        counts[len(word) - 1] += verdict.certified
+    return counts
+
+
+@pytest.mark.parametrize("cs,max_len", SCAN_CASES)
+def test_certified_counts_equal_scan_words(cs, max_len):
+    S = GeneratorSet.from_cs(cs)
+    assert certified_counts(S, max_len) == certified_per_length(scan_words(S, max_len), max_len)
+
+
+def test_certified_counts_of_a_set_with_a_live_cycle():
+    # {-16, 4} keeps non-free states live at every length; 3/8 of its
+    # length-16 words are certified
+    S = GeneratorSet.from_cs((-16, 4))
+    counts = certified_counts(S, 16)
+    assert counts == certified_per_length(scan_words(S, 16), 16)
+    assert counts[-1] == 24_576
+
+
+def test_certified_counts_reach_past_the_scan_budget():
+    S = GeneratorSet.from_cs((-4, -12))  # only 2, 22, 222, ... are certified
+    assert certified_counts(S, 2000) == [1] * 2000
+    assert certified_counts(GeneratorSet.from_cs((1, 2)), 0) == []
+    with pytest.raises(ValueError):
+        certified_counts(S, -1)
+
+
+@pytest.mark.parametrize("cs,max_len", DFS_CASES + [DENSE, ((-16, 4), 12), ((7,), 30),
+                                                    ((-4,), 5), ((-4, -12), 0)])
+def test_join_certified_words_equals_scan_words(cs, max_len):
+    # letter p is written "<p" first and ".p" after; words are joined by "|"
+    S = GeneratorSet.from_cs(cs)
+    heads = [f"<{p}" for p in range(len(cs))]
+    tails = [f".{p}" for p in range(len(cs))]
+    expected = "|".join(heads[w[0]] + "".join(tails[p] for p in w[1:])
+                        for w, v in scan_words(S, max_len) if v.certified)
+    assert join_certified_words(S, max_len, heads, tails, "|") == expected
+
+
+def test_join_certified_words_keeps_the_scan_budget():
+    S = GeneratorSet.from_cs((1, 2))
+    with pytest.raises(ValueError, match="more than 1048576 words"):
+        join_certified_words(S, 25, "ab", "cd", "|")
+    with pytest.raises(ValueError, match="letters"):
+        join_certified_words(GeneratorSet.from_cs((1,)), 1_000_000, "a", "b", "|")
+    with pytest.raises(ValueError):
+        join_certified_words(S, -1, "ab", "cd", "|")
 
 
 # (-16, 4) has three nonsquare entries up to length 9 that pass the square sieve
@@ -685,7 +743,9 @@ def test_automaton_dead_state_follows_the_first_square():
 @pytest.mark.parametrize("cs", [(-14, 40), (-4, -12), DEEP_SQUARE_SET])
 @pytest.mark.parametrize("run", [
     lambda S: scan_words(S, 12),
-    lambda S: monte_carlo_stability(S, SequenceSampler.uniform(2, 5), 12, 2000)])
+    lambda S: monte_carlo_stability(S, SequenceSampler.uniform(2, 5), 12, 2000),
+    lambda S: join_certified_words(S, 12, "ab", "cd", "|"),
+    lambda S: certified_counts(S, 12)])
 def test_every_row_is_built_once(cs, run, monkeypatch):
     # a state whose row is still None when row() is entered gets its row
     # built there: no state's row is built twice
@@ -711,6 +771,12 @@ def test_one_letter_scan_builds_the_start_row_alone(monkeypatch):
     monkeypatch.setattr(_OrbitAutomaton, "_square_values", refuse)
     monkeypatch.setattr(dynamics, "_bounded_reach", refuse)
     cs = range(-1000, 1000)
-    result = scan_words(GeneratorSet.from_cs(cs), 1)
+    S = GeneratorSet.from_cs(cs)
+    result = scan_words(S, 1)
     assert [w for w, _ in result] == [(p,) for p in range(2000)]
-    assert [v.certified for _, v in result] == [is_perfect_square(-c) is None for c in cs]
+    certified = [is_perfect_square(-c) is None for c in cs]
+    assert [v.certified for _, v in result] == certified
+    assert certified_counts(S, 1) == [sum(certified)]
+    names = [str(p) for p in range(2000)]
+    assert join_certified_words(S, 1, names, names, ",").split(",") == [
+        name for name, ok in zip(names, certified) if ok]
