@@ -39,6 +39,7 @@ from .dynamics import (
     QuadraticMap,
     SequenceSampler,
     _check_scan_budget,
+    _OrbitAutomaton,
     adjusted_critical_orbit,
     certified_counts,
     join_certified_words,
@@ -163,7 +164,8 @@ def cmd_orbit(args) -> Outcome:
 def cmd_scan_words(args) -> Outcome:
     gens = _gens(args)
     words = _check_scan_budget(len(gens), args.L)
-    certified = sum(certified_counts(gens, args.L))
+    automaton = _OrbitAutomaton(gens.cs)  # one for the count and the text: each row built once
+    certified = sum(certified_counts(gens, args.L, automaton=automaton))
     lines = [f"{words} words of length <= {args.L}; {certified} certified irreducible"]
     # the word texts are built only for an output that prints them: main
     # prints the witnesses under --json and the lines otherwise
@@ -173,7 +175,7 @@ def cmd_scan_words(args) -> Outcome:
         tails = [f", {i}" for i in range(1, len(gens) + 1)]
         # the JSON list, or one "  [...]" line per word
         sep = "], " if args.json else "]\n  "
-        text = join_certified_words(gens, args.L, heads, tails, sep)
+        text = join_certified_words(gens, args.L, heads, tails, sep, automaton=automaton)
         if args.json:
             witness = f"[{text}]]"
         else:

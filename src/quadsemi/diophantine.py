@@ -519,3 +519,15 @@ def quartic_curve_points(
         if y is not None:
             pts.append((q, y))
     return [(-q, y) for q, y in reversed(pts) if q > 0] + pts
+
+
+def phi2_curve_points(c: int) -> list[tuple[int, int]]:
+    """Every integral point (X, Y), Y >= 0, of Y^2 = f(f(X)) for f(x) = x^2 + c, c != 0.
+
+    f(f(X)) = X^4 + 2c X^2 + c^2 + c has 4 a4 a0 - a2^2 = 4c != 0, so every
+    point has X^2 <= 2|c| <= (|c| + 1)^2, and the box |X| <= |c| + 1 of
+    `quartic_curve_points` holds them all.
+    """
+    if c == 0:
+        raise ValueError("Y^2 = X^4 has a point at every X; c must be nonzero")
+    return quartic_curve_points(1, 2 * c, c * c + c, abs(c) + 1)

@@ -46,19 +46,24 @@ B, so only a few occur.
 
 `_OrbitAutomaton` holds the transition table and builds each state's row
 whole, on its first use, from one pass over B and the state's values.
-`stability_certificate` steps it once per letter, `monte_carlo_stability`
-once per drawn letter, `scan_words` once per word, and
-`oracle.cross_validate` reads it through `scan_words`.  Only a word that
-dies builds an exact entry: the one square entry, for its root.  Two
-readers build no word at all, since a word's certified extensions depend
-only on its state and the letters left: `certified_counts` counts the
-words reaching each state, length by length, and `join_certified_words`
-(the `scan-words` report) builds one text per (state, letters left).
+`stability_certificate` steps it once per letter, `scan_words` once per
+word, and `oracle.cross_validate` reads it through `scan_words`.
+`monte_carlo_stability` steps it once per drawn letter, and draws the
+letters of 1,024 trials at a time, as packed 64-bit lanes of one int.
+Only a word that dies builds an exact entry: the one square entry, for
+its root.  Two readers build no word at all, since a word's certified
+extensions depend only on its state and the letters left:
+`certified_counts` counts the words reaching each state, length by
+length, and `join_certified_words` builds one text per (state, letters
+left).  The `scan-words` command lends both one automaton, so each row is
+built once.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -263,6 +268,15 @@ class _OrbitAutomaton:
         return self.row(state)[letter]
 
 
+def _automaton_of(gens: GeneratorSet, automaton: _OrbitAutomaton | None) -> _OrbitAutomaton:
+    """`automaton`, checked to be that of gens' constants, or a new one."""
+    if automaton is None:
+        return _OrbitAutomaton(gens.cs)
+    if automaton.cs != gens.cs:
+        raise ValueError("the automaton belongs to other generator constants")
+    return automaton
+
+
 def adjusted_critical_orbit(gens: GeneratorSet, word: Sequence[int]) -> list[int]:
     """The full orbit [-f1(0), f1(f2(0)), ..., f1(...fn(0))] for the word."""
     _check_word(gens, word)
@@ -386,7 +400,8 @@ _MARK = "\x00"  # a word's start in the templates of join_certified_words
 
 
 def join_certified_words(
-    gens: GeneratorSet, max_len: int, heads: Sequence[str], tails: Sequence[str], sep: str
+    gens: GeneratorSet, max_len: int, heads: Sequence[str], tails: Sequence[str], sep: str,
+    *, automaton: _OrbitAutomaton | None = None,
 ) -> str:
     """The certified words of length 1..max_len as one text, in dictionary order.
 
@@ -402,12 +417,14 @@ def join_certified_words(
     piece, then the child's template with every NUL followed by that piece.
     The text is the start's, with sep and the heads in place of NUL and the
     tails; past the node work it is built by `str.replace` and `str.join`.
+    The templates are released before that last join.  `automaton`, as in
+    `certified_counts`, lends its rows.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     s = len(gens.maps)
     _check_scan_budget(s, max_len)
-    automaton = _OrbitAutomaton(gens.cs)
+    automaton = _automaton_of(gens, automaton)
     trans, row = automaton.trans, automaton.row
     if s == 1:
         # A node's template holds the text of every word below it, so each
@@ -426,34 +443,42 @@ def join_certified_words(
         return sep.join(texts)
     memo: dict[tuple[int, int], str] = {}
 
-    def spread(state: int, left: int, mark: str, pieces: Sequence[str]) -> str:
+    def spread(state: int, left: int, mark: str, pieces: Sequence[str]) -> list[str]:
         # each live child's lead, then its template with every _MARK made that lead
         parts = []
         for p, nxt in enumerate(trans[state] or row(state)):
             if nxt != _DEAD:
                 lead = mark + pieces[p]
                 parts += (lead, below(nxt, left - 1).replace(_MARK, lead))
-        return "".join(parts)
+        return parts
 
     def below(state: int, left: int) -> str:
         text = memo.get((state, left))
         if text is None:
-            text = memo[(state, left)] = spread(state, left, _MARK, tails) if left else ""
+            text = memo[(state, left)] = "".join(spread(state, left, _MARK, tails)) if left else ""
         return text
 
-    return spread(_START, max_len, sep, heads)[len(sep):] if max_len else ""
+    parts = spread(_START, max_len, sep, heads) if max_len else []
+    memo.clear()  # the templates are copied into parts: release them before the join
+    if parts:
+        parts[0] = parts[0][len(sep):]  # the first word's lead, without sep
+    return "".join(parts)
 
 
-def certified_counts(gens: GeneratorSet, max_len: int) -> list[int]:
+def certified_counts(
+    gens: GeneratorSet, max_len: int, *, automaton: _OrbitAutomaton | None = None
+) -> list[int]:
     """The number of certified words of each length 1..max_len, exactly.
 
     A forward count over the automaton's states: how many words of each
     length reach each state other than _DEAD.  It takes O(max_len * states *
-    s) steps and builds no word, so no scan budget applies.
+    s) steps and builds no word, so no scan budget applies.  An `automaton`
+    of gens' constants lends the rows it has built and keeps those built
+    here, so a caller that also joins the words builds each row once.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    automaton = _OrbitAutomaton(gens.cs)
+    automaton = _automaton_of(gens, automaton)
     counts, level = [], {_START: 1}
     for _ in range(max_len):
         reached: dict[int, int] = {}
@@ -499,16 +524,89 @@ class SequenceSampler:
         cum[-1] = 1.0
         return cum
 
+    def _cuts(self) -> list[int]:
+        """Integer cuts: a 64-bit draw z takes letter bisect_right(cuts, z).
+
+        The float rule gives z the letter min(bisect_right(cum, z / 2**64),
+        s - 1), cum from `_cumulative`.  That letter never falls as z grows:
+        z / 2**64 rounds monotonically, and cum rises, except that its last
+        entry, set to 1.0, may lie below the one before.  Below 1.0
+        bisection counts the entries <= z / 2**64; at exactly 1.0 its path
+        takes at least that count.  So with cut i the least z whose letter
+        exceeds i (2**64 if none), both rules agree.  Such a z has z / 2**64
+        >= cum[i] or rounds to 1.0, and rounding moves z by at most half a
+        float spacing, 2^10 below 2^64: the cut lies among the 2^12 integers
+        below min(ceil(cum[i] * 2**64), 2**64), and the search runs there.
+        """
+        cum, last = self._cumulative(), len(self.weights) - 1
+        cuts = []
+        for i in range(last):
+            hi = min(math.ceil(cum[i] * 2.0**64), 1 << 64)
+            lo = max(hi - (1 << 12), 0)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if bisect_right(cum, mid / 2.0**64) > i:  # as min(., last) > i, for last > i
+                    hi = mid
+                else:
+                    lo = mid + 1
+            cuts.append(lo)
+        return cuts
+
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _STREAM = 0xD1342543DE82EF95
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 def _mix64(z: int) -> int:
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    """The splitmix64 finalizer (Steele, Lea and Flood, OOPSLA 2014): the stream."""
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
+
+
+# Packed lanes: 64-bit values in the low halves of the 128-bit slots of one
+# int, so that a lane times a 64-bit constant stays inside its slot.
+_SLOT = 128
+_CHUNK = 1024  # trials monte_carlo_stability draws together, one lane each
+
+
+def _pack(values: Sequence[int]) -> int:
+    """The 64-bit `values` as one int, value i in the low half of slot i."""
+    slots = array("Q", bytes(_SLOT // 8 * len(values)))
+    slots[::2] = array("Q", values)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return int.from_bytes(slots, "little")
+
+
+def _unpack(packed: int, n: int) -> array:
+    """The lanes of the first n slots of `packed`, whose high halves are 0."""
+    slots = array("Q", packed.to_bytes(_SLOT // 8 * n, "little"))
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots[::2]
+
+
+_ONES = _pack([1] * _CHUNK)  # 1 in each of _CHUNK slots
+
+
+def _lane_masks(n: int) -> tuple[int, int]:
+    """1, and 2^64 - 1, in each of the first n slots."""
+    ones = _ONES >> _SLOT * (_CHUNK - n)
+    return ones, ones * _MASK64
+
+
+def _mix_lanes(z: int, lanes: int) -> int:
+    """`_mix64` of every lane of z; `lanes` holds 2^64 - 1 in each of z's slots.
+
+    A right shift brings the next slot's low bits into a slot's high half,
+    and a product fills it; masking after each keeps the lanes apart.
+    """
+    z = ((z ^ (z >> 30)) & lanes) * _MIX1 & lanes
+    z = ((z ^ (z >> 27)) & lanes) * _MIX2 & lanes
+    return (z ^ (z >> 31)) & lanes
 
 
 def monte_carlo_stability(
@@ -521,16 +619,22 @@ def monte_carlo_stability(
 
     Returns (#square-free samples) / trials.  The estimate is reproducible:
     trial t draws its letters from the stream keyed by (sampler.seed, t), so
-    the same seed gives the same value.  A trial draws its letters one at a
-    time and stops at the first square entry, so letters after it are never
-    drawn.
+    the same seed gives the same value.  Letter k of trial t is the
+    `_mix64` of base + k * _GOLDEN, where base is the `_mix64` of seed xor
+    t * _STREAM, and a 64-bit draw picks its letter by the sampler's cuts.
 
     Each drawn letter is one step of the orbit automaton, a table lookup
-    once the state's row is built.  A trial also stops at the empty state,
-    whose word stays square-free whatever letters follow, so its later
-    letters are never drawn either; the estimate is the same, since every
-    trial has its own stream.  The table is all the memory a run keeps, so
-    the memory does not grow with the trial count.
+    once the state's row is built.  A trial stops at its first square
+    entry, and at the empty state, whose word stays square-free whatever
+    letters follow; its later letters are never drawn, and the estimate is
+    the same, since every trial has its own stream.
+
+    The trials go through the stream _CHUNK at a time, one packed lane
+    each: `_mix_lanes` draws letter k of every live trial in a few big-int
+    operations, and the lanes are unpacked once per letter to step each
+    trial's state.  Trials that stop drop out, and the survivors' bases are
+    packed again.  A run keeps one chunk of lanes and the transition table,
+    so its memory does not grow with the trial count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -538,25 +642,34 @@ def monte_carlo_stability(
         raise ValueError("depth must be >= 1")
     if len(sampler.weights) != len(gens.maps):
         raise ValueError("sampler weight count must match the generator count")
-    cum = sampler._cumulative()
-    last = len(gens.maps) - 1
+    cuts = sampler._cuts()
     automaton = _OrbitAutomaton(gens.cs)
     trans, row = automaton.trans, automaton.row
-    seed = sampler.seed
+    seed = sampler.seed & _MASK64
     hits = 0
-    for t in range(trials):
-        rand = _mix64((seed ^ (t * _STREAM)) & _MASK64)
-        state = _START
-        for _ in range(depth):
-            # _mix64 inlined: the letter stream equals the one _mix64 gives
-            rand = (rand + _GOLDEN) & _MASK64
-            z = ((rand ^ (rand >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            u = (z ^ (z >> 31)) / 18446744073709551616.0  # 2**64, can round to 1.0
-            letter = min(bisect_right(cum, u), last)
-            nxt = (trans[state] or row(state))[letter]
-            if nxt <= _FREE:
+    for first in range(0, trials, _CHUNK):
+        n = min(_CHUNK, trials - first)
+        ones, lanes = _lane_masks(n)
+        keys = (_pack(range(first, first + n)) * _STREAM & lanes) ^ ones * seed
+        base = _mix_lanes(keys, lanes)
+        bases, states = _unpack(base, n), [_START] * n
+        for k in range(1, depth + 1):
+            if len(states) < n:  # some trials stopped: pack the others' bases again
+                n = len(states)
+                ones, lanes = _lane_masks(n)
+                base = _pack(bases)
+            step = ones * (k * _GOLDEN & _MASK64)
+            draws = _unpack(_mix_lanes((base + step) & lanes, lanes), n)
+            live_bases, live_states = [], []
+            for b, state, z in zip(bases, states, draws):
+                nxt = (trans[state] or row(state))[bisect_right(cuts, z)]
+                if nxt > _FREE:
+                    live_bases.append(b)
+                    live_states.append(nxt)
+                elif nxt == _FREE:
+                    hits += 1
+            bases, states = live_bases, live_states
+            if not states:
                 break
-            state = nxt
-        hits += nxt != _DEAD
+        hits += len(states)
     return hits / trials

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import is_perfect_square, residue_search, square_preimages
-from .diophantine import quartic_curve_points
+from .diophantine import phi2_curve_points
 from .dynamics import GeneratorSet
 from .portraits import (
     FIXED_SQUARE,
@@ -182,11 +182,8 @@ def scan_exceptional_pairs(cmin: int, cmax: int) -> list[tuple[int, int]]:
 
 
 def _square_set(c: int) -> frozenset[int]:
-    """T_0 for x^2 + c, c != 0: the X-coordinates on Y^2 = f(f(X)), complete by factoring.
-
-    Every point has X^2 <= 2|c|, inside the scan bound |c| + 1.
-    """
-    return frozenset(q for q, _ in quartic_curve_points(1, 2 * c, c * c + c, abs(c) + 1))
+    """T_0 for x^2 + c, c != 0: the X-coordinates on Y^2 = f(f(X)), complete by factoring."""
+    return frozenset(q for q, _ in phi2_curve_points(c))
 
 
 def _minimal_iterate(c_outer: int, inner: tuple[int, ...]) -> int | None:

@@ -16,7 +16,7 @@ so |h(f(x)) - 2 h(x)| <= log(|c|+1) + log 2 =: C(f), and telescoping gives
 
 Integral points on the genus-one model Y^2 = f(f(X)) are found exactly by
 factoring: Y^2 - (X^2+c)^2 = c forces (Y - X^2 - c)(Y + X^2 + c) = c, so
-every point has X^2 <= 2|c|, and diophantine.quartic_curve_points lists them
+every point has X^2 <= 2|c|, and diophantine.phi2_curve_points lists them
 all.  This replaces an ineffective finiteness argument with a complete
 enumeration.
 
@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .diophantine import quartic_curve_points
+from .diophantine import phi2_curve_points
 from .dynamics import QuadraticMap
 from .portraits import preper_set
 
@@ -131,10 +131,7 @@ def integral_points_on_phi2(map: QuadraticMap) -> frozenset[tuple[int, int]]:
     c = map.c
     if c in (0, -1):
         raise ValueError("integral point enumeration needs c outside {0, -1}")
-    # f(f(X)) = X^4 + 2c X^2 + c^2 + c has 4 a4 a0 - a2^2 = 4c, so every point
-    # has X^2 <= 2|c| <= (|c| + 1)^2 and the box |X| <= |c| + 1 holds them all
-    pts = quartic_curve_points(1, 2 * c, c * c + c, abs(c) + 1)
-    return frozenset((x, sign * y) for x, y in pts for sign in (1, -1))
+    return frozenset((x, sign * y) for x, y in phi2_curve_points(c) for sign in (1, -1))
 
 
 def min_positive_height(

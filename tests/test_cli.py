@@ -669,6 +669,23 @@ def test_scan_words_command_builds_no_word_tuples(capsys, monkeypatch):
         assert code == 0
 
 
+def test_scan_words_command_builds_one_automaton(capsys, monkeypatch):
+    # the count and the text share it, so no row is built twice
+    made = []
+    real_init = dynamics._OrbitAutomaton.__init__
+
+    def init(self, cs):
+        made.append(cs)
+        real_init(self, cs)
+
+    monkeypatch.setattr(dynamics._OrbitAutomaton, "__init__", init)
+    argv = ["scan-words", "-c", "-16,4", "-L", "10"]
+    for extra in ([], ["--verbose"], ["--json"], ["--json", "--verbose"]):
+        made.clear()
+        code, _, _ = run(capsys, argv + extra)
+        assert code == 0 and made == [(-16, 4)], extra
+
+
 def test_terse_scan_words_builds_no_word_text(capsys, monkeypatch):
     argv = ["scan-words", "-c", "-4,-12", "-L", "3"]
     monkeypatch.setattr(cli, "join_certified_words",

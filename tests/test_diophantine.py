@@ -10,6 +10,7 @@ from quadsemi.diophantine import (
     SolutionFamily,
     System,
     modular_obstruction,
+    phi2_curve_points,
     quartic_curve_points,
     registry,
     registry_checksum,
@@ -359,3 +360,13 @@ def test_quartic_curve_points_equal_box_scan_reference(bound):
 def test_quartic_curve_points_equal_box_scan_reference_at_bound_2000(coeffs):
     assert quartic_curve_points(*coeffs, 2000) == box_scan_reference(*coeffs, 2000)
 
+
+
+def test_phi2_curve_points_are_every_point_of_the_curve():
+    # Y^2 = (X^2 + c)^2 + c for c = -1 too, where the heights refuse the curve
+    for c in range(-60, 61):
+        if c == 0:
+            with pytest.raises(ValueError, match="nonzero"):
+                phi2_curve_points(c)
+            continue
+        assert phi2_curve_points(c) == box_scan_reference(1, 2 * c, c * c + c, 500), c

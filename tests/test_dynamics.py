@@ -1,4 +1,5 @@
 import math
+import random
 import time
 import tracemalloc
 from bisect import bisect_right
@@ -28,6 +29,9 @@ from quadsemi.dynamics import (
     _check_scan_budget,
     _escape_radius,
     _mix64,
+    _mix_lanes,
+    _pack,
+    _unpack,
     adjusted_critical_orbit,
     certified_counts,
     compose_word,
@@ -371,6 +375,57 @@ def test_monte_carlo_uniform_draw_of_one_picks_the_last_generator():
         == reference_monte_carlo((-4, -12), sampler, 3, 1)
 
 
+def float_rule_letter(cum, z):
+    """The letter of draw z by the float rule the cuts replace."""
+    return min(bisect_right(cum, z / 18446744073709551616.0), len(cum) - 1)
+
+
+# (2.0, 0.3, 0.3, 1e-17) gives cum [0.769..., 0.884..., 1.0000000000000002, 1.0],
+# unsorted at its end: a draw rounding to 1.0 takes letter 2, not the last
+CUT_WEIGHTS = [(1.0,) * s for s in range(1, 5)] + [
+    (1.0, 30.0), (1e308, 7e307), (2.0, 0.3, 0.3, 1e-17)]
+
+
+@pytest.mark.parametrize("weights", CUT_WEIGHTS, ids=str)
+def test_cut_letter_equals_the_float_rule(weights):
+    sampler = SequenceSampler(weights, 1)
+    cum, cuts = sampler._cumulative(), sampler._cuts()
+    assert len(cuts) == len(weights) - 1
+    rng = random.Random(str(weights))
+    top = 1 << 64
+    probes = {z for cut in cuts for z in range(cut - 3, cut + 4) if 0 <= z < top}
+    probes |= set(range(top - 1024, top))  # every z / 2**64 that rounds to 1.0
+    probes |= {rng.getrandbits(64) for _ in range(2000)} | {0, _mix64(
+        (_mix64(SEED_DRAWING_ONE) + _GOLDEN) & _MASK64)}
+    for z in probes:
+        assert bisect_right(cuts, z) == float_rule_letter(cum, z), z
+    if weights == (2.0, 0.3, 0.3, 1e-17):
+        assert cum[2] > cum[3] == 1.0 and float_rule_letter(cum, top - 1) == 2
+
+
+def test_mix_lanes_equals_mix64_lane_by_lane():
+    rng = random.Random(5)
+    for n in (1, 2, 7, 1024):
+        values = ([0, (1 << 64) - 1] + [rng.getrandbits(64) for _ in range(n - 2)])[:n]
+        packed = _pack(values)
+        assert packed == sum(v << (128 * i) for i, v in enumerate(values))
+        assert list(_unpack(packed, n)) == values
+        lanes = _pack([(1 << 64) - 1] * n)
+        assert list(_unpack(_mix_lanes(packed, lanes), n)) == [_mix64(v) for v in values]
+
+
+@pytest.mark.parametrize("cs,weights", [((-4, -12), (1.0, 1.0)), ((7,), (1.0,)),
+                                        (DEEP_SQUARE_SET, (1.0, 1.0)),
+                                        ((-21, 5, -11), (1.0, 30.0, 1.0))])
+def test_monte_carlo_equals_reference_across_chunks(cs, weights):
+    # trial counts just below, at and past one and two chunks of lanes
+    S = GeneratorSet.from_cs(cs)
+    sampler = SequenceSampler(weights, 11)
+    for trials in (1023, 1024, 1025, 2049):
+        assert monte_carlo_stability(S, sampler, 6, trials) \
+            == reference_monte_carlo(cs, sampler, 6, trials), trials
+
+
 # The square sieve's quadratic-residue tables, one for each of a fixed set of
 # small prime powers m.  A square is a square modulo every m, so a residue
 # mod m that fails its table proves the integer no square, without building it.
@@ -552,6 +607,35 @@ def test_join_certified_words_keeps_the_scan_budget():
         join_certified_words(GeneratorSet.from_cs((1,)), 1_000_000, "a", "b", "|")
     with pytest.raises(ValueError):
         join_certified_words(S, -1, "ab", "cd", "|")
+
+
+def test_counts_and_text_share_a_lent_automaton():
+    # the counts build every row the text reads, so the text builds none
+    S = GeneratorSet.from_cs((-21, 5, -11))
+    automaton = _OrbitAutomaton(S.cs)
+    assert certified_counts(S, 7, automaton=automaton) == certified_counts(S, 7)
+    rows = list(automaton.trans)
+    pieces = ("a", "b", "c")
+    assert join_certified_words(S, 7, pieces, pieces, "|", automaton=automaton) \
+        == join_certified_words(S, 7, pieces, pieces, "|")
+    assert automaton.trans == rows
+    other = _OrbitAutomaton((-21, 5))
+    with pytest.raises(ValueError, match="other generator constants"):
+        certified_counts(S, 7, automaton=other)
+    with pytest.raises(ValueError, match="other generator constants"):
+        join_certified_words(S, 7, pieces, pieces, "|", automaton=other)
+
+
+@pytest.mark.parametrize("cs,max_len", [((-14, 40), 14), ((-21, 5, -11), 9)])
+def test_join_certified_words_peaks_near_two_texts(cs, max_len):
+    # the parts and the joined text; the templates are gone and the text is
+    # not copied again (3.24 and 3.09 texts before that, 2.24 and 2.09 after)
+    S = GeneratorSet.from_cs(cs)
+    pieces = [str(p) for p in range(len(cs))]
+    text = []
+    peak = _traced_peak(lambda: text.append(join_certified_words(S, max_len, pieces,
+                                                                 pieces, ", ")))
+    assert peak < 2.5 * len(text[0]), peak / len(text[0])
 
 
 # (-16, 4) has three nonsquare entries up to length 9 that pass the square sieve
