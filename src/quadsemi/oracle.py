@@ -5,13 +5,18 @@ shares no machinery with it.  The method is Zassenhaus's (von zur Gathen and
 Gerhard, *Modern Computer Algebra*, ch. 14-15).  One pass over small primes
 splits f mod p by degree: a prime where f stays irreducible certifies
 irreducibility, and the factor degrees of every squarefree reduction prune
-the degrees a factor over Q can have.  If some degree survives, the factors
-mod the odd prime with the fewest of them are split into irreducibles
-(Cantor-Zassenhaus), Hensel-lifted to p^k above twice the Mignotte bound,
-and products of subsets of at most half of them are tried.  Reducibility is
-only ever concluded from a candidate that divides f exactly over the
-integers.  A polynomial that is squarefree modulo no prime is not
-squarefree, and its factor is gcd(f, f'), found without primes.
+the degrees a factor over Q can have.  The pass stops once a subset search
+would try no more subsets (at most 2^(r-1), for the odd prime with the
+fewest factors r) than it has scanned squarefree odd primes.  The search
+decides at any such prime, so stopping early changes the work, never the
+verdict: a coarser degree filter only lets more subsets be tried.  If some
+degree survives, the factors mod the odd prime with the fewest of them are
+split into irreducibles (Cantor-Zassenhaus), Hensel-lifted to p^k above
+twice the Mignotte bound, and products of subsets of at most half of them
+are tried.  Reducibility is only ever concluded from a candidate that
+divides f exactly over the integers.  A polynomial that is squarefree
+modulo no prime is not squarefree, and its factor is gcd(f, f'), found
+without primes.
 
 Polynomials are coefficient lists, constant term first.
 """
@@ -31,7 +36,7 @@ ORACLE_DEGREE_CAP = 32  # largest degree the oracle accepts
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                  47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
-COUNTER_NAMES = ("factor_searches", "modular_factors_max",
+COUNTER_NAMES = ("primes_scanned", "factor_searches", "modular_factors_max",
                  "subsets_tried", "exact_divisions")
 
 # work counters of the searches run inside cross_validate; None elsewhere
@@ -186,7 +191,8 @@ def _equal_degree_split(g: list[int], d: int, p: int, rng: random.Random) -> lis
                     + _equal_degree_split(_m_divmod(g, h, p)[0], d, p, rng))
 
 
-def _prime_scan(f: list[int]) -> tuple[set[int], tuple[int, list] | None]:
+def _prime_scan(f: list[int], counters: dict[str, int]
+                ) -> tuple[set[int], tuple[int, list] | None]:
     """Possible factor degrees in 1..n//2, and the odd prime with the fewest factors.
 
     Empty degrees means irreducible.  Each squarefree reduction mod a small
@@ -195,14 +201,24 @@ def _prime_scan(f: list[int]) -> tuple[set[int], tuple[int, list] | None]:
     the search or certify irreducibility, never assert reducibility.  The
     prime comes with its distinct-degree split, or is None when f is
     squarefree modulo no odd small prime.
+
+    The scan stops once 2^(r-1) <= g, where r is the fewest factors at a
+    squarefree odd prime so far and g the number of such primes scanned
+    (p = 2 prunes degrees but is not counted, as it is never chosen):
+    a search over the r factors then tries no more subsets than the scan
+    has spent primes.  The degrees the scanned primes allow still hold
+    every factor's degree, and Zassenhaus's search is exhaustive at any
+    squarefree odd prime, so stopping early changes the work, never the
+    verdict.  With 24 odd primes, only r <= 5 stops early.
     """
     n = _degree(f)
     allowed = set(range(1, n // 2 + 1))
-    best, fewest = None, n + 1
+    best, fewest, scanned = None, n + 1, 0
     for p in _SMALL_PRIMES:
         split = _distinct_degree_split(f, p)
         if split is None:
             continue
+        counters["primes_scanned"] += 1
         degs = [d for d, g in split for _ in range(_degree(g) // d)]
         if len(degs) == 1:
             return set(), None  # irreducible mod p, hence irreducible over Q
@@ -212,8 +228,12 @@ def _prime_scan(f: list[int]) -> tuple[set[int], tuple[int, list] | None]:
         allowed &= sums
         if not allowed:
             return allowed, None
-        if p > 2 and len(degs) < fewest:
-            best, fewest = (p, split), len(degs)
+        if p > 2:
+            scanned += 1
+            if len(degs) < fewest:
+                best, fewest = (p, split), len(degs)
+            if 2 ** (fewest - 1) <= scanned:
+                break
     return allowed, best
 
 
@@ -374,7 +394,7 @@ def find_factor(coeffs) -> list[int] | None:
     counters = _counters.get()
     if counters is None:
         counters = dict.fromkeys(COUNTER_NAMES, 0)
-    allowed, chosen = _prime_scan(f)
+    allowed, chosen = _prime_scan(f, counters)
     if not allowed:
         return None
     counters["factor_searches"] += 1
@@ -402,9 +422,10 @@ class CrossValidationReport:
     nevertheless factored; it must be empty.  `unknown_irreducible` lists
     words with a square in the orbit that are irreducible anyway, which the
     one-sided certificate explicitly allows.  `counters` holds the oracle's
-    work over the run, keyed by COUNTER_NAMES: words its degree filter left
-    open, the most modular factors at a chosen prime, subsets tried and exact
-    divisions.  They repeat exactly between runs.
+    work over the run, keyed by COUNTER_NAMES: squarefree reductions scanned,
+    words its degree filter left open, the most modular factors at a chosen
+    prime, subsets tried and exact divisions.  They repeat exactly between
+    runs.
     """
 
     generator_cs: tuple[int, ...]

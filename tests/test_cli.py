@@ -294,8 +294,8 @@ def test_cross_validate_counters(capsys):
     code, report = run_json(capsys, ["cross-validate", "-c", "-4,73", "-L", "3"])
     assert code == 0
     assert report["stats"]["counters"] == {
-        "factor_searches": 7, "modular_factors_max": 3,
-        "subsets_tried": 11, "exact_divisions": 7,
+        "primes_scanned": 32, "factor_searches": 9, "modular_factors_max": 3,
+        "subsets_tried": 17, "exact_divisions": 7,
     }
 
 

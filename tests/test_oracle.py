@@ -2,12 +2,19 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from quadsemi import oracle
 from quadsemi.arith import is_perfect_square, positive_divisors
 from quadsemi.dynamics import GeneratorSet, compose_word, stability_certificate
 from quadsemi.oracle import (
+    _SMALL_PRIMES,
     COUNTER_NAMES,
+    _distinct_degree_split,
+    _next_good_prime,
     _prime_scan,
+    _repeated_factor,
+    _zassenhaus,
     cross_validate,
     find_factor,
     is_irreducible_exact,
@@ -22,6 +29,7 @@ KRONECKER_DECIDED = [
     (-90, 26), (-33, -63), (48, 89), (34, 46), (-17, -32), (59, -71), (-73, 4),
     (-19, 59), (26, 11), (45, -89), (-63, 79), (10, 98), (-39, -86), (-1, -79),
     (-81, -54), (-49, -28), (-9, 2), (-81, 25)]
+CROSSVAL_PANEL = KRONECKER_DECIDED + [(-49, 49), (-4, 73), (-36, 97)]
 
 
 def _horner(f, x):
@@ -256,10 +264,58 @@ def kronecker_reference(f, d):
     return dfs(0, [], [])
 
 
-def reference_find_factor(f):
+def _degree_sums(split):
+    """The degrees a factor over Q can have, by a squarefree reduction's split."""
+    sums = {0}
+    for d, g in split:
+        for _ in range((len(g) - 1) // d):
+            sums |= {x + d for x in sums}
+    return sums
+
+
+def _factor_count(split):
+    return sum((len(g) - 1) // d for d, g in split)
+
+
+def _full_scan(f):
+    """(p, split) for the small primes modulo which f is squarefree, and the
+    degrees in 1..n//2 that all of their splits allow.
+
+    Every one of `_SMALL_PRIMES` until no degree is left, kept apart from
+    `_prime_scan`'s stop rule: the finest filter the oracle's primes give.
+    """
+    splits, allowed = [], set(range(1, (len(f) - 1) // 2 + 1))
+    for p in _SMALL_PRIMES:
+        if not allowed:
+            break  # intersections only shrink
+        split = _distinct_degree_split(f, p)
+        if split is not None:
+            splits.append((p, split))
+            allowed &= _degree_sums(split)
+    return splits, allowed
+
+
+def full_scan_find_factor(f, splits, allowed):
+    """`find_factor` with every small prime scanned (`_full_scan(f)`): the
+    search at the first odd prime with the fewest modular factors, pruned by
+    all of them."""
+    if not allowed:
+        return None
+    counters = dict.fromkeys(COUNTER_NAMES, 0)
+    odd = [(p, split) for p, split in splits if p > 2]
+    if not odd:
+        g = _repeated_factor(f, counters)
+        if g is not None:
+            return g
+        odd = [_next_good_prime(f)]
+    p, split = min(odd, key=lambda ps: _factor_count(ps[1]))
+    return _zassenhaus(f, allowed, p, split, counters)
+
+
+def reference_find_factor(f, allowed):
     """Integer roots by trial division, then Kronecker's search in each degree
-    the mod-p degree filter leaves open (the filter only prunes; the sympy
-    comparison below checks it independently)."""
+    `allowed` leaves open: the mod-p degree filter of all small primes (the
+    filter only prunes; the sympy comparison below checks it independently)."""
     if len(f) == 2:
         return None
     if f[0] == 0:
@@ -268,7 +324,6 @@ def reference_find_factor(f):
         for root in (r, -r):
             if _horner(f, root) == 0:
                 return [-root, 1]
-    allowed, _ = _prime_scan(f)
     for d in sorted(allowed - {1}):
         g = kronecker_reference(f, d)
         if g is not None:
@@ -297,12 +352,17 @@ SMALL_INPUTS = [
 ]
 
 
-def _assert_agree(f):
+def _assert_agree(f, kronecker=True):
+    """find_factor's factor divides f, and its verdict is the full scan's and,
+    unless kronecker is False, that of Kronecker's search."""
     g = find_factor(f)
     if g is not None:
         _, rem = _divmod(f, g)
         assert rem == [] and 1 <= len(g) - 1 < len(f) - 1, (f, g)
-    assert (g is None) == (reference_find_factor(f) is None), f
+    splits, allowed = _full_scan(f)
+    assert (g is None) == (full_scan_find_factor(f, splits, allowed) is None), f
+    if kronecker:
+        assert (g is None) == (reference_find_factor(f, allowed) is None), f
 
 
 def test_find_factor_agrees_with_kronecker_on_small_inputs():
@@ -351,6 +411,116 @@ def test_verdicts_agree_with_sympy():
         if g is not None:
             assert _divmod(f, g)[1] == [], f
         assert (g is None) == _sympy_irreducible(sympy, f), f
+
+
+# --- the prime scan's stop rule --------------------------------------------
+
+def _words(letters, max_len):
+    for n in range(1, max_len + 1):
+        yield from product(range(letters), repeat=n)
+
+
+@pytest.mark.parametrize("cs,max_len", [((-49, 49), 3), ((-4, 73), 3), ((-36, 97), 3),
+                                        ((-21, 5, -11), 4)])
+def test_find_factor_agrees_with_the_full_scan(cs, max_len):
+    # the panel's other 25 pairs are checked against both references above
+    S = GeneratorSet.from_cs(list(cs))
+    for word in _words(len(cs), max_len):
+        _assert_agree(compose_word(S, word), kronecker=False)
+
+
+@given(st.lists(st.integers(-100, 100), min_size=1, max_size=3, unique=True), st.data())
+@settings(max_examples=40, deadline=None)
+def test_find_factor_agrees_with_the_full_scan_on_random_words(cs, data):
+    word = data.draw(st.lists(st.integers(0, len(cs) - 1), min_size=1, max_size=3))
+    _assert_agree(compose_word(GeneratorSet.from_cs(cs), tuple(word)), kronecker=False)
+
+
+def _recorded_scan(f, monkeypatch):
+    """_prime_scan(f)'s result, every prime it tried, and (p, factor count)
+    for each squarefree reduction among them."""
+    tried, seen = [], []
+    real = oracle._distinct_degree_split
+
+    def split(f, p):
+        out = real(f, p)
+        tried.append(p)
+        if out is not None:
+            seen.append((p, _factor_count(out)))
+        return out
+
+    counters = dict.fromkeys(COUNTER_NAMES, 0)
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_distinct_degree_split", split)
+        allowed, chosen = _prime_scan(f, counters)
+    assert counters["primes_scanned"] == len(seen)
+    return allowed, chosen, tried, seen
+
+
+SWINNERTON_DYER_8 = [576, 0, -960, 0, 352, 0, -40, 0, 1]  # sqrt2 + sqrt3 + sqrt5
+
+
+def _assert_stop_rule(f, monkeypatch):
+    allowed, chosen, tried, seen = _recorded_scan(f, monkeypatch)
+    odd = [(p, r) for p, r in seen if p > 2]
+    for g in range(1, len(odd)):  # the rule held after no earlier prime
+        assert 2 ** (min(r for _, r in odd[:g]) - 1) > g, f
+    if allowed and chosen is not None:
+        r = min(r for _, r in odd)
+        assert chosen[0] == next(p for p, rp in odd if rp == r), f
+        assert _factor_count(chosen[1]) == r
+        if tried[-1] != _SMALL_PRIMES[-1]:  # stopped before the last prime
+            assert 2 ** (r - 1) <= len(odd), f
+
+
+@pytest.mark.parametrize("cs", CROSSVAL_PANEL + [(-21, 5, -11)])
+def test_prime_scan_stops_at_the_first_prime_the_rule_allows(cs, monkeypatch):
+    S = GeneratorSet.from_cs(list(cs))
+    for word in _words(len(cs), 3):
+        _assert_stop_rule(compose_word(S, word), monkeypatch)
+
+
+def _squarefree_mod_2_products(seed, count):
+    """Products of two monic quadratics that are x^2 + x + 1 and x^2 + x mod 2."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        b1, c1, b2, c2 = (2 * rng.randint(-10, 9) + e for e in (1, 1, 1, 0))
+        out.append(_mul([c1, b1, 1], [c2, b2, 1]))
+    return out
+
+
+def test_prime_scan_stop_rule_on_small_inputs(monkeypatch):
+    # no composition is squarefree mod 2, but these products are: p = 2
+    # prunes their degrees without counting toward g
+    mod_2 = _squarefree_mod_2_products(5, 30)
+    assert all(_distinct_degree_split(f, 2) is not None for f in mod_2)
+    for f in SMALL_INPUTS + mod_2 + [SWINNERTON_DYER_8]:
+        _assert_stop_rule(f, monkeypatch)
+
+
+def test_reducible_word_is_decided_in_fewer_splits_than_small_primes(monkeypatch):
+    # ((x^2+73)^2+73)^2 - 4 has two quartic factors, so no reduction is
+    # irreducible and degree 4 stays allowed: only the stop rule ends the scan
+    f = compose_word(GeneratorSet.from_cs([-4, 73]), (0, 1, 1))
+    calls = []
+    real = oracle._distinct_degree_split
+    monkeypatch.setattr(oracle, "_distinct_degree_split",
+                        lambda f, p: calls.append(p) or real(f, p))
+    g = find_factor(f)
+    assert g is not None and _divmod(f, g)[1] == []
+    assert len(calls) < len(_SMALL_PRIMES)
+
+
+def test_swinnerton_dyer_octic_is_irreducible():
+    # its Galois group is (Z/2)^3, so it has at least 4 factors modulo every
+    # prime: no reduction certifies it, and the subset search has to
+    for p in _SMALL_PRIMES:
+        split = _distinct_degree_split(SWINNERTON_DYER_8, p)
+        if split is not None:
+            assert _factor_count(split) >= 4, p
+    assert find_factor(SWINNERTON_DYER_8) is None
+    _assert_agree(SWINNERTON_DYER_8, kronecker=False)
 
 
 # --- regressions: inputs Kronecker's search could not decide ---------------
