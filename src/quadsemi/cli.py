@@ -282,6 +282,7 @@ def cmd_verify_lemma(args) -> Outcome:
         {"results": rows},
         lines,
         code=0 if all_ok else 1,
+        stats={"counters": {"pairs_tested": sum(r.pairs_tested for r in results)}},
     )
 
 

@@ -17,9 +17,12 @@ QUADSEMI_REGISTRY overrides the file path).
 Everything below depends only on x^2, y^2, s^2, t^2, so solutions are stored
 canonically with x, y >= 0 and s, t signed.  The bounded solver uses the
 same symmetry to scan only s, t >= 0 and expand the signs afterwards, and it
-scans a sandwich window instead of the (s, t) grid: for fixed t, y^2 must lie
-within bound^2 of a value of size ~t^4, so only about bound^2 / (2 t^2)
-candidates for y remain, each fixing s by one exact square test.
+scans only the (s, t) pairs that the paper's sandwich step allows.  The left
+equation reads x^2 = s^4 + e s^2 + C(t) with e = +-1, a monic quartic in s,
+so the factoring box of `quartic_curve_points` gives s^2 <= t^2 + c1; the
+right equation gives t^2 <= s^2 + c2 in the same way, with constants c1, c2
+fixed by the system.  So each t leaves O(1) values of s, and a bounded
+audit costs O(bound) exact square tests.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ import os
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .arith import is_perfect_square, residue_search
+from .arith import is_perfect_square
 from .portraits import FIXED_SQUARE, PREPER_TARGETS, TWO_CYCLE_SQUARE, shape_constant
 
 SCHEMA = "quadsemi-lemma-registry/1"
@@ -98,12 +101,27 @@ class System:
         sign, offset = _SELECTORS[self.right]
         return sign * s * s + offset - self.right_constant(t)
 
-    def residuals(self) -> tuple[Callable[[int, int, int, int], int], ...]:
-        """Both equations as vanishing expressions in (x, y, s, t)."""
-        return (
-            lambda x, y, s, t: x * x - self.x_square(s, t),
-            lambda x, y, s, t: y * y - self.y_square(s, t),
-        )
+    def residue_solutions(self, modulus: int) -> list[tuple[int, int, int, int]]:
+        """Every (x, y, s, t) in (Z/modulus)^4 solving both equations mod modulus.
+
+        The list is ascending, the order of an exhaustive scan over all
+        modulus^4 vectors, but only the modulus^2 pairs (s, t) are evaluated:
+        each is joined with the tabulated square roots of x^2 and y^2.
+        """
+        if modulus < 2:
+            raise ValueError(f"modulus must be >= 2, got {modulus}")
+        roots: dict[int, list[int]] = {}
+        for r in range(modulus):
+            roots.setdefault(r * r % modulus, []).append(r)
+        hits = []
+        for s in range(modulus):
+            for t in range(modulus):
+                xs = roots.get(self.x_square(s, t) % modulus)
+                ys = roots.get(self.y_square(s, t) % modulus)
+                if xs and ys:
+                    hits += [(x, y, s, t) for x in xs for y in ys]
+        hits.sort()
+        return hits
 
     def is_solution(self, x: int, y: int, s: int, t: int) -> bool:
         return x * x == self.x_square(s, t) and y * y == self.y_square(s, t)
@@ -366,43 +384,52 @@ def _validate(data: bytes, path: str) -> tuple[LemmaEntry, ...]:
 
 
 def solve_system_bounded(
-    system: System, bound: int
+    system: System, bound: int, counters: dict[str, int] | None = None
 ) -> set[tuple[int, int, int, int]]:
     """Exhaustive canonical solutions (x>=0, y>=0, s, t) with |s|, |t| <= bound.
 
     Both equations depend on s and t only through s^2 and t^2, so the scan
-    covers s, t >= 0 and expands the signs afterwards.  With the right
-    selector written R(s) = sigma*s^2 + rho (sigma = +-1), fixing t turns the
-    right equation into y^2 = sigma*s^2 + k with k = rho - B(t), so y^2 lies
-    in a window of width bound^2 next to k.  Once |k| ~ t^4 is large only
-    about bound^2 / (2 t^2) values of y fit (a value strictly between
-    consecutive squares is no square), and each one determines s by a single
-    square test; while the window still holds more than bound + 1 values of
-    y, s is scanned directly instead.  The cost is O(bound^1.5) exact square
-    tests instead of the full grid's O(bound^2).
+    covers s, t >= 0 and expands the signs afterwards.  Write the left
+    selector as L(t), the right one as R(s) = sigma*s^2 + rho, and the shape
+    constants as -A(s) = s^4 + e s^2 - A(0), -B(t) = t^4 + f t^2 - B(0) with
+    e, f = +-1.  Then
+
+        x^2 = s^4 + e s^2 + C(t),   C(t) = L(t) - A(0),
+        y^2 = t^4 + f t^2 + D(s),   D(s) = R(s) - B(0),
+
+    are monic quartics with 4C - e^2 and 4D - f^2 odd, hence nonzero, so
+    the factoring box of `quartic_curve_points` applies to both:
+
+        s^2 <= (|4C(t) - 1| + 3) // 4,
+        t^2 <= (|4D(s) - 1| + 3) // 4 <= s^2 + c2,
+        c2 = (|4(rho - B(0)) - 1| + 3) // 4,
+
+    the last step since |4D(s) - 1| <= 4s^2 + |4(rho - B(0)) - 1|.  Each t
+    leaves the s with t^2 - c2 <= s^2 <= (|4C(t) - 1| + 3) // 4, a window of
+    O(1) values, and every pair in it gets the two exact square tests.
+    When ``counters`` is given, its "pairs_tested" entry grows by the number
+    of pairs (s, t), s, t >= 0, that were tested.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
     left_sign, left_offset = _SELECTORS[system.left]
     sigma, rho = _SELECTORS[system.right]
-    span = bound * bound
+    a0, b0 = system.left_constant(0), system.right_constant(0)
+    e = a0 - system.left_constant(1) - 1
+    f = b0 - system.right_constant(1) - 1
+    c2 = _quartic_box(1, f, rho - b0)
+    tested = 0
     sols: set[tuple[int, int, int, int]] = set()
     for t in range(bound + 1):
         lt = left_sign * t * t + left_offset
         k = rho - system.right_constant(t)
-        lo, hi = (k, k + span) if sigma > 0 else (k - span, k)
-        if hi < 0:
-            continue
-        y_min = math.isqrt(lo - 1) + 1 if lo > 0 else 0
-        y_max = math.isqrt(hi)
-        if y_max - y_min + 1 > bound + 1:
-            pairs = ((s, is_perfect_square(sigma * s * s + k))
-                     for s in range(bound + 1))
-        else:
-            pairs = ((is_perfect_square(sigma * (y * y - k)), y)
-                     for y in range(y_min, y_max + 1))
-        for s, y in pairs:
-            if s is None or y is None:
+        s_hi = min(bound, math.isqrt(_quartic_box(1, e, lt - a0)))
+        low = t * t - c2
+        s_lo = math.isqrt(low - 1) + 1 if low > 0 else 0
+        tested += max(0, s_hi - s_lo + 1)
+        for s in range(s_lo, s_hi + 1):
+            y = is_perfect_square(sigma * s * s + k)
+            if y is None:
                 continue
             x = is_perfect_square(lt - system.left_constant(s))
             if x is None:
@@ -410,6 +437,8 @@ def solve_system_bounded(
             for ss in {s, -s}:
                 for tt in {t, -t}:
                     sols.add((x, y, ss, tt))
+    if counters is not None:
+        counters["pairs_tested"] = counters.get("pairs_tested", 0) + tested
     return sols
 
 
@@ -422,6 +451,7 @@ class LemmaVerification:
     extra: frozenset[tuple[int, int, int, int]]    # found by search, not claimed
     missing: frozenset[tuple[int, int, int, int]]  # claimed, not found
     note: str = ""
+    pairs_tested: int = 0  # pairs (s, t), s, t >= 0, the bounded search tested
 
     @property
     def matched(self) -> bool:
@@ -432,7 +462,8 @@ def verify_lemma(entry: LemmaEntry, bound: int = 50) -> LemmaVerification:
     """Compare the exhaustive bounded search against the claimed solution set."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    found = solve_system_bounded(entry.system, bound)
+    counters = {"pairs_tested": 0}
+    found = solve_system_bounded(entry.system, bound, counters)
     claimed = entry.claimed_solutions(bound)
     note = ""
     if "curve" in entry.techniques:
@@ -447,6 +478,7 @@ def verify_lemma(entry: LemmaEntry, bound: int = 50) -> LemmaVerification:
         extra=frozenset(found - claimed),
         missing=frozenset(claimed - found),
         note=note,
+        pairs_tested=counters["pairs_tested"],
     )
 
 
@@ -476,7 +508,7 @@ def modular_obstruction(entry: LemmaEntry, modulus: int) -> ObstructionResult:
     tag = f"mod{modulus}"
     if tag not in entry.techniques:
         raise ValueError(f"entry {entry.id} is not tagged {tag}")
-    hits = residue_search(entry.system.residuals(), 4, modulus)
+    hits = entry.system.residue_solutions(modulus)
     return ObstructionResult(
         entry_id=entry.id,
         modulus=modulus,
@@ -502,13 +534,8 @@ def quartic_curve_points(
     if bound < 1:
         raise ValueError("bound must be >= 1")
     limit = bound
-    k = is_perfect_square(a4)
-    n = 4 * a4 * a0 - a2 * a2
-    if k and n:
-        # with a4 = k^2: (2ky - 2a4 q^2 - a2)(2ky + 2a4 q^2 + a2) = n.  Two
-        # integers with product n != 0 differ by at most |n| + 1, so
-        # 2 |2a4 q^2 + a2| <= |n| + 1 and 4a4 q^2 <= |n| + 1 + 2|a2|
-        limit = min(bound, math.isqrt((abs(n) + 1 + 2 * abs(a2)) // (4 * a4)))
+    if is_perfect_square(a4) and 4 * a4 * a0 != a2 * a2:
+        limit = min(bound, math.isqrt(_quartic_box(a4, a2, a0)))
     elif a4 < 0:
         # for q >= 1 the quartic is at most -|a4| q^4 + (|a2| + |a0|) q^2,
         # which is negative once q^2 > (|a2| + |a0|) / |a4|
@@ -519,6 +546,17 @@ def quartic_curve_points(
         if y is not None:
             pts.append((q, y))
     return [(-q, y) for q, y in reversed(pts) if q > 0] + pts
+
+
+def _quartic_box(a4: int, a2: int, a0: int) -> int:
+    """A bound on q^2 at every integral point of y^2 = a4 q^4 + a2 q^2 + a0.
+
+    Valid when a4 = k^2 > 0 and n = 4 a4 a0 - a2^2 != 0: then
+    (2ky - 2a4 q^2 - a2)(2ky + 2a4 q^2 + a2) = n.  Two integers with product
+    n != 0 differ by at most |n| + 1, so 2 |2a4 q^2 + a2| <= |n| + 1 and
+    4a4 q^2 <= |n| + 1 + 2|a2|.
+    """
+    return (abs(4 * a4 * a0 - a2 * a2) + 1 + 2 * abs(a2)) // (4 * a4)
 
 
 def phi2_curve_points(c: int) -> list[tuple[int, int]]:

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import quadsemi
 from quadsemi import cli, diophantine, dynamics
 from quadsemi.cli import _one_based, build_parser, main
-from quadsemi.diophantine import registry, registry_checksum, registry_path
+from quadsemi.diophantine import registry, registry_checksum, registry_path, verify_all
 from quadsemi.dynamics import GeneratorSet, QuadraticMap, scan_words
 from quadsemi.exceptional import closed_form_of
 
@@ -125,6 +125,10 @@ def test_verify_lemma_all(capsys):
     assert code == 0
     assert report["verdicts"] == {"all_matched": True, "matched": 48, "total": 48}
     assert len(report["witnesses"]["results"]) == 48
+    pairs = sum(r.pairs_tested for r in verify_all(registry(), 20))
+    assert report["stats"] == {"counters": {"pairs_tested": pairs}}
+    assert run_json(capsys, ["verify-lemma", "--all", "--bound", "20"])[1]["stats"] \
+        == report["stats"]
 
 
 def test_verify_lemma_mismatch_exits_1(capsys, tmp_path, monkeypatch):
@@ -445,7 +449,7 @@ def test_report_shape(capsys, monkeypatch, command):
     assert ["default" in kwargs for kwargs in calls] == [command == "scan-words"]
     report = json.loads(out)
     assert out.splitlines() == [json.dumps(report)]  # one line, compact
-    stats = ["stats"] if command == "cross-validate" else []
+    stats = ["stats"] if command in ("cross-validate", "verify-lemma") else []
     assert list(report) == ["schema", "command", "inputs", "verdicts", "witnesses",
                             *stats, "timings"]
     assert report["schema"] == "quadsemi-report/2"

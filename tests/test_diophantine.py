@@ -1,14 +1,16 @@
 import dataclasses
 import json
+import math
 import shutil
 
 import pytest
 
-from quadsemi.arith import is_perfect_square
+from quadsemi.arith import is_perfect_square, residue_search
 from quadsemi.diophantine import (
     RegistryError,
     SolutionFamily,
     System,
+    _quartic_box,
     modular_obstruction,
     phi2_curve_points,
     quartic_curve_points,
@@ -17,6 +19,7 @@ from quadsemi.diophantine import (
     registry_path,
     registry_provenance,
     solve_system_bounded,
+    verify_all,
     verify_lemma,
 )
 
@@ -265,11 +268,26 @@ def test_solve_system_bounded_examples(by_id):
     assert solve_system_bounded(by_id["case1.2"].system, 0) == {(0, 0, 0, 0)}
 
 
-@pytest.mark.parametrize("bound", [0, 1, 2, 7, 60, 150])
+@pytest.mark.parametrize("bound", [0, 1, 2, *range(3, 13), 60, 150])
 def test_solver_equals_grid_reference(entries, bound):
-    # the 48 entries are every legal (family, left, right) system
+    # the 48 entries are every legal (family, left, right) system; at the
+    # small bounds the edges of the solver's s-windows sit at small t
     for e in entries:
         assert solve_system_bounded(e.system, bound) == grid_reference(e.system, bound), e.id
+
+
+def test_pairs_tested_grow_linearly_with_the_bound(entries):
+    bound = 2000
+    for r in verify_all(entries, bound):
+        assert 0 < r.pairs_tested <= 2 * (bound + 1), r.entry_id
+    # the total of a fixed version repeats exactly, and changes with the search
+    assert sum(r.pairs_tested for r in verify_all(entries, 300)) == 13348
+
+
+def test_solver_counts_into_the_given_counters(by_id):
+    counters = {"pairs_tested": 5}
+    solve_system_bounded(by_id["case1.1"].system, 300, counters)
+    assert counters == {"pairs_tested": 5 + verify_lemma(by_id["case1.1"], 300).pairs_tested}
 
 
 def test_verify_lemma_examples(by_id):
@@ -305,11 +323,33 @@ def test_mod_tagged_entries_also_have_empty_solution_sets(entries):
             assert solve_system_bounded(e.system, 50) == set(), e.id
 
 
-@pytest.mark.extended
-def test_verify_all_at_extended_bound(entries):
-    from quadsemi.diophantine import verify_all
+def residue_reference(system, modulus):
+    """Slow reference for System.residue_solutions: residue_search over all modulus^4 vectors."""
+    return residue_search([lambda x, y, s, t: x * x - system.x_square(s, t),
+                           lambda x, y, s, t: y * y - system.y_square(s, t)], 4, modulus)
 
-    results = verify_all(entries, bound=5000)
+
+@pytest.mark.parametrize("modulus", [
+    *range(2, 9), *(pytest.param(m, marks=pytest.mark.extended) for m in range(9, 17))])
+def test_residue_solutions_equal_residue_search(entries, modulus):
+    for e in entries:
+        hits = e.system.residue_solutions(modulus)
+        assert hits == residue_reference(e.system, modulus), e.id
+        tag = f"mod{modulus}"
+        if tag in e.techniques:
+            res = modular_obstruction(e, modulus)
+            assert res.confirmed == (not hits)
+            assert res.witness == (hits[0] if hits else None)
+
+
+def test_residue_solutions_validate_the_modulus(by_id):
+    with pytest.raises(ValueError, match="modulus"):
+        by_id["case1.1"].system.residue_solutions(1)
+
+
+@pytest.mark.parametrize("bound", [5000, pytest.param(20000, marks=pytest.mark.extended)])
+def test_verify_all_at_large_bound(entries, bound):
+    results = verify_all(entries, bound=bound)
     mismatched = [r.entry_id for r in results if not r.matched]
     assert mismatched == []
 
@@ -350,6 +390,16 @@ def test_quartic_curve_points_equal_box_scan_reference(bound):
             for a0 in range(-20, 21):
                 assert quartic_curve_points(a4, a2, a0, bound) == \
                     box_scan_reference(a4, a2, a0, bound), (a4, a2, a0)
+
+
+@pytest.mark.parametrize("a2", [-1, 1])
+def test_quartic_box_holds_every_point_of_the_monic_curves(a2):
+    # the curves of the case systems: y^2 = q^4 +- q^2 + a0, whose box is
+    # (|4 a0 - 1| + 3) // 4; a0 in {0, 1} gives |4 a0 - 1| <= 3
+    for a0 in range(-300, 301):
+        q_max = math.isqrt(_quartic_box(1, a2, a0))
+        assert box_scan_reference(1, a2, a0, q_max) == \
+            box_scan_reference(1, a2, a0, 2 * q_max + 10), a0
 
 
 @pytest.mark.parametrize("coeffs", [
