@@ -3,8 +3,8 @@
 The library certifies irreducibility of composition words through square-free
 adjusted critical orbits, computes rational preperiodic portraits, classifies
 exceptional pairs of maps, builds constructive irreducible prefixes, and
-verifies the 48 underlying Diophantine case systems by exhaustive bounded
-search, modular obstructions, and curve point enumeration.
+verifies the 48 underlying Diophantine case systems from their complete
+solution sets, modular obstructions, and curve point enumeration.
 """
 
 __version__ = "0.1.0"
@@ -23,6 +23,7 @@ from .diophantine import (
     registry_checksum,
     registry_path,
     solve_system_bounded,
+    solve_system_complete,
     verify_all,
     verify_lemma,
 )

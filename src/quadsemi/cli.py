@@ -39,8 +39,8 @@ from .dynamics import (
     QuadraticMap,
     SequenceSampler,
     _check_scan_budget,
+    _orbit_entries,
     _OrbitAutomaton,
-    adjusted_critical_orbit,
     certified_counts,
     join_certified_words,
     monte_carlo_stability,
@@ -52,7 +52,7 @@ from .exceptional import (
     is_exceptional_pair,
     scan_exceptional_pairs,
 )
-from .heights import compute_iterate_bound, integral_points_on_phi2
+from .heights import compute_iterate_bound
 from .oracle import cross_validate
 from .portraits import portrait
 
@@ -138,15 +138,17 @@ def _one_based(word: tuple[int, ...]) -> list[int]:
 def cmd_orbit(args) -> Outcome:
     gens = _gens(args)
     word = _parse_word(args.w, len(gens))
-    entries = adjusted_critical_orbit(gens, word)
-    # the interpreter refuses to print an int past this many digits (0: no limit)
+    # the interpreter refuses to print an int past this many digits (0: no
+    # limit); each entry is checked as it is built, since every later one is
+    # about twice as long
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        bound = 10**limit
-        for k, e in enumerate(entries, start=1):
-            if abs(e) >= bound:
-                raise ValueError(f"orbit entry {k} of the {len(word)}-letter word has more "
-                                 f"than {limit} digits, too many to print; use a shorter word")
+    bound = 10**limit if limit else None
+    entries = []
+    for k, e in enumerate(_orbit_entries(gens, word), start=1):
+        if bound is not None and abs(e) >= bound:
+            raise ValueError(f"orbit entry {k} of the {len(word)}-letter word has more "
+                             f"than {limit} digits, too many to print; use a shorter word")
+        entries.append(e)
     verdict = stability_certificate(gens, word)
     return Outcome(
         {"cs": list(gens.cs), "word": _one_based(word)},
@@ -320,7 +322,7 @@ def cmd_heights(args) -> Outcome:
         bound = compute_iterate_bound(m, search_box=args.box, iterations=args.iterations)
     except ArithmeticError as exc:  # --iterations too small for the box: bad input
         raise ValueError(str(exc)) from None
-    pts = sorted(integral_points_on_phi2(m))
+    pts = sorted(bound.integral_points)
     return Outcome(
         {"c": args.c, "iterations": args.iterations, "box": args.box},
         {"hmin": bound.hmin, "B": bound.B, "N": bound.N, "rigor": bound.rigor},
@@ -426,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_construct_prefix)
 
     p = sub.add_parser("verify-lemma", parents=[common],
-                       help="compare bounded search against the case registry")
+                       help="compare the complete case solutions with the registry")
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("id", nargs="?", help="case id, e.g. case2.14")
     which.add_argument("--all", action="store_true", help="verify all 48 entries")

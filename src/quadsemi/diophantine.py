@@ -1,4 +1,4 @@
-"""The 48 case systems: registry, bounded solver, comparator, obstructions,
+"""The 48 case systems: registry, complete solver, comparator, obstructions,
 and the integral points of the quartic curves behind them.
 
 Each case couples two equations in integers x, y, s, t:
@@ -15,14 +15,17 @@ reading source (docs/registry-schema.md documents the format, and
 QUADSEMI_REGISTRY overrides the file path).
 
 Everything below depends only on x^2, y^2, s^2, t^2, so solutions are stored
-canonically with x, y >= 0 and s, t signed.  The bounded solver uses the
-same symmetry to scan only s, t >= 0 and expand the signs afterwards, and it
-scans only the (s, t) pairs that the paper's sandwich step allows.  The left
-equation reads x^2 = s^4 + e s^2 + C(t) with e = +-1, a monic quartic in s,
-so the factoring box of `quartic_curve_points` gives s^2 <= t^2 + c1; the
-right equation gives t^2 <= s^2 + c2 in the same way, with constants c1, c2
-fixed by the system.  So each t leaves O(1) values of s, and a bounded
-audit costs O(bound) exact square tests.
+canonically with x, y >= 0 and s, t signed.  The left equation reads
+x^2 = s^4 + e s^2 + C(t) with e = +-1, a monic quartic in s, so the factoring
+box of `quartic_curve_points` gives s^2 <= t^2 + c1; the right equation
+gives t^2 <= s^2 + c2 in the same way, with constants c1, c2 <= 2 fixed by
+the system.  So |s^2 - t^2| <= max(c1, c2), and every solution lies in a
+small triangle |s| + |t| <= max(c1, c2) or on the line |s| = |t|, where the
+system is two quartics in one variable.  `solve_system_complete` solves
+both parts outright: its answer is a finite set plus at most one line
+family, and `verify_lemma` compares it with the claims at any bound in
+time independent of the bound.  `solve_system_bounded` scans the same
+sandwich to a bound, O(bound) exact square tests, as a cross-check.
 """
 
 from __future__ import annotations
@@ -159,6 +162,9 @@ def _parse_coord(token: str) -> _Coord:
     return _Coord(pm, int(m.group(5)), 0, 1)
 
 
+_PM_U = _Coord(True, 0, 1, 0)  # the coordinate "±u"
+
+
 @dataclass(frozen=True)
 class SolutionFamily:
     """One claimed solution shape, e.g. "(±u^2, ±(u^2-1), ±u, ±u)" or "(0, ±1, ±1, 0)".
@@ -189,6 +195,20 @@ class SolutionFamily:
     @property
     def parametric(self) -> bool:
         return any(c.uses_u for c in self.coords)
+
+    def line_key(self) -> tuple[int, int] | None:
+        """(k1, k2) when this shape is the line (|u^2 + k1|, |u^2 + k2|, ±u, ±u), else None.
+
+        That line is the shape of the families `solve_system_complete`
+        returns; x and y enter canonically as absolute values, so their ±
+        marks do not matter, but s and t must both be exactly ±u.
+        """
+        xs, ys, ss, ts = self.coords
+        if ss != _PM_U or ts != _PM_U:
+            return None
+        if xs.a2 != 1 or ys.a2 != 1:  # a parsed coordinate has a1 = 0 here
+            return None
+        return xs.a0, ys.a0
 
     def instantiate(self, bound: int) -> set[tuple[int, int, int, int]]:
         """Canonical tuples (x>=0, y>=0, s, t) of this shape with |s|, |t| <= bound.
@@ -383,63 +403,163 @@ def _validate(data: bytes, path: str) -> tuple[LemmaEntry, ...]:
     return tuple(entries)
 
 
-def solve_system_bounded(
-    system: System, bound: int, counters: dict[str, int] | None = None
-) -> set[tuple[int, int, int, int]]:
-    """Exhaustive canonical solutions (x>=0, y>=0, s, t) with |s|, |t| <= bound.
+def _system_quartics(system: System) -> tuple[tuple[int, int], tuple[int, int], int, int]:
+    """The system as two monic quartics: ((e, C0), (f, D0), lam, sigma).
 
-    Both equations depend on s and t only through s^2 and t^2, so the scan
-    covers s, t >= 0 and expands the signs afterwards.  Write the left
-    selector as L(t), the right one as R(s) = sigma*s^2 + rho, and the shape
-    constants as -A(s) = s^4 + e s^2 - A(0), -B(t) = t^4 + f t^2 - B(0) with
-    e, f = +-1.  Then
+    With the left selector L(t) = lam t^2 + l, the right one R(s) =
+    sigma s^2 + rho, and the shape constants -A(s) = s^4 + e s^2 - A(0),
+    -B(t) = t^4 + f t^2 - B(0) (e, f = +-1), the equations read
 
-        x^2 = s^4 + e s^2 + C(t),   C(t) = L(t) - A(0),
-        y^2 = t^4 + f t^2 + D(s),   D(s) = R(s) - B(0),
-
-    are monic quartics with 4C - e^2 and 4D - f^2 odd, hence nonzero, so
-    the factoring box of `quartic_curve_points` applies to both:
-
-        s^2 <= (|4C(t) - 1| + 3) // 4,
-        t^2 <= (|4D(s) - 1| + 3) // 4 <= s^2 + c2,
-        c2 = (|4(rho - B(0)) - 1| + 3) // 4,
-
-    the last step since |4D(s) - 1| <= 4s^2 + |4(rho - B(0)) - 1|.  Each t
-    leaves the s with t^2 - c2 <= s^2 <= (|4C(t) - 1| + 3) // 4, a window of
-    O(1) values, and every pair in it gets the two exact square tests.
-    When ``counters`` is given, its "pairs_tested" entry grows by the number
-    of pairs (s, t), s, t >= 0, that were tested.
+        x^2 = s^4 + e s^2 + lam t^2 + C0,   C0 = l - A(0),
+        y^2 = t^4 + f t^2 + sigma s^2 + D0,  D0 = rho - B(0).
     """
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    left_sign, left_offset = _SELECTORS[system.left]
+    lam, l = _SELECTORS[system.left]
     sigma, rho = _SELECTORS[system.right]
     a0, b0 = system.left_constant(0), system.right_constant(0)
     e = a0 - system.left_constant(1) - 1
     f = b0 - system.right_constant(1) - 1
-    c2 = _quartic_box(1, f, rho - b0)
-    tested = 0
+    return (e, l - a0), (f, rho - b0), lam, sigma
+
+
+def _canonical_solutions(
+    system: System, pairs: Iterable[tuple[int, int]]
+) -> set[tuple[int, int, int, int]]:
+    """The canonical solutions whose (|s|, |t|) is one of ``pairs``: two exact square tests each."""
     sols: set[tuple[int, int, int, int]] = set()
-    for t in range(bound + 1):
-        lt = left_sign * t * t + left_offset
-        k = rho - system.right_constant(t)
-        s_hi = min(bound, math.isqrt(_quartic_box(1, e, lt - a0)))
-        low = t * t - c2
-        s_lo = math.isqrt(low - 1) + 1 if low > 0 else 0
-        tested += max(0, s_hi - s_lo + 1)
-        for s in range(s_lo, s_hi + 1):
-            y = is_perfect_square(sigma * s * s + k)
-            if y is None:
-                continue
-            x = is_perfect_square(lt - system.left_constant(s))
-            if x is None:
-                continue
-            for ss in {s, -s}:
-                for tt in {t, -t}:
-                    sols.add((x, y, ss, tt))
-    if counters is not None:
-        counters["pairs_tested"] = counters.get("pairs_tested", 0) + tested
+    for s, t in pairs:
+        y = is_perfect_square(system.y_square(s, t))
+        if y is None:
+            continue
+        x = is_perfect_square(system.x_square(s, t))
+        if x is None:
+            continue
+        for ss in {s, -s}:
+            for tt in {t, -t}:
+                sols.add((x, y, ss, tt))
     return sols
+
+
+def _square_points(a2: int, a0: int) -> frozenset[int] | None:
+    """The q >= 0 where q^4 + a2 q^2 + a0 is a square, or None if it is one at every q."""
+    if 4 * a0 == a2 * a2:
+        return None  # the quartic is (q^2 + a2/2)^2
+    box = _quartic_box(1, a2, a0)  # q <= q^2 <= box at every point
+    return frozenset(q for q, _ in quartic_curve_points(1, a2, a0, box + 1) if q >= 0)
+
+
+def solve_system_complete(
+    system: System, counters: dict[str, int] | None = None
+) -> tuple[set[tuple[int, int, int, int]], set[tuple[int, int]]]:
+    """Every canonical solution (x>=0, y>=0, s, t), as (finite, families).
+
+    ``families`` holds keys (k1, k2), each standing for the solutions
+    (|u^2 + k1|, |u^2 + k2|, s, t) with |s| = |t| = u, for every u >= 0;
+    ``finite`` holds every other solution.  No solution is in both.
+
+    Proof.  Write the system as two monic quartics (`_system_quartics`):
+
+        x^2 = s^4 + e s^2 + lam t^2 + C0,   y^2 = t^4 + f t^2 + sigma s^2 + D0,
+
+    with e, f, lam, sigma = +-1.  As a quartic in s the first has
+    4 a0 - a2^2 = 4(lam t^2 + C0) - 1, odd and so nonzero, and its factoring
+    box (`_quartic_box`) gives, since |4 lam t^2 + 4 C0 - 1| <= 4 t^2 +
+    |4 C0 - 1| and 4 t^2 is a multiple of 4,
+
+        s^2 <= (|4(lam t^2 + C0) - 1| + 3) // 4 <= t^2 + c1,
+        c1 = (|4 C0 - 1| + 3) // 4 = _quartic_box(1, e, C0).
+
+    The second gives t^2 <= s^2 + c2 with c2 = _quartic_box(1, f, D0) in the
+    same way, so |s^2 - t^2| <= c = max(c1, c2) (c <= 2 for every legal
+    system).  If |s| != |t|, then ||s| - |t|| >= 1 and
+
+        |s| + |t| <= ||s| - |t|| (|s| + |t|) = |s^2 - t^2| <= c,
+
+    so (|s|, |t|) is one of the pairs s, t >= 0, s + t <= c, s != t of the
+    triangle, each of which gets the two exact square tests.  If |s| = |t| =
+    q, the system is two quartics in q alone:
+
+        x^2 = q^4 + (e + lam) q^2 + C0,   y^2 = q^4 + (f + sigma) q^2 + D0.
+
+    A quartic q^4 + a2 q^2 + a0 with 4 a0 != a2^2 has finitely many integral
+    points, all in its factoring box (`quartic_curve_points`); one with
+    4 a0 = a2^2 is (q^2 + a2/2)^2, a square at every q.  If both are squares
+    at every q, the line is the family (|u^2 + (e + lam)/2|,
+    |u^2 + (f + sigma)/2|, ±u, ±u).  Otherwise the q >= 0 where both can be
+    squares, a square-everywhere quartic allowing every q, are finitely many,
+    and each gets the same two square tests as a pair (q, q).
+
+    When ``counters`` is given, its "pairs_tested" entry grows by the number
+    of pairs (s, t), s, t >= 0, that were tested: the triangle's and the
+    line's together, a number that does not depend on any bound.
+    """
+    (e, c0), (f, d0), lam, sigma = _system_quartics(system)
+    c = max(_quartic_box(1, e, c0), _quartic_box(1, f, d0))
+    pairs = [(s, t) for s in range(c + 1) for t in range(c + 1 - s) if s != t]
+    families: set[tuple[int, int]] = set()
+    x_line = _square_points(e + lam, c0)
+    y_line = _square_points(f + sigma, d0)
+    if x_line is None and y_line is None:
+        families.add(((e + lam) // 2, (f + sigma) // 2))
+    else:
+        line = x_line if y_line is None else y_line if x_line is None else x_line & y_line
+        pairs += [(q, q) for q in line]
+    if counters is not None:
+        counters["pairs_tested"] = counters.get("pairs_tested", 0) + len(pairs)
+    return _canonical_solutions(system, pairs), families
+
+
+def _on_line(point: tuple[int, int, int, int], families: set[tuple[int, int]]) -> bool:
+    """Whether the canonical point is an instance of one of the line families."""
+    x, y, s, t = point
+    u = abs(s)
+    return abs(t) == u and any((abs(u * u + k1), abs(u * u + k2)) == (x, y)
+                               for k1, k2 in families)
+
+
+def _line_instances(
+    families: set[tuple[int, int]], bound: int
+) -> set[tuple[int, int, int, int]]:
+    """Every instance with u <= bound of the line families."""
+    return {(abs(u * u + k1), abs(u * u + k2), s, t)
+            for k1, k2 in families for u in range(bound + 1)
+            for s in {u, -u} for t in {u, -u}}
+
+
+def solve_system_bounded(system: System, bound: int) -> set[tuple[int, int, int, int]]:
+    """Exhaustive canonical solutions (x>=0, y>=0, s, t) with |s|, |t| <= bound.
+
+    A cross-check of `solve_system_complete` that does not split off the
+    line |s| = |t|.  Both equations depend on s and t only through s^2 and
+    t^2, so the scan covers s, t >= 0 and expands the signs afterwards.  In
+    the quartic form of `solve_system_complete`,
+
+        x^2 = s^4 + e s^2 + C(t),   C(t) = lam t^2 + C0,
+        y^2 = t^4 + f t^2 + D(s),   D(s) = sigma s^2 + D0,
+
+    the factoring box of `quartic_curve_points` applies to both:
+
+        s^2 <= (|4C(t) - 1| + 3) // 4,
+        t^2 <= (|4D(s) - 1| + 3) // 4 <= s^2 + c2,
+        c2 = (|4 D0 - 1| + 3) // 4,
+
+    the last step since |4D(s) - 1| <= 4s^2 + |4 D0 - 1|.  Each t leaves the
+    s with t^2 - c2 <= s^2 <= (|4C(t) - 1| + 3) // 4, a window of O(1)
+    values, and every pair in it gets the two exact square tests.
+    """
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+    (e, c0), (f, d0), lam, _sigma = _system_quartics(system)
+    c2 = _quartic_box(1, f, d0)
+
+    def pairs():
+        for t in range(bound + 1):
+            s_hi = min(bound, math.isqrt(_quartic_box(1, e, lam * t * t + c0)))
+            low = t * t - c2
+            s_lo = math.isqrt(low - 1) + 1 if low > 0 else 0
+            for s in range(s_lo, s_hi + 1):
+                yield s, t
+
+    return _canonical_solutions(system, pairs())
 
 
 @dataclass(frozen=True)
@@ -451,7 +571,7 @@ class LemmaVerification:
     extra: frozenset[tuple[int, int, int, int]]    # found by search, not claimed
     missing: frozenset[tuple[int, int, int, int]]  # claimed, not found
     note: str = ""
-    pairs_tested: int = 0  # pairs (s, t), s, t >= 0, the bounded search tested
+    pairs_tested: int = 0  # pairs (s, t), s, t >= 0, the complete solver tested
 
     @property
     def matched(self) -> bool:
@@ -459,24 +579,47 @@ class LemmaVerification:
 
 
 def verify_lemma(entry: LemmaEntry, bound: int = 50) -> LemmaVerification:
-    """Compare the exhaustive bounded search against the claimed solution set."""
+    """Compare the system's solutions with |s|, |t| <= bound against the claimed ones.
+
+    The solutions come from `solve_system_complete`.  When every claimed
+    parametric family is a line (`SolutionFamily.line_key`) and the claimed
+    lines are the solver's, both sides have the same line instances at every
+    bound, so only the finite points are compared: a point is extra or
+    missing when it is on one side only and on no shared line, one O(1)
+    test each, and no loop runs to the bound.  Otherwise both sides are
+    instantiated to the bound.  Either way ``extra`` and ``missing`` are the
+    two differences of the solution sets within the bound.
+    """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     counters = {"pairs_tested": 0}
-    found = solve_system_bounded(entry.system, bound, counters)
-    claimed = entry.claimed_solutions(bound)
+    finite, families = solve_system_complete(entry.system, counters)
+    found = {p for p in finite if abs(p[2]) <= bound and abs(p[3]) <= bound}
+    lines = [fam.line_key() for fam in entry.claimed if fam.parametric]
+    if None not in lines and set(lines) == families:
+        claimed: set[tuple[int, int, int, int]] = set()
+        for fam in entry.claimed:
+            if not fam.parametric:
+                claimed |= fam.instantiate(bound)
+        extra = {p for p in found - claimed if not _on_line(p, families)}
+        missing = {p for p in claimed - found if not _on_line(p, families)}
+    else:
+        found |= _line_instances(families, bound)
+        claimed = entry.claimed_solutions(bound)
+        extra, missing = found - claimed, claimed - found
     note = ""
     if "curve" in entry.techniques:
         note = (
-            "bounded desk-scale check; the integral points of the associated "
-            "quartic curves are complete by factoring (quartic_curve_points), "
-            "and the step from this system to its curve is the paper's argument"
+            "complete check: the factoring boxes of the system's quartics confine "
+            "every solution to |s| + |t| <= 2 or to the line |s| = |t|, whose "
+            "quartic curves are solved by factoring (solve_system_complete); "
+            "the comparison is within the bound"
         )
     return LemmaVerification(
         entry_id=entry.id,
         bound=bound,
-        extra=frozenset(found - claimed),
-        missing=frozenset(claimed - found),
+        extra=frozenset(extra),
+        missing=frozenset(missing),
         note=note,
         pairs_tested=counters["pairs_tested"],
     )

@@ -66,7 +66,7 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .arith import is_perfect_square
 
@@ -279,9 +279,17 @@ def _automaton_of(gens: GeneratorSet, automaton: _OrbitAutomaton | None) -> _Orb
 
 def adjusted_critical_orbit(gens: GeneratorSet, word: Sequence[int]) -> list[int]:
     """The full orbit [-f1(0), f1(f2(0)), ..., f1(...fn(0))] for the word."""
+    return list(_orbit_entries(gens, word))
+
+
+def _orbit_entries(gens: GeneratorSet, word: Sequence[int]) -> Iterator[int]:
+    """The entries of `adjusted_critical_orbit` in order, each built when it is asked for.
+
+    The word is checked at once; a caller that stops early builds no later entry.
+    """
     _check_word(gens, word)
     cs = gens.cs
-    return [_entry(cs, word, k) for k in range(1, len(word) + 1)]
+    return (_entry(cs, word, k) for k in range(1, len(word) + 1))
 
 
 def stability_certificate(gens: GeneratorSet, word: Sequence[int]) -> StabilityVerdict:

@@ -80,13 +80,15 @@ class IterateBound:
 
     Once f^N(a) is a perfect square for an integer a, a must be preperiodic;
     `rigor` records that hmin was minimized over a box of integers rather than
-    all rationals.
+    all rationals.  `integral_points` are the points of Y^2 = f(f(X)) that B
+    was taken over, so a caller need not enumerate them again.
     """
 
     N: int
     B: float
     hmin: float
     rigor: str
+    integral_points: frozenset[tuple[int, int]]
 
 
 def height_defect_bound(map: QuadraticMap) -> float:
@@ -197,10 +199,11 @@ def compute_iterate_bound(
     of integral points on Y^2 = f(f(X)); then N = ceil(log2(B/hmin)) + 2 >= 2.
     """
     hmin, rigor = min_positive_height(map, search_box, iterations)
+    points = integral_points_on_phi2(map)
     B = hmin
-    for X, _Y in integral_points_on_phi2(map):
+    for X, _Y in points:
         est = canonical_height(map, X, iterations)
         B = max(B, est.upper)
     ratio = B / hmin
     N = 2 if ratio <= 1.0 else math.ceil(math.log2(ratio)) + 2
-    return IterateBound(N=N, B=B, hmin=hmin, rigor=rigor)
+    return IterateBound(N=N, B=B, hmin=hmin, rigor=rigor, integral_points=points)

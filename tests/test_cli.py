@@ -12,11 +12,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import quadsemi
-from quadsemi import cli, diophantine, dynamics
+from quadsemi import cli, diophantine, dynamics, heights
 from quadsemi.cli import _one_based, build_parser, main
 from quadsemi.diophantine import registry, registry_checksum, registry_path, verify_all
 from quadsemi.dynamics import GeneratorSet, QuadraticMap, scan_words
 from quadsemi.exceptional import closed_form_of
+from quadsemi.heights import compute_iterate_bound, integral_points_on_phi2
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -95,6 +96,24 @@ def test_orbit_entry_too_long_to_print_exits_2(capsys, extra):
     assert "set_int_max_str_digits" not in err and "Traceback" not in err
 
 
+def test_orbit_stops_at_the_first_entry_too_long_to_print(capsys, monkeypatch):
+    # entry 13 is the first over the limit, and entry 40 of 1^40 over {50}
+    # would have about 2^39 digits: building past entry 13 fails at once
+    built = []
+    entry = dynamics._entry
+
+    def build(cs, word, k):
+        assert k <= 13, f"entry {k} was built after entry 13 was over the limit"
+        built.append(k)
+        return entry(cs, word, k)
+
+    monkeypatch.setattr(dynamics, "_entry", build)
+    code, out, err = run(capsys, ["orbit", "-c", "50", "-w", ",".join(["1"] * 40)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: orbit entry 13 of the 40-letter word has more than")
+    assert built == list(range(1, 14))
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -129,6 +148,14 @@ def test_verify_lemma_all(capsys):
     assert report["stats"] == {"counters": {"pairs_tested": pairs}}
     assert run_json(capsys, ["verify-lemma", "--all", "--bound", "20"])[1]["stats"] \
         == report["stats"]
+
+
+def test_verify_lemma_at_a_bound_no_loop_could_reach(capsys):
+    start = time.perf_counter()
+    code, report = run_json(capsys, ["verify-lemma", "--all", "--bound", "1000000000"])
+    assert time.perf_counter() - start < 10  # a loop to the bound would take hours
+    assert code == 0 and report["verdicts"]["all_matched"] is True
+    assert report["stats"] == {"counters": {"pairs_tested": 161}}
 
 
 def test_verify_lemma_mismatch_exits_1(capsys, tmp_path, monkeypatch):
@@ -317,6 +344,32 @@ def test_heights_cli(capsys):
     assert v["N"] == 2 and v["rigor"] == "box-searched"
     pts = {tuple(p) for p in report["witnesses"]["integral_points"]}
     assert pts == {(4, 2), (4, -2), (-4, 2), (-4, -2)}
+
+
+def test_heights_cli_reports_the_bound_and_its_points(capsys):
+    # slow reference: the report rebuilt from compute_iterate_bound and a
+    # second, separate enumeration of the points
+    for c in range(-60, 61):
+        if c in (0, -1):
+            continue
+        code, report = run_json(capsys, ["heights", "-c", str(c)])
+        bound = compute_iterate_bound(QuadraticMap(c))
+        assert code == 0
+        assert report["verdicts"] == {"hmin": bound.hmin, "B": bound.B, "N": bound.N,
+                                      "rigor": bound.rigor}, c
+        assert report["witnesses"] == {"integral_points": [
+            list(p) for p in sorted(integral_points_on_phi2(QuadraticMap(c)))]}, c
+
+
+def test_heights_cli_enumerates_the_points_once(capsys, monkeypatch):
+    # counted where every enumeration ends, whoever holds integral_points_on_phi2
+    calls = []
+    curve_points = heights.phi2_curve_points
+    monkeypatch.setattr(heights, "phi2_curve_points",
+                        lambda c: calls.append(c) or curve_points(c))
+    for c in (-12, 3, 10**6):
+        assert run(capsys, ["heights", "-c", str(c)])[0] == 0
+    assert calls == [-12, 3, 10**6]
 
 
 def test_heights_cli_degenerate_constant(capsys):

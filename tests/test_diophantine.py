@@ -5,8 +5,10 @@ import shutil
 
 import pytest
 
+from quadsemi import diophantine
 from quadsemi.arith import is_perfect_square, residue_search
 from quadsemi.diophantine import (
+    LemmaEntry,
     RegistryError,
     SolutionFamily,
     System,
@@ -19,6 +21,7 @@ from quadsemi.diophantine import (
     registry_path,
     registry_provenance,
     solve_system_bounded,
+    solve_system_complete,
     verify_all,
     verify_lemma,
 )
@@ -276,18 +279,115 @@ def test_solver_equals_grid_reference(entries, bound):
         assert solve_system_bounded(e.system, bound) == grid_reference(e.system, bound), e.id
 
 
-def test_pairs_tested_grow_linearly_with_the_bound(entries):
-    bound = 2000
-    for r in verify_all(entries, bound):
-        assert 0 < r.pairs_tested <= 2 * (bound + 1), r.entry_id
+def test_pairs_tested_do_not_depend_on_the_bound(entries):
+    per_bound = [[r.pairs_tested for r in verify_all(entries, bound)]
+                 for bound in (1, 300, 10**9)]
+    assert per_bound[0] == per_bound[1] == per_bound[2]
+    assert all(n > 0 for n in per_bound[0])
     # the total of a fixed version repeats exactly, and changes with the search
-    assert sum(r.pairs_tested for r in verify_all(entries, 300)) == 13348
+    assert sum(per_bound[0]) == 161
 
 
 def test_solver_counts_into_the_given_counters(by_id):
     counters = {"pairs_tested": 5}
-    solve_system_bounded(by_id["case1.1"].system, 300, counters)
+    solve_system_complete(by_id["case1.1"].system, counters)
     assert counters == {"pairs_tested": 5 + verify_lemma(by_id["case1.1"], 300).pairs_tested}
+
+
+def complete_within(system, bound):
+    """solve_system_complete's solutions with |s|, |t| <= bound, each line family expanded."""
+    finite, families = solve_system_complete(system)
+    sols = {p for p in finite if abs(p[2]) <= bound and abs(p[3]) <= bound}
+    for k1, k2 in families:
+        for s in range(-bound, bound + 1):
+            for t in (s, -s):
+                sols.add((abs(s * s + k1), abs(s * s + k2), s, t))
+    return sols
+
+
+def test_registry_systems_are_every_legal_system(entries):
+    # so the completeness tests below cover the systems of any valid registry
+    legal = {(family, left, right)
+             for family, (lefts, rights) in LEGAL_SELECTORS.items()
+             for left in lefts for right in rights}
+    assert {(e.system.family, e.system.left, e.system.right) for e in entries} == legal
+    assert len(legal) == len(entries) == 48
+
+
+@pytest.mark.parametrize("bound", [
+    *range(0, 41), 300, 2000, 5000, pytest.param(20000, marks=pytest.mark.extended)])
+def test_complete_solver_equals_bounded_solver(entries, bound):
+    # slow reference: solve_system_bounded, itself checked against the grid
+    for e in entries:
+        assert complete_within(e.system, bound) == solve_system_bounded(e.system, bound), e.id
+
+
+def test_complete_solver_finds_exactly_the_claimed_lines(entries):
+    lines = {}
+    for e in entries:
+        finite, families = solve_system_complete(e.system)
+        assert not any(diophantine._on_line(p, families) for p in finite), e.id
+        claimed = {fam.line_key() for fam in e.claimed if fam.parametric}
+        assert families == claimed, e.id
+        if families:
+            lines[e.id] = families
+    assert sorted(lines) == ["case1.1", "case1.11", "case1.3", "case1.9", "case2.1",
+                             "case3.1", "case3.13", "case3.16", "case3.4"]
+
+
+def test_line_key_reads_only_the_line_shape():
+    def key(template):
+        return SolutionFamily.parse(template).line_key()
+
+    assert key("(±u^2, ±(u^2-1), ±u, ±u)") == (0, -1)
+    assert key("(u^2, (u^2+1), ±u, ±u)") == (0, 1)  # x, y enter as |x|, |y|
+    assert key("(0, ±1, ±u, 0)") is None
+    assert key("(±u^2, ±u^2, u, ±u)") is None  # s = u misses s = -u
+    assert key("(1, ±u^2, ±u, ±u)") is None
+    assert key("(±u^2, ±u^2, ±u^2, ±u)") is None
+
+
+def instantiate_both(entry, bound):
+    """Slow reference for verify_lemma: both solution sets expanded to the bound."""
+    found = solve_system_bounded(entry.system, bound)
+    claimed = entry.claimed_solutions(bound)
+    return found - claimed, claimed - found
+
+
+def _with_claims(entry, *templates, drop=()):
+    claimed = tuple(f for f in entry.claimed if f.template not in drop)
+    claimed += tuple(SolutionFamily.parse(t) for t in templates)
+    return LemmaEntry(entry.id, entry.system, claimed, entry.techniques)
+
+
+@pytest.mark.parametrize("case,fast", [
+    # a family dropped
+    (("case1.1", (), ("(±u^2, ±u^2, ±u, ±u)",)), False),
+    # bogus claimed points: off the line, on it, and off it with the line's (x, y) at u = |s|
+    (("case1.1", ("(±3, 0, 0, ±1)", "(2, 2, ±1, ±1)", "(1, 1, ±1, 0)"), ()), True),
+    # a claimed point that is an instance of the shared line
+    (("case1.3", ("(1, 0, ±1, ±1)",), ()), True),
+    # a swapped family key
+    (("case1.3", ("(±(u^2-1), ±u^2, ±u, ±u)",), ("(±u^2, ±(u^2-1), ±u, ±u)",)), False),
+    # a parametric family that is not a line
+    (("case1.1", ("(0, ±1, ±u, 0)",), ()), False),
+    # a line claimed where the system has none
+    (("case2.3", ("(±u^2, ±u^2, ±u, ±u)",), ()), False),
+    # the registry's own claims
+    (("case1.9", (), ()), True),
+    (("case2.14", (), ()), True),
+])
+@pytest.mark.parametrize("bound", [1, 2, 5, 30])
+def test_fast_comparison_equals_instantiating_both(by_id, monkeypatch, case, fast, bound):
+    entry_id, added, dropped = case
+    entry = _with_claims(by_id[entry_id], *added, drop=dropped)
+    expanded = []
+    line_instances = diophantine._line_instances
+    monkeypatch.setattr(diophantine, "_line_instances",
+                        lambda *args: expanded.append(args) or line_instances(*args))
+    v = verify_lemma(entry, bound)
+    assert (v.extra, v.missing) == instantiate_both(entry, bound)
+    assert (expanded == []) == fast
 
 
 def test_verify_lemma_examples(by_id):
