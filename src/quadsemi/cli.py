@@ -56,7 +56,7 @@ from .heights import compute_iterate_bound
 from .oracle import cross_validate
 from .portraits import portrait
 
-REPORT_SCHEMA = "quadsemi-report/2"
+REPORT_SCHEMA = "quadsemi-report/3"
 
 
 class Outcome(NamedTuple):
@@ -267,13 +267,17 @@ def cmd_verify_lemma(args) -> Outcome:
     all_ok = all(r.matched for r in results)
     rows = [{"id": r.entry_id, "matched": r.matched,
              "extra": sorted(map(list, r.extra)), "missing": sorted(map(list, r.missing)),
+             "extra_lines": sorted(map(list, r.extra_lines)),
+             "missing_lines": sorted(map(list, r.missing_lines)),
              "note": r.note} for r in results]
-    lines = [f"{sum(r.matched for r in results)}/{len(results)} entries match "
-             f"the bounded search at bound {args.bound}"]
+    lines = [f"{sum(r.matched for r in results)}/{len(results)} entries match the complete "
+             f"solution sets, points compared within |s|, |t| <= {args.bound}"]
     for r in results:
         if not r.matched:
             lines.append(f"  MISMATCH {r.entry_id}: extra={sorted(r.extra)[:5]} "
-                         f"missing={sorted(r.missing)[:5]}")
+                         f"missing={sorted(r.missing)[:5]} "
+                         f"extra_lines={sorted(r.extra_lines)} "
+                         f"missing_lines={sorted(r.missing_lines)}")
         elif args.verbose:
             lines.append(f"  match    {r.entry_id}")
     return Outcome(

@@ -23,9 +23,11 @@ the system.  So |s^2 - t^2| <= max(c1, c2), and every solution lies in a
 small triangle |s| + |t| <= max(c1, c2) or on the line |s| = |t|, where the
 system is two quartics in one variable.  `solve_system_complete` solves
 both parts outright: its answer is a finite set plus at most one line
-family, and `verify_lemma` compares it with the claims at any bound in
-time independent of the bound.  `solve_system_bounded` scans the same
-sandwich to a bound, O(bound) exact square tests, as a cross-check.
+family.  The registry's claims take the same form, finite points plus
+lines (a template in u must be a line), so `verify_lemma` compares the two
+sets point by point and key by key, in time independent of the bound.
+`solve_system_bounded` scans the same sandwich to a bound, O(bound) exact
+square tests, as a cross-check.
 """
 
 from __future__ import annotations
@@ -140,12 +142,9 @@ class _Coord:
     a1: int  # coefficient of u
     a2: int  # coefficient of u^2
 
-    def value(self, u: int) -> int:
-        return self.a0 + self.a1 * u + self.a2 * u * u
-
-    @property
-    def uses_u(self) -> bool:
-        return self.a1 != 0 or self.a2 != 0
+    def signs(self) -> set[int]:
+        """The values of a coordinate without u: a0, and -a0 too when marked ±."""
+        return {self.a0, -self.a0} if self.pm else {self.a0}
 
 
 def _parse_coord(token: str) -> _Coord:
@@ -170,7 +169,8 @@ class SolutionFamily:
     """One claimed solution shape, e.g. "(±u^2, ±(u^2-1), ±u, ±u)" or "(0, ±1, ±1, 0)".
 
     Coordinates are read in the order (x, y, s, t); a ± expands to both signs
-    independently; u ranges over the integers for parametric shapes.
+    independently.  A template in u must be a line (`line_key`), whose s and
+    t are both ±u, so it holds for every integer u.
     """
 
     template: str
@@ -184,17 +184,15 @@ class SolutionFamily:
         parts = [p for p in inner[1:-1].split(",")]
         if len(parts) != 4:
             raise RegistryError(f"solution template {template!r} must have 4 coordinates")
-        coords = tuple(_parse_coord(p) for p in parts)
-        for label, coord in zip("xy", coords[:2]):
-            if coord.a1 != 0:
-                raise RegistryError(
-                    f"{label}-coordinate of {template!r} may not be linear in u"
-                )
-        return cls(template=template, coords=coords)  # type: ignore[arg-type]
+        fam = cls(template, tuple(_parse_coord(p) for p in parts))  # type: ignore[arg-type]
+        if fam.parametric and fam.line_key() is None:
+            raise RegistryError(f"solution template {template!r} uses u but is not "
+                                f"a line (u^2+k1, u^2+k2, ±u, ±u)")
+        return fam
 
     @property
     def parametric(self) -> bool:
-        return any(c.uses_u for c in self.coords)
+        return any(c.a1 or c.a2 for c in self.coords)
 
     def line_key(self) -> tuple[int, int] | None:
         """(k1, k2) when this shape is the line (|u^2 + k1|, |u^2 + k2|, ±u, ±u), else None.
@@ -206,29 +204,16 @@ class SolutionFamily:
         xs, ys, ss, ts = self.coords
         if ss != _PM_U or ts != _PM_U:
             return None
-        if xs.a2 != 1 or ys.a2 != 1:  # a parsed coordinate has a1 = 0 here
+        if xs.a2 != 1 or ys.a2 != 1:  # u^2 or (u^2±k), so a1 = 0 too
             return None
         return xs.a0, ys.a0
 
-    def instantiate(self, bound: int) -> set[tuple[int, int, int, int]]:
-        """Canonical tuples (x>=0, y>=0, s, t) of this shape with |s|, |t| <= bound.
-
-        All coordinates depend on u only through u^2 or as ±u, so u >= 0 with
-        independent sign expansion of the ± marks covers every instance.
-        """
+    def points(self) -> set[tuple[int, int, int, int]]:
+        """The canonical tuples (x>=0, y>=0, s, t) of a template without u; none for a line."""
+        if self.parametric:
+            return set()
         xs, ys, ss, ts = self.coords
-        out: set[tuple[int, int, int, int]] = set()
-        u_range: Iterable[int] = range(bound + 1) if self.parametric else (0,)
-        for u in u_range:
-            x, y = abs(xs.value(u)), abs(ys.value(u))
-            for s in {ss.value(u), -ss.value(u)} if ss.pm else {ss.value(u)}:
-                if abs(s) > bound:
-                    continue
-                for t in {ts.value(u), -ts.value(u)} if ts.pm else {ts.value(u)}:
-                    if abs(t) > bound:
-                        continue
-                    out.add((x, y, s, t))
-        return out
+        return {(abs(xs.a0), abs(ys.a0), s, t) for s in ss.signs() for t in ts.signs()}
 
 
 @dataclass(frozen=True)
@@ -246,12 +231,6 @@ class LemmaEntry:
             if tag.startswith("symmetry:"):
                 return tag.split(":", 1)[1]
         return None
-
-    def claimed_solutions(self, bound: int) -> set[tuple[int, int, int, int]]:
-        out: set[tuple[int, int, int, int]] = set()
-        for fam in self.claimed:
-            out |= fam.instantiate(bound)
-        return out
 
 
 def registry_path() -> str:
@@ -287,9 +266,9 @@ def registry() -> tuple[LemmaEntry, ...]:
 
     Checks the schema tag, the 48-entry count (16 per family), the field
     types of each entry, selector legality, technique tags, symmetry targets
-    (which must name an earlier entry), and that every claimed solution
-    family actually satisfies its system for |u| <= 10.  Raises
-    RegistryError on any defect.
+    (which must name an earlier entry), that every claimed point solves its
+    system, and that every claimed line is one, as an identity in u
+    (`_is_line_of`).  Raises RegistryError on any defect.
 
     Every call reads the file and hashes its bytes, but the validation
     runs only when (path, sha256) differs from that of the registry last
@@ -394,7 +373,11 @@ def _validate(data: bytes, path: str) -> tuple[LemmaEntry, ...]:
 
     for entry in entries:
         for fam in entry.claimed:
-            for x, y, s, t in fam.instantiate(10):
+            key = fam.line_key()
+            if key is not None and not _is_line_of(entry.system, key):
+                raise RegistryError(f"{entry.id}: claimed line {fam.template!r} "
+                                    f"does not solve the system at every u")
+            for x, y, s, t in fam.points():
                 if not entry.system.is_solution(x, y, s, t):
                     raise RegistryError(
                         f"{entry.id}: claimed family {fam.template!r} fails "
@@ -419,6 +402,19 @@ def _system_quartics(system: System) -> tuple[tuple[int, int], tuple[int, int], 
     e = a0 - system.left_constant(1) - 1
     f = b0 - system.right_constant(1) - 1
     return (e, l - a0), (f, rho - b0), lam, sigma
+
+
+def _is_line_of(system: System, key: tuple[int, int]) -> bool:
+    """Whether (|u^2 + k1|, |u^2 + k2|, ±u, ±u) solves the system at every integer u.
+
+    On |s| = |t| = u the system reads x^2 = u^4 + (e + lam) u^2 + C0 and
+    y^2 = u^4 + (f + sigma) u^2 + D0 (`_system_quartics`), and (u^2 + k)^2 =
+    u^4 + 2k u^2 + k^2, so the line solves it at every u exactly when the
+    coefficients agree.
+    """
+    (e, c0), (f, d0), lam, sigma = _system_quartics(system)
+    k1, k2 = key
+    return (2 * k1, k1 * k1, 2 * k2, k2 * k2) == (e + lam, c0, f + sigma, d0)
 
 
 def _canonical_solutions(
@@ -516,15 +512,6 @@ def _on_line(point: tuple[int, int, int, int], families: set[tuple[int, int]]) -
                                for k1, k2 in families)
 
 
-def _line_instances(
-    families: set[tuple[int, int]], bound: int
-) -> set[tuple[int, int, int, int]]:
-    """Every instance with u <= bound of the line families."""
-    return {(abs(u * u + k1), abs(u * u + k2), s, t)
-            for k1, k2 in families for u in range(bound + 1)
-            for s in {u, -u} for t in {u, -u}}
-
-
 def solve_system_bounded(system: System, bound: int) -> set[tuple[int, int, int, int]]:
     """Exhaustive canonical solutions (x>=0, y>=0, s, t) with |s|, |t| <= bound.
 
@@ -564,49 +551,47 @@ def solve_system_bounded(system: System, bound: int) -> set[tuple[int, int, int,
 
 @dataclass(frozen=True)
 class LemmaVerification:
-    """Search-vs-claim comparison for one entry at one bound."""
+    """Solver-vs-claim comparison for one entry, its points within one bound."""
 
     entry_id: str
     bound: int
-    extra: frozenset[tuple[int, int, int, int]]    # found by search, not claimed
+    extra: frozenset[tuple[int, int, int, int]]    # found by the solver, not claimed
     missing: frozenset[tuple[int, int, int, int]]  # claimed, not found
+    extra_lines: frozenset[tuple[int, int]]        # line keys found, not claimed
+    missing_lines: frozenset[tuple[int, int]]      # line keys claimed, not found
     note: str = ""
     pairs_tested: int = 0  # pairs (s, t), s, t >= 0, the complete solver tested
 
     @property
     def matched(self) -> bool:
-        return not self.extra and not self.missing
+        return not (self.extra or self.missing or self.extra_lines or self.missing_lines)
 
 
 def verify_lemma(entry: LemmaEntry, bound: int = 50) -> LemmaVerification:
-    """Compare the system's solutions with |s|, |t| <= bound against the claimed ones.
+    """Compare the system's complete solution set with the claimed one.
 
-    The solutions come from `solve_system_complete`.  When every claimed
-    parametric family is a line (`SolutionFamily.line_key`) and the claimed
-    lines are the solver's, both sides have the same line instances at every
-    bound, so only the finite points are compared: a point is extra or
-    missing when it is on one side only and on no shared line, one O(1)
-    test each, and no loop runs to the bound.  Otherwise both sides are
-    instantiated to the bound.  Either way ``extra`` and ``missing`` are the
-    two differences of the solution sets within the bound.
+    Both sets are finite points plus lines (|u^2 + k1|, |u^2 + k2|, ±u, ±u)
+    keyed (k1, k2): the solver's from `solve_system_complete`, the claims'
+    from their templates (`SolutionFamily.points` and `line_key`).
+    ``extra`` holds the solver's points with |s|, |t| <= bound that are
+    neither claimed nor on a claimed line, ``missing`` the claimed points
+    within the bound that are neither found nor on a line of the solver;
+    ``extra_lines`` and ``missing_lines`` are the two differences of the key
+    sets.  Each point costs one O(1) test and nothing loops to the bound, so
+    the cost and the size of every report do not depend on it.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     counters = {"pairs_tested": 0}
     finite, families = solve_system_complete(entry.system, counters)
-    found = {p for p in finite if abs(p[2]) <= bound and abs(p[3]) <= bound}
-    lines = [fam.line_key() for fam in entry.claimed if fam.parametric]
-    if None not in lines and set(lines) == families:
-        claimed: set[tuple[int, int, int, int]] = set()
-        for fam in entry.claimed:
-            if not fam.parametric:
-                claimed |= fam.instantiate(bound)
-        extra = {p for p in found - claimed if not _on_line(p, families)}
-        missing = {p for p in claimed - found if not _on_line(p, families)}
-    else:
-        found |= _line_instances(families, bound)
-        claimed = entry.claimed_solutions(bound)
-        extra, missing = found - claimed, claimed - found
+    claimed = set().union(*(fam.points() for fam in entry.claimed))
+    lines = {fam.line_key() for fam in entry.claimed} - {None}
+
+    def within(point: tuple[int, int, int, int]) -> bool:
+        return abs(point[2]) <= bound and abs(point[3]) <= bound
+
+    extra = {p for p in finite - claimed if within(p) and not _on_line(p, lines)}
+    missing = {p for p in claimed - finite if within(p) and not _on_line(p, families)}
     note = ""
     if "curve" in entry.techniques:
         note = (
@@ -620,6 +605,8 @@ def verify_lemma(entry: LemmaEntry, bound: int = 50) -> LemmaVerification:
         bound=bound,
         extra=frozenset(extra),
         missing=frozenset(missing),
+        extra_lines=frozenset(families - lines),
+        missing_lines=frozenset(lines - families),
         note=note,
         pairs_tested=counters["pairs_tested"],
     )

@@ -53,7 +53,8 @@ def test_criterion_1_all_48_lemmas_match(entries):
     mismatched = [r.entry_id for r in results if not r.matched]
     assert mismatched == [], f"mismatched entries: {mismatched}"
     assert len(results) == 48
-    _line(1, "all 48 case systems match the bounded search at bound 50",
+    _line(1, "all 48 case systems match their complete solution sets, points "
+          "compared within bound 50",
           started, "exact set equality")
 
 

@@ -158,13 +158,20 @@ def test_verify_lemma_at_a_bound_no_loop_could_reach(capsys):
     assert report["stats"] == {"counters": {"pairs_tested": 161}}
 
 
-def test_verify_lemma_mismatch_exits_1(capsys, tmp_path, monkeypatch):
+def _registry_with(tmp_path, entry_id, solutions):
+    """A copy of the bundled registry with one entry's solutions replaced by solutions(old)."""
     target = tmp_path / "registry.json"
     doc = json.loads(Path(registry_path()).read_text())
     for rec in doc["entries"]:
-        if rec["id"] == "case1.1":
-            rec["solutions"] = rec["solutions"][:-1]  # drop the parametric family
+        if rec["id"] == entry_id:
+            rec["solutions"] = solutions(rec["solutions"])
     target.write_text(json.dumps(doc))
+    return target
+
+
+def test_verify_lemma_mismatch_exits_1(capsys, tmp_path, monkeypatch):
+    # drop the parametric family
+    target = _registry_with(tmp_path, "case1.1", lambda sols: sols[:-1])
     bundled_sha256 = registry_checksum()
     monkeypatch.setenv("QUADSEMI_REGISTRY", str(target))
     code, report = run_json(capsys, ["verify-lemma", "case1.1", "--bound", "10"])
@@ -173,8 +180,36 @@ def test_verify_lemma_mismatch_exits_1(capsys, tmp_path, monkeypatch):
         "source": "env", "sha256": registry_checksum(str(target))}
     assert report["inputs"]["registry"]["sha256"] != bundled_sha256
     assert report["verdicts"]["all_matched"] is False
-    rows = report["witnesses"]["results"]
-    assert rows[0]["extra"] and not rows[0]["missing"]
+    row = report["witnesses"]["results"][0]
+    assert row["extra_lines"] == [[0, 0]] and row["missing_lines"] == []
+    assert row["extra"] == [] and row["missing"] == []
+    assert list(row) == ["id", "matched", "extra", "missing", "extra_lines",
+                         "missing_lines", "note"]
+    code, out, _ = run(capsys, ["verify-lemma", "case1.1", "--bound", "10"])
+    assert out.splitlines()[1] == ("  MISMATCH case1.1: extra=[] missing=[] "
+                                   "extra_lines=[(0, 0)] missing_lines=[]")
+
+
+def test_verify_lemma_mismatch_at_a_bound_no_loop_could_reach(capsys, tmp_path, monkeypatch):
+    target = _registry_with(tmp_path, "case1.1", lambda sols: sols[:-1])
+    monkeypatch.setenv("QUADSEMI_REGISTRY", str(target))
+    start = time.perf_counter()
+    code, report = run_json(capsys, ["verify-lemma", "case1.1", "--bound", "1000000000"])
+    assert time.perf_counter() - start < 10  # listing the line's instances would not end
+    assert code == 1
+    row = report["witnesses"]["results"][0]
+    assert row["extra"] == [] and row["extra_lines"] == [[0, 0]]
+
+
+def test_registry_template_with_a_bare_u_exits_2(capsys, tmp_path, monkeypatch):
+    # "u" alone covers only half of the line, so only "±u" is accepted for s and t
+    template = "(±u^2, ±u^2, u, ±u)"
+    target = _registry_with(tmp_path, "case1.1", lambda sols: sols[:-1] + [template])
+    monkeypatch.setenv("QUADSEMI_REGISTRY", str(target))
+    code, out, err = run(capsys, ["verify-lemma", "case1.1", "--bound", "3"])
+    assert code == 2 and out == ""
+    assert err == (f"error: solution template {template!r} uses u but is not a line "
+                   "(u^2+k1, u^2+k2, ±u, ±u)\n")
 
 
 def test_obstruction_exit_codes(capsys):
@@ -505,7 +540,7 @@ def test_report_shape(capsys, monkeypatch, command):
     stats = ["stats"] if command in ("cross-validate", "verify-lemma") else []
     assert list(report) == ["schema", "command", "inputs", "verdicts", "witnesses",
                             *stats, "timings"]
-    assert report["schema"] == "quadsemi-report/2"
+    assert report["schema"] == "quadsemi-report/3"
     assert report["command"] == command
     text_code, out, _ = run(capsys, argv)
     assert text_code == code and out.strip()
@@ -538,7 +573,8 @@ def test_main_keeps_no_flag_between_calls(capsys):
     _, out, _ = run(capsys, argv + ["--verbose"])
     assert "  match    case2.14" in out.splitlines()
     _, out, _ = run(capsys, argv)
-    assert out.splitlines() == ["1/1 entries match the bounded search at bound 50"]
+    assert out.splitlines() == [
+        "1/1 entries match the complete solution sets, points compared within |s|, |t| <= 50"]
 
     _, report = run_json(capsys, ["heights", "-c", "-12", "--box", "50"])
     assert report["inputs"]["box"] == 50
@@ -666,7 +702,7 @@ def assert_scan_texts_match_the_list_encoding(capsys, monkeypatch, cs, max_len):
     results = scan_words(GeneratorSet.from_cs(cs), max_len)
     certified = [_one_based(w) for w, v in results if v.certified]
     expected = json.dumps({
-        "schema": "quadsemi-report/2", "command": "scan-words",
+        "schema": "quadsemi-report/3", "command": "scan-words",
         "inputs": {"cs": cs, "max_len": max_len},
         "verdicts": {"words": len(results), "certified": len(certified)},
         "witnesses": {"certified_words": certified}, "timings": {}})
@@ -765,7 +801,7 @@ def test_scan_words_at_the_word_budget_edge(capsys):
     assert code == 0
     assert words == 1_048_574
     head = _without_timings(report_line)
-    assert head.startswith('{"schema": "quadsemi-report/2", "command": "scan-words", '
+    assert head.startswith('{"schema": "quadsemi-report/3", "command": "scan-words", '
                            '"inputs": {"cs": [-14, 40], "max_len": 19}, '
                            f'"verdicts": {{"words": {words}, "certified": ')
     assert head.endswith(f', "witnesses": {{"certified_words": {expected}}}')
@@ -779,7 +815,7 @@ def test_scan_words_at_the_letter_budget_edge(capsys):
     assert code == 0
     texts = ("[1" + ", 1" * (k - 1) + "]" for k in range(1, 6312))
     assert _without_timings(report_line) == (
-        '{"schema": "quadsemi-report/2", "command": "scan-words", '
+        '{"schema": "quadsemi-report/3", "command": "scan-words", '
         '"inputs": {"cs": [1], "max_len": 6311}, '
         '"verdicts": {"words": 6311, "certified": 6311}, '
         f'"witnesses": {{"certified_words": [{", ".join(texts)}]}}')

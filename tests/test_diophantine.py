@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import shutil
 
 import pytest
@@ -132,6 +133,28 @@ def test_registry_rejects_bad_claim(tmp_path, monkeypatch):
         registry()
 
 
+def test_registry_rejects_a_line_with_the_swapped_key(tmp_path, monkeypatch):
+    target = _env_copy(tmp_path, monkeypatch)
+    doc = json.loads(target.read_text())
+    rec = next(rec for rec in doc["entries"] if rec["id"] == "case1.3")
+    assert rec["solutions"][-1] == "(±u^2, ±(u^2-1), ±u, ±u)"
+    rec["solutions"][-1] = "(±(u^2-1), ±u^2, ±u, ±u)"
+    target.write_text(json.dumps(doc))
+    with pytest.raises(RegistryError, match=r"case1.3: claimed line .* every u"):
+        registry()
+
+
+def test_line_identity_equals_the_line_checked_pointwise(entries):
+    # two quadratics in u^2 that agree at 11 values of u are equal, so the
+    # exact identity holds exactly when the line solves the system at |u| <= 10
+    keys = {(k1, k2) for k1 in range(-3, 4) for k2 in range(-3, 4)}
+    for e in entries:
+        for k1, k2 in keys:
+            pointwise = all(e.system.is_solution(abs(u * u + k1), abs(u * u + k2), s, t)
+                            for u in range(11) for s in (u, -u) for t in (u, -u))
+            assert diophantine._is_line_of(e.system, (k1, k2)) == pointwise, (e.id, k1, k2)
+
+
 def _count_family_parses(monkeypatch) -> list[str]:
     parsed: list[str] = []
     parse = SolutionFamily.parse.__func__
@@ -240,15 +263,14 @@ def test_system_selector_legality():
 def test_solution_family_parsing():
     fam = SolutionFamily.parse("(±u^2, ±(u^2-1), ±u, ±u)")
     assert fam.parametric
-    inst = fam.instantiate(2)
-    assert (4, 3, 2, -2) in inst and (1, 0, -1, 1) in inst
+    assert fam.line_key() == (0, -1) and fam.points() == set()
     fam = SolutionFamily.parse("(0, ±1, ±1, 0)")
     assert not fam.parametric
-    assert fam.instantiate(5) == {(0, 1, 1, 0), (0, 1, -1, 0)}
+    assert fam.line_key() is None
+    assert fam.points() == {(0, 1, 1, 0), (0, 1, -1, 0)}
+    assert SolutionFamily.parse("(-2, ±1, 3, 0)").points() == {(2, 1, 3, 0)}  # x enters as |x|
     with pytest.raises(RegistryError):
         SolutionFamily.parse("(u, 0, 0)")
-    with pytest.raises(RegistryError):
-        SolutionFamily.parse("(±u, 0, 0, 0)")  # x may not be linear in u
 
 
 def test_solve_system_bounded_examples(by_id):
@@ -341,17 +363,53 @@ def test_line_key_reads_only_the_line_shape():
 
     assert key("(±u^2, ±(u^2-1), ±u, ±u)") == (0, -1)
     assert key("(u^2, (u^2+1), ±u, ±u)") == (0, 1)  # x, y enter as |x|, |y|
-    assert key("(0, ±1, ±u, 0)") is None
-    assert key("(±u^2, ±u^2, u, ±u)") is None  # s = u misses s = -u
-    assert key("(1, ±u^2, ±u, ±u)") is None
-    assert key("(±u^2, ±u^2, ±u^2, ±u)") is None
+    assert key("(±(u^2+0), u^2, ±u, ±u)") == (0, 0)
+    assert key("(0, 0, 0, 0)") is None
+    assert key("(±1, ±1, ±1, ±1)") is None
+
+
+@pytest.mark.parametrize("template", [
+    pytest.param("(0, ±1, ±u, 0)", id="u-in-s-only"),
+    pytest.param("(±u^2, ±u^2, u, ±u)", id="bare-u-in-s"),  # s = u misses s = -u
+    pytest.param("(±u^2, ±u^2, ±u, u)", id="bare-u-in-t"),
+    pytest.param("(1, ±u^2, ±u, ±u)", id="constant-x"),
+    pytest.param("(±u^2, ±u^2, ±u^2, ±u)", id="u-squared-s"),
+    pytest.param("(±u, 0, 0, 0)", id="x-linear-in-u"),
+    pytest.param("(±u, ±u^2, ±u, ±u)", id="x-linear-on-the-line"),
+])
+def test_a_template_in_u_that_is_no_line_fails_to_parse(template):
+    with pytest.raises(RegistryError, match=re.escape(f"{template!r} uses u but is not a line")):
+        SolutionFamily.parse(template)
+
+
+def instantiate(fam, bound):
+    """Every canonical instance (x>=0, y>=0, s, t) of a template with |s|, |t| <= bound.
+
+    u runs over every integer that can reach the box, negative ones too.
+    """
+    def values(coord, u):
+        v = coord.a0 + coord.a1 * u + coord.a2 * u * u
+        return {v, -v} if coord.pm else {v}
+
+    xs, ys, ss, ts = fam.coords
+    return {(abs(x), abs(y), s, t)
+            for u in (range(-bound, bound + 1) if fam.parametric else (0,))
+            for x in values(xs, u) for y in values(ys, u)
+            for s in values(ss, u) for t in values(ts, u)
+            if abs(s) <= bound and abs(t) <= bound}
+
+
+def line_instances(keys, bound):
+    """Every instance with u <= bound of the lines (|u^2 + k1|, |u^2 + k2|, ±u, ±u)."""
+    return {(abs(u * u + k1), abs(u * u + k2), s, t)
+            for k1, k2 in keys for u in range(bound + 1) for s in (u, -u) for t in (u, -u)}
 
 
 def instantiate_both(entry, bound):
     """Slow reference for verify_lemma: both solution sets expanded to the bound."""
     found = solve_system_bounded(entry.system, bound)
-    claimed = entry.claimed_solutions(bound)
-    return found - claimed, claimed - found
+    claimed = set().union(*(instantiate(fam, bound) for fam in entry.claimed))
+    return found, claimed
 
 
 def _with_claims(entry, *templates, drop=()):
@@ -360,34 +418,46 @@ def _with_claims(entry, *templates, drop=()):
     return LemmaEntry(entry.id, entry.system, claimed, entry.techniques)
 
 
-@pytest.mark.parametrize("case,fast", [
+# the id's True or False says whether the claimed line keys are the solver's
+@pytest.mark.parametrize("case,same_lines", [
     # a family dropped
-    (("case1.1", (), ("(±u^2, ±u^2, ±u, ±u)",)), False),
+    pytest.param(("case1.1", (), ("(±u^2, ±u^2, ±u, ±u)",)), False, id="case0-False"),
     # bogus claimed points: off the line, on it, and off it with the line's (x, y) at u = |s|
-    (("case1.1", ("(±3, 0, 0, ±1)", "(2, 2, ±1, ±1)", "(1, 1, ±1, 0)"), ()), True),
+    # and one beyond the smaller bounds
+    pytest.param(("case1.1", ("(±3, 0, 0, ±1)", "(2, 2, ±1, ±1)", "(1, 1, ±1, 0)",
+                              "(0, 0, 0, ±3)"), ()),
+                 True, id="case1-True"),
     # a claimed point that is an instance of the shared line
-    (("case1.3", ("(1, 0, ±1, ±1)",), ()), True),
+    pytest.param(("case1.3", ("(1, 0, ±1, ±1)",), ()), True, id="case2-True"),
     # a swapped family key
-    (("case1.3", ("(±(u^2-1), ±u^2, ±u, ±u)",), ("(±u^2, ±(u^2-1), ±u, ±u)",)), False),
-    # a parametric family that is not a line
-    (("case1.1", ("(0, ±1, ±u, 0)",), ()), False),
+    pytest.param(("case1.3", ("(±(u^2-1), ±u^2, ±u, ±u)",), ("(±u^2, ±(u^2-1), ±u, ±u)",)),
+                 False, id="case3-False"),
+    # a line the system lacks, claimed beside the line it has
+    pytest.param(("case1.1", ("(±(u^2+1), ±u^2, ±u, ±u)",), ()), False, id="case4-False"),
     # a line claimed where the system has none
-    (("case2.3", ("(±u^2, ±u^2, ±u, ±u)",), ()), False),
+    pytest.param(("case2.3", ("(±u^2, ±u^2, ±u, ±u)",), ()), False, id="case5-False"),
     # the registry's own claims
-    (("case1.9", (), ()), True),
-    (("case2.14", (), ()), True),
+    pytest.param(("case1.9", (), ()), True, id="case6-True"),
+    pytest.param(("case2.14", (), ()), True, id="case7-True"),
+    # a line the system lacks, claimed through the system's points on |s| = |t|
+    pytest.param(("case1.4", ("(u^2, (u^2-1), ±u, ±u)",), ("(±1, 0, ±1, ±1)",)),
+                 False, id="case8-False"),
+    # a family dropped, and a claimed point on it
+    pytest.param(("case1.1", ("(1, 1, ±1, ±1)",), ("(±u^2, ±u^2, ±u, ±u)",)),
+                 False, id="case9-False"),
 ])
 @pytest.mark.parametrize("bound", [1, 2, 5, 30])
-def test_fast_comparison_equals_instantiating_both(by_id, monkeypatch, case, fast, bound):
+def test_fast_comparison_equals_instantiating_both(by_id, case, same_lines, bound):
     entry_id, added, dropped = case
     entry = _with_claims(by_id[entry_id], *added, drop=dropped)
-    expanded = []
-    line_instances = diophantine._line_instances
-    monkeypatch.setattr(diophantine, "_line_instances",
-                        lambda *args: expanded.append(args) or line_instances(*args))
     v = verify_lemma(entry, bound)
-    assert (v.extra, v.missing) == instantiate_both(entry, bound)
-    assert (expanded == []) == fast
+    assert (not v.extra_lines and not v.missing_lines) == same_lines
+    found, claimed = instantiate_both(entry, bound)
+    # the reported lines, expanded to the bound, supply the rest of each difference
+    extra = v.extra | (line_instances(v.extra_lines, bound) - claimed)
+    missing = v.missing | (line_instances(v.missing_lines, bound) - found)
+    assert (extra, missing) == (found - claimed, claimed - found)
+    assert v.matched == (found == claimed)
 
 
 def test_verify_lemma_examples(by_id):
@@ -404,7 +474,8 @@ def test_verify_lemma_negative_control(by_id):
     tampered = type(e)(e.id, e.system, e.claimed[:-1], e.techniques)
     v = verify_lemma(tampered, 20)
     assert not v.matched
-    assert v.extra and not v.missing
+    assert v.extra_lines == {(0, 0)} and not v.missing_lines
+    assert not v.extra and not v.missing
 
 
 def test_modular_obstruction_examples(by_id):
@@ -468,7 +539,7 @@ def test_symmetry_tagged_entries_swap_onto_targets(entries, by_id):
 def test_parametric_families_satisfy_systems(entries):
     for e in entries:
         for fam in e.claimed:
-            for x, y, s, t in fam.instantiate(50):
+            for x, y, s, t in instantiate(fam, 50):
                 assert e.system.is_solution(x, y, s, t), (e.id, fam.template)
 
 
