@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, NamedTuple
 
-from .arith import is_perfect_square
+from .arith import is_perfect_square, positive_divisors
 from .portraits import FIXED_SQUARE, PREPER_TARGETS, TWO_CYCLE_SQUARE, shape_constant
 
 SCHEMA = "quadsemi-lemma-registry/1"
@@ -355,7 +355,10 @@ def _validate(data: bytes, path: str) -> tuple[LemmaEntry, ...]:
         seen.add(entry_id)
         system = System(rec["family"], rec["left"], rec["right"])
         per_family[system.family] += 1
-        claimed = tuple(SolutionFamily.parse(t) for t in rec["solutions"])
+        try:
+            claimed = tuple(SolutionFamily.parse(t) for t in rec["solutions"])
+        except RegistryError as exc:
+            raise RegistryError(f"{entry_id}: {exc}") from None
         techniques = frozenset(rec["techniques"])
         for tag in techniques:
             base = tag.split(":", 1)[0]
@@ -480,9 +483,10 @@ def solve_system_complete(
     points, all in its factoring box (`quartic_curve_points`); one with
     4 a0 = a2^2 is (q^2 + a2/2)^2, a square at every q.  If both are squares
     at every q, the line is the family (|u^2 + (e + lam)/2|,
-    |u^2 + (f + sigma)/2|, ±u, ±u).  Otherwise the q >= 0 where both can be
-    squares, a square-everywhere quartic allowing every q, are finitely many,
-    and each gets the same two square tests as a pair (q, q).
+    |u^2 + (f + sigma)/2|, ±u, ±u), the one test of `_is_line_of`.
+    Otherwise the q >= 0 where both can be squares, a square-everywhere
+    quartic allowing every q, are finitely many, and each gets the same two
+    square tests as a pair (q, q).
 
     When ``counters`` is given, its "pairs_tested" entry grows by the number
     of pairs (s, t), s, t >= 0, that were tested: the triangle's and the
@@ -492,11 +496,12 @@ def solve_system_complete(
     c = max(_quartic_box(1, e, c0), _quartic_box(1, f, d0))
     pairs = [(s, t) for s in range(c + 1) for t in range(c + 1 - s) if s != t]
     families: set[tuple[int, int]] = set()
-    x_line = _square_points(e + lam, c0)
-    y_line = _square_points(f + sigma, d0)
-    if x_line is None and y_line is None:
-        families.add(((e + lam) // 2, (f + sigma) // 2))
+    key = ((e + lam) // 2, (f + sigma) // 2)
+    if _is_line_of(system, key):
+        families.add(key)
     else:
+        x_line = _square_points(e + lam, c0)
+        y_line = _square_points(f + sigma, d0)
         line = x_line if y_line is None else y_line if x_line is None else x_line & y_line
         pairs += [(q, q) for q in line]
     if counters is not None:
@@ -692,10 +697,22 @@ def _quartic_box(a4: int, a2: int, a0: int) -> int:
 def phi2_curve_points(c: int) -> list[tuple[int, int]]:
     """Every integral point (X, Y), Y >= 0, of Y^2 = f(f(X)) for f(x) = x^2 + c, c != 0.
 
-    f(f(X)) = X^4 + 2c X^2 + c^2 + c has 4 a4 a0 - a2^2 = 4c != 0, so every
-    point has X^2 <= 2|c| <= (|c| + 1)^2, and the box |X| <= |c| + 1 of
-    `quartic_curve_points` holds them all.
+    With U = X^2 + c the curve reads Y^2 = U^2 + c, that is (Y - U)(Y + U) =
+    c.  So every point comes from a signed divisor pair d e = c, with
+    U = (e - d)/2, Y = (e + d)/2 >= 0 and X^2 = U - c, and each point from
+    one pair only.  The divisors come from trial division, about sqrt|c|
+    steps.  The points come in ascending X, as `quartic_curve_points` lists
+    them.
     """
     if c == 0:
         raise ValueError("Y^2 = X^4 has a point at every X; c must be nonzero")
-    return quartic_curve_points(1, 2 * c, c * c + c, abs(c) + 1)
+    pts: set[tuple[int, int]] = set()
+    for p in positive_divisors(c):
+        for d in (p, -p):
+            e = c // d
+            if e + d < 0 or (e - d) % 2:
+                continue
+            x = is_perfect_square((e - d) // 2 - c)
+            if x is not None:
+                pts |= {(x, (e + d) // 2), (-x, (e + d) // 2)}
+    return sorted(pts)

@@ -16,26 +16,30 @@ so |h(f(x)) - 2 h(x)| <= log(|c|+1) + log 2 =: C(f), and telescoping gives
 
 Integral points on the genus-one model Y^2 = f(f(X)) are found exactly by
 factoring: Y^2 - (X^2+c)^2 = c forces (Y - X^2 - c)(Y + X^2 + c) = c, so
-every point has X^2 <= 2|c|, and diophantine.phi2_curve_points lists them
-all.  This replaces an ineffective finiteness argument with a complete
+each point comes from a divisor pair of c, and diophantine.phi2_curve_points
+lists them all.  This replaces an ineffective finiteness argument with a complete
 enumeration.
 
 The minimal positive height is searched over a box of integers only, and
-every bound built from it carries the rigor flag "box-searched".  The search
-evaluates a = 0, 1, 2, ... only, since f(-a) = f(a) gives -a the same estimate
-and the preperiodic set is closed under negation.  It stops before the box
-edge by the escape lemma (Call-Silverman; Silverman, The Arithmetic of
-Dynamical Systems, Sec. 3.4): if |x| >= 2 and x^2 >= 2|c| then
-|x^2 + c| >= x^2/2 >= |x|, so the orbit stays in that region and
-log|f(x)| >= 2 log|x| - log 2.  Telescoping the estimate gives
-h(f^n(a))/2^n >= log|a| - log 2, so its lower bound is at least
-log|a| - log 2 - C(f)/2^n, which grows with |a|; once that exceeds the
-minimum found so far, no larger |a| can go below it.
+every bound built from it carries the rigor flag "box-searched".  Since
+f(-a) = f(a) gives -a the same estimate and the preperiodic set is closed
+under negation, only a >= 0 is evaluated, and two facts confine the search
+to a handful of integers (`min_positive_height`):
+
+* c > 0: every iterate f^k(a), k >= 1, is positive and increasing in a >= 0,
+  so the estimate is nondecreasing in a and the minimum is at a = 0;
+* c < 0: the escape lemma (Call-Silverman; Silverman, The Arithmetic of
+  Dynamical Systems, Sec. 3.4) says that if |x| >= 2 and x^2 >= 2|c| then
+  |x^2 + c| >= x^2/2 >= |x|, so the orbit of x stays in that region and
+  log|f(y)| >= 2 log|y| - log 2 along it.  Applied to x = f(a), telescoping
+  gives h(f^n(a))/2^n >= (log|a^2 + c| - log 2)/2, so only the a with
+  |a^2 + c| small, those near sqrt(-c), can hold the minimum.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .diophantine import phi2_curve_points
@@ -150,11 +154,32 @@ def min_positive_height(
     of the box whose lower bound is still nonpositive, in which case the
     caller should raise `iterations`.
 
-    Only a = 0, 1, 2, ... is evaluated, because a and -a have the same
-    estimate.  The scan stops once a >= 2, a^2 >= 2|c| and
-    log a - log 2 - C(f)/2^n exceeds the minimum so far (or 0, once some
-    lower bound failed): by the escape lemma no larger |a| has a lower bound
-    below that, so the result equals the full box scan's.
+    The result is that of evaluating every integer of the box, found from a
+    few of them (a and -a have the same estimate):
+
+    * c > 0: no integer is preperiodic and the lower bound is nondecreasing
+      in a >= 0 (below).  So the minimum is the bound at a = 0 when that is
+      positive; otherwise the nonpositive bounds are those of 0..k-1, and the
+      first positive one, k, is found by bisection.
+    * c < 0: two walks start at isqrt(-c), one up to the box edge and one
+      down to 0.  Along each, |x| grows for x = f(a) = a^2 + c.  So once
+      |x| >= 2, x^2 >= 2|c| and (log|x| - log 2)/2 - C(f)/2^n exceeds the
+      positive minimum so far, the escape lemma (module docstring) puts the
+      bound of every later a of that walk above it, so none of them lowers
+      the minimum or fails, and the walk stops.  `_ESCAPE_MARGIN` covers the float rounding.
+
+    Why the float estimates keep the order for c > 0 (with c < 2^256).  The
+    estimate of a is fl(log v) / 2^s, where v = f^s(a) and s is the first
+    step at which v reaches 2^256, or n if none does.  Int-to-float
+    conversion and math.log are monotone, and the division is exact.  For
+    0 <= a < a' the iterates of a' are the larger, so the switch to logs
+    comes no later: s' <= s.  If s' = s, then v <= v'.  If s' < s, then
+    v' >= 2^256, while w = f^(s-1)(a) < 2^256 and c <= w (or, at s = 1,
+    c < 2^256) give v = w^2 + c <= 2^512.  So the estimate of a is at most
+    fl(log 2^512) / 2^s = fl(log 2^256) / 2^(s-1), and that of a' is at
+    least fl(log 2^256) / 2^s'.  Subtracting the common error keeps the order.
+    For larger c the bound at 0 is still below every height, which grows
+    with |a|, though an estimate switched to logs early may fall below it.
     """
     c = map.c
     if c in (0, -1):
@@ -162,22 +187,34 @@ def min_positive_height(
     if search_box < 0:
         raise ValueError(f"--box must be >= 0, got {search_box}")
     box = max(search_box, abs(c) + 1)
-    skip = preper_set(c)
     hmin = math.inf
-    failed = None
-    for a in range(box + 1):
-        if a in skip:
-            continue
-        est = canonical_height(map, a, iterations)
-        if est.lower <= 0.0:
-            failed = a
-        else:
-            hmin = min(hmin, est.lower)
-        to_beat = hmin if failed is None else 0.0
-        # escape lemma: every |a'| >= a has lower bound >= log|a'| - log 2 - C/2^n
-        if (a >= 2 and a * a >= 2 * abs(c)
-                and math.log(a) - math.log(2.0) - est.error > to_beat + _ESCAPE_MARGIN):
-            break
+    failed = None  # the largest a whose lower bound is nonpositive
+    if c > 0:
+        hmin = canonical_height(map, 0, iterations).lower
+        if hmin <= 0.0:
+            # the first a >= 1 with a positive bound is failed + 1
+            failed = bisect_left(range(1, box + 1), True,
+                                 key=lambda a: canonical_height(map, a, iterations).lower > 0.0)
+    else:
+        skip = preper_set(c)
+        error = math.inf  # C/2^n, read off the first estimate; hmin is inf until then
+        root = math.isqrt(-c)
+        for walk in (range(root + 1, box + 1), range(root, -1, -1)):
+            for a in walk:
+                x = a * a + c
+                # escape lemma on x = f(a): each later a of the walk has a bound
+                # >= (log|x| - log 2)/2 - C/2^n
+                if (abs(x) >= 2 and x * x >= -2 * c and (math.log(abs(x)) - math.log(2.0)) / 2
+                        - error > hmin + _ESCAPE_MARGIN):
+                    break
+                if a in skip:
+                    continue
+                est = canonical_height(map, a, iterations)
+                error = est.error
+                if est.lower <= 0.0:
+                    failed = max(a, failed or 0)
+                else:
+                    hmin = min(hmin, est.lower)
     if failed is not None:
         raise ArithmeticError(
             f"height lower bound for a={-failed} is nonpositive at "

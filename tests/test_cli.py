@@ -208,7 +208,7 @@ def test_registry_template_with_a_bare_u_exits_2(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("QUADSEMI_REGISTRY", str(target))
     code, out, err = run(capsys, ["verify-lemma", "case1.1", "--bound", "3"])
     assert code == 2 and out == ""
-    assert err == (f"error: solution template {template!r} uses u but is not a line "
+    assert err == (f"error: case1.1: solution template {template!r} uses u but is not a line "
                    "(u^2+k1, u^2+k2, ±u, ±u)\n")
 
 
@@ -431,12 +431,22 @@ def test_heights_cli_negative_box_exits_2(capsys):
 
 
 def test_heights_cli_box_width_does_not_set_the_cost(capsys):
-    # the height scan stops at the escape bound, far inside a 10^9 box
+    # the height search never walks out to the edge of a 10^9 box
     started = time.perf_counter()
     _, wide = run_json(capsys, ["heights", "-c", "3000", "--box", "1000000000"])
     assert time.perf_counter() - started < 1.0
     _, narrow = run_json(capsys, ["heights", "-c", "3000", "--box", "0"])
     assert wide["verdicts"] == narrow["verdicts"]
+
+
+def test_heights_cli_on_a_twelve_digit_constant(capsys):
+    # the verdicts of the scans over a = 0, 1, 2, ... and |X| <= sqrt(2|c|)
+    code, report = run_json(capsys, ["heights", "-c", "-1000000000000"])
+    assert code == 0
+    assert report["verdicts"] == {"hmin": 6.907755252603075, "B": 9.210327898198868,
+                                  "N": 3, "rigor": "box-searched"}
+    assert report["witnesses"]["integral_points"] == [
+        [x, y] for x in (-1000050, 1000050) for y in (-99997500, 99997500)]
 
 
 def test_mc_stability_custom_weights(capsys):

@@ -4,7 +4,9 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quadsemi.arith import is_perfect_square, positive_divisors
+from quadsemi import heights
+from quadsemi.arith import is_perfect_square
+from quadsemi.diophantine import phi2_curve_points, quartic_curve_points
 from quadsemi.dynamics import QuadraticMap
 from quadsemi.heights import (
     MAX_ITERATIONS,
@@ -124,27 +126,17 @@ def test_integral_points_satisfy_curve_and_match_brute_force():
         assert pts == frozenset(brute), c
 
 
-def divisor_pair_reference(c):
-    """Slow reference for integral_points_on_phi2: each divisor pair (d, e) of c
-    with (Y - X^2 - c)(Y + X^2 + c) = d e = c gives the only candidates."""
-    pts = set()
-    for p in positive_divisors(c):
-        for d in (p, -p):
-            e = c // d
-            if (e - d) % 2 != 0:
-                continue
-            r = is_perfect_square((e - d) // 2 - c)
-            if r is not None:
-                y = (e + d) // 2
-                pts |= {(r, y), (-r, y)}
-    return frozenset(pts)
+def phi2_scan_reference(c):
+    """Slow reference for phi2_curve_points: a square test at every X of the
+    factoring box X^2 <= 2|c|, as `quartic_curve_points` scans it."""
+    return quartic_curve_points(1, 2 * c, c * c + c, abs(c) + 1)
 
 
-def test_integral_points_equal_divisor_pair_reference():
+def test_integral_points_equal_the_scan_reference():
     for c in range(-3000, 3001):
         if c in (0, -1):
             continue
-        assert integral_points_on_phi2(QuadraticMap(c)) == divisor_pair_reference(c), c
+        assert phi2_curve_points(c) == phi2_scan_reference(c), c
 
 
 def test_integral_points_degenerate_constants_rejected():
@@ -199,6 +191,34 @@ def _box_scan_reference(map, search_box=0, iterations=30):
     return hmin, RIGOR_BOX
 
 
+def _one_sided_scan_reference(map, search_box=0, iterations=30):
+    """Second reference for min_positive_height: a = 0, 1, 2, ... up to the escape
+    bound log a - log 2 - C/2^n, which needs no a near sqrt(-c) to stop."""
+    c = map.c
+    box = max(search_box, abs(c) + 1)
+    skip = preper_set(c)
+    hmin = math.inf
+    failed = None
+    for a in range(box + 1):
+        if a in skip:
+            continue
+        est = canonical_height(map, a, iterations)
+        if est.lower <= 0.0:
+            failed = a
+        else:
+            hmin = min(hmin, est.lower)
+        to_beat = hmin if failed is None else 0.0
+        if (a >= 2 and a * a >= 2 * abs(c)
+                and math.log(a) - math.log(2.0) - est.error > to_beat + 1e-9):
+            break
+    if failed is not None:
+        raise ArithmeticError(
+            f"height lower bound for a={-failed} is nonpositive at "
+            f"{iterations} iterations; increase iterations"
+        )
+    return hmin, RIGOR_BOX
+
+
 def _outcome(search, c, box, iterations):
     """(hmin, rigor), or the ArithmeticError message."""
     try:
@@ -235,6 +255,64 @@ def test_min_positive_height_equals_box_scan_wide_box(c):
 def test_min_positive_height_equals_box_scan_sampled(c, box, iterations):
     assert _outcome(min_positive_height, c, box, iterations) == _outcome(
         _box_scan_reference, c, box, iterations)
+
+
+@pytest.mark.parametrize("box", [0, 10000])
+def test_min_positive_height_equals_one_sided_scan(box):
+    for c in range(-3000, 3001):
+        if c in (0, -1):
+            continue
+        assert min_positive_height(QuadraticMap(c), box) == _one_sided_scan_reference(
+            QuadraticMap(c), box), c
+
+
+def test_min_positive_height_equals_one_sided_scan_on_the_grid():
+    # small iteration counts fail, and the error must name the same integer
+    for c in range(-400, 401):
+        if c in (0, -1):
+            continue
+        for iterations in range(1, 9):
+            for box in (0, 50, 5000):
+                assert _outcome(min_positive_height, c, box, iterations) == _outcome(
+                    _one_sided_scan_reference, c, box, iterations), (c, iterations, box)
+
+
+def _largest_below_pivot(c, k):
+    """The largest a >= 0 with f^k(a) < 2^256 under x^2 + c, c > 0 (None if none)."""
+    f = QuadraticMap(c)
+    if f.iterate(k, 0) >= 2**256:
+        return None
+    lo, hi = 0, 2**256
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if f.iterate(k, mid) < 2**256 else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("c", [1, 2, 7, 3000, 10**12, 2**200])
+def test_estimates_keep_their_order_where_the_switch_to_logs_moves(c):
+    # a and a + 1 switch from exact orbits to logs at different steps here
+    assert math.log(2.0**512) == 2 * math.log(2.0**256)  # the docstring's pivot
+    f = QuadraticMap(c)
+    for iterations in (1, 2, 3, 5, 30):
+        floor = canonical_height(f, 0, iterations).lower
+        for k in range(6):
+            a = _largest_below_pivot(c, k)
+            if a is None:
+                continue
+            lows = [canonical_height(f, b, iterations).lower for b in (a, a + 1, a + 2)]
+            assert floor <= lows[0] <= lows[1] <= lows[2], (iterations, k)
+
+
+@pytest.mark.parametrize("c", [10**12, -10**12, 10**18, -10**18, -10**24 - 7])
+def test_min_positive_height_reaches_large_constants(c, monkeypatch):
+    calls = []
+    estimate = heights.canonical_height
+    monkeypatch.setattr(heights, "canonical_height",
+                        lambda *args: calls.append(args[1]) or estimate(*args))
+    hmin, rigor = min_positive_height(QuadraticMap(c))
+    assert hmin > 0 and rigor == RIGOR_BOX
+    assert len(calls) <= 8, calls
 
 
 def test_iterate_bound_examples():
