@@ -3,8 +3,8 @@
 Pure functions on Python ints: perfect-square detection, the integer
 preimages of a value set under x^2 + c (the one backward step behind the
 preperiodic sets and the square-value sets of the prefix certificates),
-divisor enumeration, and exhaustive residue searches (the engine behind
-the modular-obstruction checks).
+divisor enumeration (behind `diophantine.quartic_curve_points`), and an
+exhaustive residue search, kept as the tests' slow reference.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ QUADSEMI_REGISTRY overrides the file path).
 
 Everything below depends only on x^2, y^2, s^2, t^2, so solutions are stored
 canonically with x, y >= 0 and s, t signed.  The left equation reads
-x^2 = s^4 + e s^2 + C(t) with e = +-1, a monic quartic in s, so the factoring
-box of `quartic_curve_points` gives s^2 <= t^2 + c1; the right equation
+x^2 = s^4 + e s^2 + C(t) with e = +-1, a monic quartic in s, so its factoring
+box (`_quartic_box`) gives s^2 <= t^2 + c1; the right equation
 gives t^2 <= s^2 + c2 in the same way, with constants c1, c2 <= 2 fixed by
 the system.  So |s^2 - t^2| <= max(c1, c2), and every solution lies in a
 small triangle |s| + |t| <= max(c1, c2) or on the line |s| = |t|, where the
@@ -480,7 +480,7 @@ def solve_system_complete(
         x^2 = q^4 + (e + lam) q^2 + C0,   y^2 = q^4 + (f + sigma) q^2 + D0.
 
     A quartic q^4 + a2 q^2 + a0 with 4 a0 != a2^2 has finitely many integral
-    points, all in its factoring box (`quartic_curve_points`); one with
+    points, all in its factoring box (`_quartic_box`); one with
     4 a0 = a2^2 is (q^2 + a2/2)^2, a square at every q.  If both are squares
     at every q, the line is the family (|u^2 + (e + lam)/2|,
     |u^2 + (f + sigma)/2|, ±u, ±u), the one test of `_is_line_of`.
@@ -528,7 +528,7 @@ def solve_system_bounded(system: System, bound: int) -> set[tuple[int, int, int,
         x^2 = s^4 + e s^2 + C(t),   C(t) = lam t^2 + C0,
         y^2 = t^4 + f t^2 + D(s),   D(s) = sigma s^2 + D0,
 
-    the factoring box of `quartic_curve_points` applies to both:
+    the factoring box (`_quartic_box`) applies to both:
 
         s^2 <= (|4C(t) - 1| + 3) // 4,
         t^2 <= (|4D(s) - 1| + 3) // 4 <= s^2 + c2,
@@ -655,32 +655,44 @@ def modular_obstruction(entry: LemmaEntry, modulus: int) -> ObstructionResult:
 def quartic_curve_points(
     a4: int, a2: int, a0: int, bound: int
 ) -> list[tuple[int, int]]:
-    """All (q, y) with |q| <= bound, y >= 0 and y^2 = a4 q^4 + a2 q^2 + a0.
+    """All (q, y) with |q| <= bound, y >= 0 and y^2 = a4 q^4 + a2 q^2 + a0, in ascending q.
 
-    The curve depends on q only through q^2, so q >= 0 is scanned and each
-    hit with q > 0 is mirrored to -q; points come in ascending q.  When a4 is
-    a positive square and 4 a4 a0 != a2^2, factoring confines every integral
-    point to a box |q| <= Q, and the scan stops there: the list is then every
-    integral point of the curve as soon as bound >= Q.  When a4 < 0 the
-    quartic is negative beyond a box of the same kind, and the scan stops
-    there too.  Other curves are scanned to bound, and their list is
-    complete only within it.
+    When a4 = k^2 > 0 and n = 4 a4 a0 - a2^2 != 0, the curve reads
+    (Y - U)(Y + U) = m with U = h (a4 q^2 + a2/2), Y = h k y and m = h^2 n/4,
+    where h = 1 for even a2 and h = 2 for odd a2.  Every point comes from one
+    signed divisor pair d e = m, with Y = (e + d)/2 >= 0 and U = (e - d)/2,
+    so the list is every integral point within the bound, whatever the bound.
+    Other curves are scanned over q >= 0 (each point mirrored to -q) up to
+    bound, or for a4 < 0 up to the box beyond which the quartic is negative;
+    their list is complete only within the scan.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    limit = bound
-    if is_perfect_square(a4) and 4 * a4 * a0 != a2 * a2:
-        limit = min(bound, math.isqrt(_quartic_box(a4, a2, a0)))
-    elif a4 < 0:
-        # for q >= 1 the quartic is at most -|a4| q^4 + (|a2| + |a0|) q^2,
-        # which is negative once q^2 > (|a2| + |a0|) / |a4|
-        limit = min(bound, math.isqrt((abs(a2) + abs(a0)) // -a4) + 1)
-    pts = []
+    k = is_perfect_square(a4)
+    n = 4 * a4 * a0 - a2 * a2
+    pts: set[tuple[int, int]] = set()
+    if k and n:
+        h = 1 + a2 % 2
+        m, shift, scale = h * h * n // 4, h * a2 // 2, h * a4
+        for p in positive_divisors(m):
+            for d in (p, -p):
+                e = m // d
+                if e + d < 0 or (e - d) % 2:
+                    continue
+                u = (e - d) // 2 - shift  # h a4 q^2
+                q = None if u % scale else is_perfect_square(u // scale)
+                if q is not None and q <= bound:
+                    y = (e + d) // (2 * h * k)  # exact: (Y/hk)^2 is the integer quartic
+                    pts |= {(q, y), (-q, y)}
+        return sorted(pts)
+    # for a4 < 0 and q >= 1 the quartic is at most -|a4| q^4 + (|a2| + |a0|) q^2,
+    # which is negative once q^2 > (|a2| + |a0|) / |a4|
+    limit = bound if a4 >= 0 else min(bound, math.isqrt((abs(a2) + abs(a0)) // -a4) + 1)
     for q in range(limit + 1):
         y = is_perfect_square(a4 * q**4 + a2 * q * q + a0)
         if y is not None:
-            pts.append((q, y))
-    return [(-q, y) for q, y in reversed(pts) if q > 0] + pts
+            pts |= {(q, y), (-q, y)}
+    return sorted(pts)
 
 
 def _quartic_box(a4: int, a2: int, a0: int) -> int:
@@ -697,22 +709,10 @@ def _quartic_box(a4: int, a2: int, a0: int) -> int:
 def phi2_curve_points(c: int) -> list[tuple[int, int]]:
     """Every integral point (X, Y), Y >= 0, of Y^2 = f(f(X)) for f(x) = x^2 + c, c != 0.
 
-    With U = X^2 + c the curve reads Y^2 = U^2 + c, that is (Y - U)(Y + U) =
-    c.  So every point comes from a signed divisor pair d e = c, with
-    U = (e - d)/2, Y = (e + d)/2 >= 0 and X^2 = U - c, and each point from
-    one pair only.  The divisors come from trial division, about sqrt|c|
-    steps.  The points come in ascending X, as `quartic_curve_points` lists
-    them.
+    The curve is Y^2 = X^4 + 2c X^2 + c^2 + c, that is (Y - U)(Y + U) = c with
+    U = X^2 + c, and `quartic_curve_points` lists its points from the divisor
+    pairs of c.  Each has X^2 = U - c <= 2|c|, within the bound |c| + 1.
     """
     if c == 0:
         raise ValueError("Y^2 = X^4 has a point at every X; c must be nonzero")
-    pts: set[tuple[int, int]] = set()
-    for p in positive_divisors(c):
-        for d in (p, -p):
-            e = c // d
-            if e + d < 0 or (e - d) % 2:
-                continue
-            x = is_perfect_square((e - d) // 2 - c)
-            if x is not None:
-                pts |= {(x, (e + d) // 2), (-x, (e + d) // 2)}
-    return sorted(pts)
+    return quartic_curve_points(1, 2 * c, c * c + c, abs(c) + 1)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import is_perfect_square, residue_search, square_preimages
+from .arith import is_perfect_square, square_preimages
 from .diophantine import phi2_curve_points
 from .dynamics import GeneratorSet
 from .portraits import (
@@ -302,7 +302,7 @@ def check_exceptional_prefix(s: int) -> ExceptionalPrefixReport:
     # landing on s^2 via z = -(s^2+1) requires b^2 + 2s^2 - s^4 + 1 = 0
     subchecks.append(
         ("b^2 + 2s^2 - s^4 + 1 = 0 has no solutions mod 4",
-         residue_search([lambda b, t: b * b + 2 * t * t - t**4 + 1], 2, 4) == [])
+         all((b * b + 2 * t * t - t**4 + 1) % 4 for b in range(4) for t in range(4)))
     )
     # landing on s^2 via z = s^2+1, or on -s^2, both require s^4 + 1 square
     subchecks.append(

@@ -46,9 +46,9 @@ from .diophantine import phi2_curve_points
 from .dynamics import QuadraticMap
 from .portraits import preper_set
 
-# Orbit values are kept as exact integers up to this size; beyond it the
-# iteration continues on logs, where the one-step defect |log(1 + c/x^2)| is
-# below 2^-450 and invisible at double precision.
+# Orbit values stay exact integers up to 2^L, L = max(_EXACT_BITS, bitlen|c| + 195);
+# beyond it v^2 >= 2^450 |c|, so the one-step defect |log(1 + c/v^2)| of the
+# iteration on logs is below 2^-450 and invisible at double precision.
 _EXACT_BITS = 256
 
 # 2.0**iterations overflows a double past this
@@ -108,17 +108,17 @@ def naive_height(x: int) -> float:
 def canonical_height(map: QuadraticMap, a: int, iterations: int) -> HeightEstimate:
     """Estimate hhat(a) as h(f^n(a))/2^n with guaranteed error C(f)/2^n.
 
-    The orbit is computed exactly in big integers until values pass 2^256,
-    after which the remaining doublings happen on logs; past that size the
-    neglected per-step terms total less than 2^-450 and the reported error
-    bound still holds.
+    The orbit is computed exactly in big integers until values pass 2^L,
+    L = max(256, bitlen|c| + 195), after which the remaining doublings happen
+    on logs; past that size v^2 >= 2^450 |c|, the neglected per-step terms
+    total less than 2^-450 and the reported error bound still holds.
     """
     if not 1 <= iterations <= MAX_ITERATIONS:
         raise ValueError(f"iterations must be in [1, {MAX_ITERATIONS}], got {iterations}")
     c = map.c
-    v = a
-    step = 0
-    while step < iterations and v.bit_length() <= _EXACT_BITS:
+    v, step = a, 0
+    exact_bits = max(_EXACT_BITS, c.bit_length() + 195)
+    while step < iterations and v.bit_length() <= exact_bits:
         v = v * v + c
         step += 1
     if step == iterations:
@@ -168,18 +168,18 @@ def min_positive_height(
       bound of every later a of that walk above it, so none of them lowers
       the minimum or fails, and the walk stops.  `_ESCAPE_MARGIN` covers the float rounding.
 
-    Why the float estimates keep the order for c > 0 (with c < 2^256).  The
-    estimate of a is fl(log v) / 2^s, where v = f^s(a) and s is the first
-    step at which v reaches 2^256, or n if none does.  Int-to-float
+    Why the float estimates keep the order for c > 0.  The estimate of a is
+    fl(log v) / 2^s, where v = f^s(a) and s is the first step at which v
+    reaches 2^L (`canonical_height`; c < 2^L), or n if none does.  Int-to-float
     conversion and math.log are monotone, and the division is exact.  For
     0 <= a < a' the iterates of a' are the larger, so the switch to logs
     comes no later: s' <= s.  If s' = s, then v <= v'.  If s' < s, then
-    v' >= 2^256, while w = f^(s-1)(a) < 2^256 and c <= w (or, at s = 1,
-    c < 2^256) give v = w^2 + c <= 2^512.  So the estimate of a is at most
-    fl(log 2^512) / 2^s = fl(log 2^256) / 2^(s-1), and that of a' is at
-    least fl(log 2^256) / 2^s'.  Subtracting the common error keeps the order.
-    For larger c the bound at 0 is still below every height, which grows
-    with |a|, though an estimate switched to logs early may fall below it.
+    v' >= 2^L, while w = f^(s-1)(a) < 2^L and c <= w (or, at s = 1, c < 2^L)
+    give v = w^2 + c <= 2^(2L).  So the estimate of a is at most
+    fl(log 2^(2L)) / 2^s = fl(log 2^L) / 2^(s-1), and that of a' is at
+    least fl(log 2^L) / 2^s'.  Subtracting the common error keeps the order.
+    That float identity holds while 2^(2L) is a float, for c < 2^316 (a test
+    pins it); past that math.log of an int can miss it by an ulp.
     """
     c = map.c
     if c in (0, -1):

@@ -1,6 +1,8 @@
+import collections
 import dataclasses
 import json
 import math
+import random
 import re
 import shutil
 
@@ -580,6 +582,42 @@ def test_quartic_box_holds_every_point_of_the_monic_curves(a2):
 ])
 def test_quartic_curve_points_equal_box_scan_reference_at_bound_2000(coeffs):
     assert quartic_curve_points(*coeffs, 2000) == box_scan_reference(*coeffs, 2000)
+
+
+def test_square_leading_route_equals_box_scan_reference():
+    # seeded curves y^2 = k^2 q^4 + a2 q^2 + a0, a third with a planted point
+    # (q0, y0) and a third with a planted y = 0, at bounds up to two past the
+    # factoring box; the tally below shows each case the route must handle
+    rng = random.Random(2029)
+    seen = collections.Counter()
+    for _ in range(3000):
+        k, a2, q0 = rng.randint(1, 5), rng.randint(-60, 60), rng.randint(0, 6)
+        a4 = k * k
+        a0 = rng.choice([rng.randint(-400, 400), -(a4 * q0**4 + a2 * q0 * q0),
+                         rng.randint(0, 50) ** 2 - a4 * q0**4 - a2 * q0 * q0])
+        n = 4 * a4 * a0 - a2 * a2
+        if n == 0:
+            continue
+        bound = rng.randint(1, math.isqrt(_quartic_box(a4, a2, a0)) + 2)
+        got = quartic_curve_points(a4, a2, a0, bound)
+        assert got == box_scan_reference(a4, a2, a0, bound), (a4, a2, a0, bound)
+        full = quartic_curve_points(a4, a2, a0, 10**9)
+        seen["k >= 2, odd a2, with points"] += k >= 2 and a2 % 2 == 1 and bool(got)
+        seen["k >= 2, even a2, with points"] += k >= 2 and a2 % 2 == 0 and bool(got)
+        seen["n < 0"] += n < 0 and bool(got)
+        seen["n > 0"] += n > 0 and bool(got)
+        seen["y = 0"] += any(y == 0 for _, y in got)
+        seen["bound below the largest |q|"] += len(got) < len(full)
+    assert len(seen) == 6 and min(seen.values()) >= 20, seen
+
+
+def test_square_leading_route_makes_few_square_tests(monkeypatch):
+    calls = []
+    square = diophantine.is_perfect_square
+    monkeypatch.setattr(diophantine, "is_perfect_square", lambda v: calls.append(v) or square(v))
+    assert quartic_curve_points(1, 0, -10**12, 10**15) == [(-1000, 0), (1000, 0)]
+    # 10^12 = 2^12 5^12 has 13^2 divisors; the box scan to 10^6 made 10^6 tests
+    assert len(calls) <= 2 * 13**2, len(calls)
 
 
 

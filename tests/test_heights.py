@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from quadsemi import heights
 from quadsemi.arith import is_perfect_square
-from quadsemi.diophantine import phi2_curve_points, quartic_curve_points
+from quadsemi.diophantine import phi2_curve_points
 from quadsemi.dynamics import QuadraticMap
 from quadsemi.heights import (
     MAX_ITERATIONS,
@@ -52,6 +52,16 @@ def test_canonical_height_agrees_with_plain_iteration_at_small_depth():
     f = QuadraticMap(3)
     v = f.iterate(4, 2)
     assert canonical_height(f, 2, 4).value == pytest.approx(math.log(v) / 16)
+
+
+def test_canonical_height_band_holds_the_orbit_for_huge_constants():
+    # c = 2^600 lies far above 2^256, where the switch to logs once came
+    # whatever c; from f^2(a) ~ 2^1200 on the one-step defects are below
+    # 2^-1800, so log f^4(a) / 2^4 is the height to double precision
+    c, a = 2**600, 2**256
+    f = QuadraticMap(c)
+    est = canonical_height(f, a, 30)
+    assert est.lower <= math.log(f.iterate(4, a)) / 16 <= est.upper
 
 
 def test_canonical_height_validates_iterations():
@@ -127,9 +137,16 @@ def test_integral_points_satisfy_curve_and_match_brute_force():
 
 
 def phi2_scan_reference(c):
-    """Slow reference for phi2_curve_points: a square test at every X of the
-    factoring box X^2 <= 2|c|, as `quartic_curve_points` scans it."""
-    return quartic_curve_points(1, 2 * c, c * c + c, abs(c) + 1)
+    """Slow reference for phi2_curve_points: a square test at every
+    |X| <= isqrt(2|c|) + 1.  That holds every point, since (Y - U)(Y + U) = c
+    with U = X^2 + c gives |U| <= (|c| + 1)/2, so X^2 = U - c <= 2|c|."""
+    r = math.isqrt(2 * abs(c)) + 1
+    pts = []
+    for X in range(-r, r + 1):
+        y = is_perfect_square((X * X + c) ** 2 + c)
+        if y is not None:
+            pts.append((X, y))
+    return pts
 
 
 def test_integral_points_equal_the_scan_reference():
@@ -277,22 +294,34 @@ def test_min_positive_height_equals_one_sided_scan_on_the_grid():
                     _one_sided_scan_reference, c, box, iterations), (c, iterations, box)
 
 
+def _pivot_bits(c):
+    """canonical_height's switch point L: orbit values >= 2^L go on in logs."""
+    return max(256, c.bit_length() + 195)
+
+
 def _largest_below_pivot(c, k):
-    """The largest a >= 0 with f^k(a) < 2^256 under x^2 + c, c > 0 (None if none)."""
+    """The largest a >= 0 with f^k(a) < 2^L under x^2 + c, c > 0 (None if none)."""
     f = QuadraticMap(c)
-    if f.iterate(k, 0) >= 2**256:
+    pivot = 2 ** _pivot_bits(c)
+    if f.iterate(k, 0) >= pivot:
         return None
-    lo, hi = 0, 2**256
+    lo, hi = 0, pivot
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if f.iterate(k, mid) < 2**256 else (lo, mid)
+        lo, hi = (mid, hi) if f.iterate(k, mid) < pivot else (lo, mid)
     return lo
 
 
-@pytest.mark.parametrize("c", [1, 2, 7, 3000, 10**12, 2**200])
+def test_the_order_proofs_float_identity_holds_to_the_end_of_the_float_range():
+    # min_positive_height's docstring: fl(log 2^(2L)) = 2 fl(log 2^L) at every
+    # switch point L with 2^(2L) below 2^1024, that is for every c < 2^316
+    for L in range(256, 512):
+        assert math.log(2 ** (2 * L)) == 2 * math.log(2**L), L
+
+
+@pytest.mark.parametrize("c", [1, 2, 7, 3000, 10**12, 2**200, 2**300])
 def test_estimates_keep_their_order_where_the_switch_to_logs_moves(c):
     # a and a + 1 switch from exact orbits to logs at different steps here
-    assert math.log(2.0**512) == 2 * math.log(2.0**256)  # the docstring's pivot
     f = QuadraticMap(c)
     for iterations in (1, 2, 3, 5, 30):
         floor = canonical_height(f, 0, iterations).lower
