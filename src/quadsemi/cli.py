@@ -6,13 +6,19 @@ line; ``python3 -m json.tool`` indents it for reading.  Each handler returns
 an ``Outcome``; ``main`` alone times the command, builds the report and
 prints it.  A witness may already be JSON text (``_JSONText``), which
 ``main`` splices into the report as it stands; only ``scan-words`` makes
-one, its ``certified_words``.  ``main`` builds its argument parser on its
-first call and reuses it, so repeated in-process calls do not pay for it
-again.
+one, its ``certified_words``.
+
+``main`` builds its argument parser on its first call and reuses it, so
+repeated in-process calls do not pay for it again.  When the first argument
+names a subcommand, ``main`` parses the rest with that subcommand's own
+parser, which is what the top parser would hand them to; anything else (no
+argument, ``--version``, ``-h``, an unknown name) goes through the top
+parser.  Both paths give the same namespace, messages and exit codes.
 
 Exit codes: 0 = success / all checks passed / certificate obtained;
 1 = a check failed (lemma mismatch, refuted obstruction, forbidden
-certificate combination, theorem-violation diagnostic); 2 = usage error.
+certificate combination, theorem-violation diagnostic); 2 = usage error;
+141 = the reader of stdout closed it before the output ended.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 import time
@@ -57,6 +64,10 @@ from .oracle import cross_validate
 from .portraits import portrait
 
 REPORT_SCHEMA = "quadsemi-report/3"
+
+# the exit code of a report whose reader closed stdout early: 128 + SIGPIPE,
+# as a shell reports a process that SIGPIPE ended
+EXIT_BROKEN_PIPE = 141
 
 
 class Outcome(NamedTuple):
@@ -478,13 +489,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# main's own parser, built on its first call; build_parser() still gives each
-# caller a fresh one, so no caller can change the parser main uses
-_parser = functools.cache(build_parser)
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """main's own parser and its subcommand parsers by name, built on main's first call.
+
+    build_parser() still gives each caller a fresh parser, so no caller can
+    change the parsers main uses.
+    """
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, sub.choices
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, parsed by the named subcommand's parser alone.
+
+    The top parser hands every argument after a subcommand name to that
+    subcommand's parser and reports what it leaves over as unrecognized;
+    this does the same without the top parser's own pass over the arguments.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:  # no argument, --version, -h or an unknown name
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     started = time.perf_counter()
     try:
         out = args.handler(args)
@@ -501,9 +538,19 @@ def main(argv: list[str] | None = None) -> int:
         if out.stats is not None:
             report["stats"] = out.stats
         report["timings"] = {"elapsed_s": round(time.perf_counter() - started, 6)}
-        print(_dumps(report))
+        text = _dumps(report)
     else:
-        print("\n".join(out.lines))
+        text = "\n".join(out.lines)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (`quadsemi ... | head`): point stdout at devnull,
+        # so the flush at exit has somewhere to write what is still buffered
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     return out.code
 
 

@@ -32,6 +32,7 @@ square tests, as a cross-check.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -238,6 +239,12 @@ def registry_path() -> str:
     override = os.environ.get(ENV_REGISTRY)
     if override:
         return override
+    return _bundled_path()
+
+
+@functools.cache
+def _bundled_path() -> str:
+    # found once: the package cannot move under a running interpreter
     return str(resources.files(__package__) / "data" / "lemma_registry.json")
 
 
@@ -252,6 +259,7 @@ class _Loaded(NamedTuple):
 
     path: str
     source: str  # "env" or "bundled"
+    data: bytes  # the file's bytes, as validated
     sha256: str
     entries: tuple[LemmaEntry, ...]
 
@@ -270,11 +278,11 @@ def registry() -> tuple[LemmaEntry, ...]:
     system, and that every claimed line is one, as an identity in u
     (`_is_line_of`).  Raises RegistryError on any defect.
 
-    Every call reads the file and hashes its bytes, but the validation
-    runs only when (path, sha256) differs from that of the registry last
-    returned, so repeated calls on unchanged bytes return the same tuple,
-    while a rewritten file or a changed QUADSEMI_REGISTRY takes effect on
-    the next call.  A failed load raises on every call and is never
+    Every call reads the file, but its bytes are hashed and validated only
+    when the path, the source or the bytes differ from those of the
+    registry last returned, so repeated calls on unchanged bytes return the
+    same tuple, while a rewritten file or a changed QUADSEMI_REGISTRY takes
+    effect on the next call.  A failed load raises on every call and is never
     cached.  The entries are frozen and the result is a tuple, so every
     caller can share it.
     """
@@ -297,14 +305,12 @@ def registry_provenance() -> dict[str, str]:
 
 def _load() -> _Loaded:
     path = registry_path()
+    source = "env" if os.environ.get(ENV_REGISTRY) else "bundled"
     data = _read_registry(path)
-    digest = hashlib.sha256(data).hexdigest()
-    if _last and (_last[0].path, _last[0].sha256) == (path, digest):
-        entries = _last[0].entries
-    else:
-        entries = _validate(data, path)
-    loaded = _Loaded(path, "env" if os.environ.get(ENV_REGISTRY) else "bundled",
-                     digest, entries)
+    if _last and (_last[0].path, _last[0].source, _last[0].data) == (path, source, data):
+        return _last[0]
+    loaded = _Loaded(path, source, data, hashlib.sha256(data).hexdigest(),
+                     _validate(data, path))
     _last[:] = [loaded]
     return loaded
 

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -610,6 +611,48 @@ def test_version_prints_on_every_call(capsys):
         assert capsys.readouterr().out == f"quadsemi {quadsemi.__version__}\n"
 
 
+# argv that main parses with the named subcommand's parser, and argv that
+# it leaves to the top parser, valid and malformed
+PARSE_CORPUS = [
+    *([command, *argv, *json_flag] for command, argv in VALID_ARGV.items()
+      for json_flag in ([], ["--json"])),
+    *([command, "-h"] for command in VALID_ARGV),
+    ["--version"], ["--vers"], ["-h"], [], ["--"], ["no-such-command"],
+    ["verify-lemma", "case2.14", "--bou", "7"],
+    ["verify-lemma"], ["verify-lemma", "case1.1", "--all"],
+    ["portrait", "-c", "-21", "extra"],
+    ["heights", "-c", "-12", "--threads", "2"],
+    ["heights", "-c", "-12", "--box"],
+    ["scan-pairs", "--min", "-1500", "--max", "1500"],
+    ["exceptional", "-c1=-3", "-c2", "5"],
+    ["portrait", "--", "-c", "-21"],
+    ["obstruction", "case2.14", "--mod", "5"],
+]
+
+
+def parse_outcome(capsys, parse, argv):
+    """(namespace or None, exit code or None, stdout, stderr) of one parse."""
+    try:
+        args, code = parse(argv), None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    out = capsys.readouterr()
+    return args, code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+def test_main_parses_as_the_top_parser_does(capsys, argv):
+    reference = parse_outcome(capsys, lambda a: build_parser().parse_args(a), argv)
+    assert parse_outcome(capsys, cli._parse, argv) == reference
+
+
+def test_main_without_argv_parses_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["quadsemi", "portrait", "-c", "-21", "--json"])
+    assert cli._parse(None) == build_parser().parse_args(["portrait", "-c", "-21", "--json"])
+    code, out, _ = run(capsys, None)
+    assert code == 0 and json.loads(out)["inputs"] == {"c": -21}
+
+
 def test_verify_lemma_reads_the_registry_once(capsys, monkeypatch):
     path = registry_path()
     opened = []
@@ -645,6 +688,79 @@ def test_verify_lemma_reports_the_digest_of_the_bytes_it_verified(
     assert code == 0
     assert report["inputs"]["registry"] == {"source": "env", "sha256": verified_sha256}
     assert registry_checksum(str(target)) != verified_sha256
+
+
+def test_rewritten_registry_of_the_same_length_is_validated_again(
+        capsys, tmp_path, monkeypatch):
+    target = tmp_path / "registry.json"
+    data = Path(registry_path()).read_bytes()
+    target.write_bytes(data)
+    monkeypatch.setenv("QUADSEMI_REGISTRY", str(target))
+    validate, validated = diophantine._validate, []
+
+    def counting(data, path):
+        validated.append(data)
+        return validate(data, path)
+
+    monkeypatch.setattr(diophantine, "_validate", counting)
+    for text in (data, data.replace(b"The 48", b"All 48")):
+        assert len(text) == len(data)
+        target.write_bytes(text)
+        code, report = run_json(capsys, ["verify-lemma", "case2.14"])
+        assert code == 0 and validated[-1] == text
+        assert report["inputs"]["registry"] == {
+            "source": "env", "sha256": hashlib.sha256(text).hexdigest()}
+    assert len(validated) == 2
+
+
+def test_registry_source_follows_the_environment_on_every_call(
+        capsys, tmp_path, monkeypatch):
+    target = tmp_path / "registry.json"
+    shutil.copy(registry_path(), target)  # the same bytes at another path
+    sources = []
+    for env in (str(target), None, str(target), None):
+        if env is None:
+            monkeypatch.delenv("QUADSEMI_REGISTRY", raising=False)
+        else:
+            monkeypatch.setenv("QUADSEMI_REGISTRY", env)
+        _, report = run_json(capsys, ["verify-lemma", "case2.14"])
+        sources.append(report["inputs"]["registry"])
+    digest = registry_checksum()
+    assert sources == [{"source": source, "sha256": digest}
+                       for source in ("env", "bundled", "env", "bundled")]
+
+
+def test_unchanged_registry_is_not_hashed_again(capsys, monkeypatch):
+    argv = ["verify-lemma", "case2.14"]
+    run_json(capsys, argv)
+    sha256, hashed = hashlib.sha256, []
+
+    def counting(*args, **kwargs):
+        hashed.append(args)
+        return sha256(*args, **kwargs)
+
+    monkeypatch.setattr(hashlib, "sha256", counting)
+    code, report = run_json(capsys, argv)
+    monkeypatch.undo()
+    assert code == 0 and hashed == []
+    assert report["inputs"]["registry"]["sha256"] == registry_checksum()
+
+
+def test_bundled_registry_is_found_once(capsys, monkeypatch):
+    files, found = diophantine.resources.files, []
+
+    def counting(package):
+        found.append(package)
+        return files(package)
+
+    monkeypatch.delenv("QUADSEMI_REGISTRY", raising=False)
+    monkeypatch.setattr(diophantine.resources, "files", counting)
+    diophantine._bundled_path.cache_clear()
+    for _ in range(3):
+        code, report = run_json(capsys, ["verify-lemma", "case2.14"])
+        assert code == 0 and report["inputs"]["registry"]["source"] == "bundled"
+    assert registry_path() == str(files("quadsemi") / "data" / "lemma_registry.json")
+    assert found == ["quadsemi"]
 
 
 @pytest.mark.parametrize("command", sorted(set(VALID_ARGV) - {"scan-words", "verify-lemma"}))
@@ -845,6 +961,46 @@ def test_console_script_entry_point():
         )
     assert proc.returncode == 0
     assert "[12, 4]" in proc.stdout
+
+
+def quadsemi_process(argv, **kwargs):
+    """``python -m quadsemi *argv`` on this package, with stderr piped.
+
+    Its stdout is block-buffered, as a console script's pipe is by default.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(quadsemi.__file__).parent.parent)
+    return subprocess.Popen([sys.executable, "-m", "quadsemi", *argv],
+                            stderr=subprocess.PIPE, env=env, **kwargs)
+
+
+def test_reader_closing_the_pipe_early_gets_no_traceback():
+    # about 290 KB of word lines, more than a pipe holds, so the write that
+    # meets the closed pipe fails instead of finishing into the buffer
+    with quadsemi_process(["scan-words", "-c", "-14,40", "-L", "12", "--verbose"],
+                          stdout=subprocess.PIPE) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert head.startswith(b"8190 words of length <= 12")
+    assert b"Traceback" not in err and err == b""
+    assert code == cli.EXIT_BROKEN_PIPE == 141
+
+
+def test_short_report_into_a_closed_pipe_gets_no_traceback():
+    # a short report waits in stdout's buffer and meets the closed pipe only
+    # when flushed; what stays buffered must not fail again at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        with quadsemi_process(["portrait", "-c", "-21"], stdout=write_end) as proc:
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+    finally:
+        os.close(write_end)
+    assert err == b""
+    assert code == cli.EXIT_BROKEN_PIPE
 
 
 @pytest.mark.parametrize("cs", ["1", "1,2"])
