@@ -520,8 +520,33 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     return args
 
 
+def _emit(text: str | None = None) -> bool:
+    """Print text, if any, and flush stdout; False if the reader has closed the pipe.
+
+    When the reader has gone (`quadsemi ... | head`), stdout is pointed at
+    devnull, so the flush at exit has somewhere to write what is still
+    buffered.
+    """
+    try:
+        if text is not None:
+            print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parse(argv)
+    try:
+        args = _parse(argv)
+    except SystemExit:
+        # argparse has printed help, the version or a usage error
+        if not _emit():
+            return EXIT_BROKEN_PIPE
+        raise
     started = time.perf_counter()
     try:
         out = args.handler(args)
@@ -541,17 +566,7 @@ def main(argv: list[str] | None = None) -> int:
         text = _dumps(report)
     else:
         text = "\n".join(out.lines)
-    try:
-        print(text)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader has gone (`quadsemi ... | head`): point stdout at devnull,
-        # so the flush at exit has somewhere to write what is still buffered
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_BROKEN_PIPE
-    return out.code
+    return out.code if _emit(text) else EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

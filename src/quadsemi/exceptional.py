@@ -39,6 +39,7 @@ from .diophantine import phi2_curve_points
 from .dynamics import GeneratorSet
 from .portraits import (
     FIXED_SQUARE,
+    PREPER_TARGETS,
     TWO_CYCLE_SQUARE,
     SquareForm,
     preper_set,
@@ -145,40 +146,65 @@ def is_exceptional_pair(c1: int, c2: int) -> ExceptionalVerdict:
     )
 
 
+def _partner_roots(sign: int, a: int, top: int) -> list[int]:
+    """Every s in [0, top), top >= 1, with sign*s^2 + a a square: one test per root y.
+
+    The roots y >= 0 of the values sign*s^2 + a that are squares fill a
+    window, and each y gives s^2 = sign*(y^2 - a), so distinct y give
+    distinct s.  For sign = +1 the values run over [a, a + (top-1)^2], so
+    ceil(sqrt(max(a, 0))) <= y <= isqrt(a + (top-1)^2); for sign = -1 they
+    are a - s^2 >= 0 with s <= m = min(top - 1, isqrt(a)), so
+    ceil(sqrt(a - m^2)) <= y <= isqrt(a), and a < 0 leaves none.  As
+    sqrt(u + v^2) - sqrt(u) <= v, the window holds at most top values, never
+    more than a test of each s would take, and about top^2 / (2 sqrt|a|) + 1
+    when |a| is large.
+    """
+    if sign > 0:
+        lo_v, hi_v = max(a, 0), a + (top - 1) ** 2
+    else:
+        m = min(top - 1, math.isqrt(max(a, 0)))
+        lo_v, hi_v = a - m * m, a
+    if hi_v < 0:
+        return []
+    lo = math.isqrt(lo_v - 1) + 1 if lo_v > 0 else 0
+    return [s for y in range(lo, math.isqrt(hi_v) + 1)
+            if (s := is_perfect_square(sign * (y * y - a))) is not None]
+
+
 def scan_exceptional_pairs(cmin: int, cmax: int) -> list[tuple[int, int]]:
-    """All ordered exceptional pairs (c1, c2), c1 != c2, in [cmin, cmax]^2.
+    """All ordered exceptional pairs (c1, c2), c1 != c2, in [cmin, cmax]^2, ascending.
 
     Condition (1) forces both constants into a square shape, so only the
-    O(|cmin|^(1/4)) shape constants (`portraits.shape_constant`) in the box are
-    paired, ascending; each of them has a square periodic point, so condition
-    (1) holds for every pair.  Condition (2) is then tested first, exactly:
-    each constant's preperiodic set is computed once, and `meets` holds the
-    ordered pairs (c1, c2) with some p - c1 a square for p in PrePer(c2), one
-    square test per target.  Only a pair that meets in both directions gets
-    the full witness verdict `is_exceptional_pair`, so the list is the one
-    the verdict alone would give: O(|cmin|^(1/2)) square tests and one verdict
-    per output pair.
+    O(|cmin|^(1/4)) shape constants (`portraits.shape_constant`) in the box
+    are candidates, and each of them has a square periodic point, so
+    condition (1) holds for every pair.  Condition (2) is tested exactly,
+    and it alone decides the list: PrePer(c2) is `PREPER_TARGETS`, the
+    values sign*s2^2 + offset of c2's shape, so (c1, c2) meets when
+    sign*s2^2 + a is a square, a = offset - c1.  Rather than pair the
+    constants, the scan solves each target for the partner's parameter s2
+    in [0, top), `top` the first s with both shapes below cmin:
+    `_partner_roots` tests each y in the window of squares that the values
+    span.  The window holds at most top and about top^2 / (2 sqrt|a|) + 1
+    values, and |a| ~ s1^4, so a constant of parameter s1 costs
+    min(top, top^2 / s1^2) tests per target; summed over s1 < top, that is
+    O(top^(3/2)) = O(|cmin|^(3/8)) square tests.  The pairs met in both
+    directions are the exceptional ones, with no witness verdict
+    (`is_exceptional_pair`) or preperiodic set computed per pair.
     """
     if cmin > cmax:
         raise ValueError(f"--min must not exceed --max, got [{cmin}, {cmax}]")
     top = math.isqrt(math.isqrt(max(-cmin, 0))) + 2  # both shapes < cmin from s = top on
-    shapes = {shape_constant(kind, s)
-              for s in range(top) for kind in (FIXED_SQUARE, TWO_CYCLE_SQUARE)}
-    cs = sorted(c for c in shapes if cmin <= c <= cmax)
-    pre = {c: preper_set(c) for c in cs}
+    box = {c for s in range(top) for kind in PREPER_TARGETS
+           if cmin <= (c := shape_constant(kind, s)) <= cmax}
     meets = {
         (c1, c2)
-        for c1 in cs
-        for c2 in cs
-        if c2 != c1 and any(is_perfect_square(p - c1) is not None for p in pre[c2])
+        for c1 in box
+        for kind, targets in PREPER_TARGETS.items()
+        for sign, offset in targets
+        for s2 in _partner_roots(sign, offset - c1, top)
+        if (c2 := shape_constant(kind, s2)) in box and c2 != c1
     }
-    return [
-        (c1, c2)
-        for c1 in cs
-        for c2 in cs
-        if (c1, c2) in meets and (c2, c1) in meets
-        and is_exceptional_pair(c1, c2).is_exceptional
-    ]
+    return sorted((c1, c2) for c1, c2 in meets if (c2, c1) in meets)
 
 
 def _square_set(c: int) -> frozenset[int]:

@@ -1003,6 +1003,34 @@ def test_short_report_into_a_closed_pipe_gets_no_traceback():
     assert code == cli.EXIT_BROKEN_PIPE
 
 
+HELP_ARGV = [["--help"], ["--version"], ["scan-pairs", "-h"]]
+
+
+@pytest.mark.parametrize("argv", HELP_ARGV, ids=" ".join)
+def test_help_into_a_closed_pipe_gets_no_traceback(argv):
+    # argparse prints and exits while parsing; the buffered text must not
+    # fail again in the flush at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        with quadsemi_process(argv, stdout=write_end) as proc:
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+    finally:
+        os.close(write_end)
+    assert b"Exception ignored" not in err and b"Traceback" not in err
+    assert code == cli.EXIT_BROKEN_PIPE
+
+
+@pytest.mark.parametrize("argv", HELP_ARGV, ids=" ".join)
+def test_help_into_an_open_pipe_is_argparse_text(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # one help width in and out of process
+    _, code, out, _ = parse_outcome(capsys, lambda a: build_parser().parse_args(a), argv)
+    with quadsemi_process(argv, stdout=subprocess.PIPE) as proc:
+        text, err = proc.communicate(timeout=60)
+    assert (proc.returncode, text.decode(), err) == (code, out, b"") and code == 0
+
+
 @pytest.mark.parametrize("cs", ["1", "1,2"])
 def test_scan_words_over_budget_exits_2_at_once(capsys, cs):
     start = time.perf_counter()

@@ -34,6 +34,7 @@ from quadsemi.exceptional import (
 from quadsemi.heights import compute_iterate_bound
 from quadsemi.portraits import (
     FIXED_SQUARE,
+    PREPER_TARGETS,
     TWO_CYCLE_SQUARE,
     preper_set,
     recognize_square_periodic,
@@ -119,18 +120,98 @@ def test_scan_matches_reference_on_random_boxes(a, b):
 
 
 @pytest.mark.parametrize("box", [(-1500, 1500), (-10**6, 10**6)])
-def test_scan_gives_a_full_verdict_only_to_the_output_pairs(box, monkeypatch):
-    # the exact prefilter on condition (2) leaves exactly the exceptional pairs
+def test_scan_gives_no_verdict_and_returns_only_exceptional_pairs(box, monkeypatch):
+    # the exact test of condition (2) alone leaves exactly the exceptional pairs
     calls = []
 
-    def counting(c1, c2):
-        calls.append((c1, c2))
-        return is_exceptional_pair(c1, c2)
+    def counting(name, f):
+        def wrapped(*args):
+            calls.append((name, args))
+            return f(*args)
+        return wrapped
 
-    monkeypatch.setattr(exceptional, "is_exceptional_pair", counting)
+    for name in ("is_exceptional_pair", "preper_set"):
+        monkeypatch.setattr(exceptional, name, counting(name, getattr(exceptional, name)))
     pairs = scan_exceptional_pairs(*box)
-    assert calls == pairs
+    assert calls == []
+    assert all(is_exceptional_pair(c1, c2).is_exceptional for c1, c2 in pairs)
     assert len(pairs) == {(-1500, 1500): 16, (-10**6, 10**6): 66}[box]
+
+
+def _partner_roots_reference(sign, a, top):
+    roots = []
+    for s in range(top):
+        v = sign * s * s + a
+        if v >= 0 and math.isqrt(v) ** 2 == v:
+            roots.append(s)
+    return roots
+
+
+def _partner_roots_cases():
+    rng = random.Random(20)
+    offsets = sorted({o for targets in PREPER_TARGETS.values() for _, o in targets})
+    cases = [
+        (1, -25, 10),   # a < 0 with a y = 0 solution, s = 5
+        (-1, -25, 10),  # a < 0 leaves no value a - s^2 >= 0
+        (1, 0, 7), (-1, 0, 7),  # a = 0
+        (1, 9, 5),      # y = 3 (s = 0) and y = 5 (s = 4) end the window
+        (-1, 25, 5),    # y = 3 (s = 4) and y = 5 (s = 0) end the window
+        (1, 7, 1), (1, 9, 1), (-1, 9, 1), (-1, 8, 1),  # top = 1
+    ]
+    for _ in range(400):
+        sign, offset = rng.choice((1, -1)), rng.choice(offsets)
+        s1 = rng.randrange(60)
+        c1 = (shape_constant(rng.choice(sorted(PREPER_TARGETS)), s1) if rng.random() < 0.7
+              else rng.randint(-5000, 5000))
+        cases.append((sign, offset - c1, rng.randint(1, 60)))
+    return cases
+
+
+def test_partner_roots_match_a_direct_check_of_every_s(monkeypatch):
+    tests = []
+
+    def counting(n):
+        tests.append(n)
+        return is_perfect_square(n)
+
+    monkeypatch.setattr(exceptional, "is_perfect_square", counting)
+    for sign, a, top in _partner_roots_cases():
+        tests.clear()
+        roots = exceptional._partner_roots(sign, a, top)
+        assert sorted(roots) == _partner_roots_reference(sign, a, top), (sign, a, top)
+        assert len(set(roots)) == len(roots)
+        assert len(tests) <= top  # the window is never longer than the s range
+
+
+def test_scan_is_the_closed_form_at_ten_to_the_twelfth(monkeypatch):
+    tests = [0]
+
+    def counting(n):
+        tests[0] += 1
+        return is_perfect_square(n)
+
+    monkeypatch.setattr(exceptional, "is_perfect_square", counting)
+    pairs = scan_exceptional_pairs(-10**12, 10**12)
+    assert pairs == _closed_form_pairs(10**12)
+    assert len(pairs) == 2002
+    assert tests[0] <= 10**6
+
+
+@pytest.mark.extended
+def test_scan_is_the_closed_form_at_ten_to_the_sixteenth():
+    pairs = scan_exceptional_pairs(-10**16, 10**16)
+    assert pairs == _closed_form_pairs(10**16)
+    assert len(pairs) == 20002
+
+
+def _closed_form_pairs(w):
+    """Both orders of {-1, -3} and of each family pair inside [-w, w], sorted."""
+    pairs = {(-1, -3)}
+    s = 0
+    while (c2 := shape_constant(TWO_CYCLE_SQUARE, s)) >= -w:
+        pairs.add((shape_constant(FIXED_SQUARE, s), c2))
+        s += 1
+    return sorted(pairs | {(b, a) for a, b in pairs})
 
 
 @pytest.mark.extended
