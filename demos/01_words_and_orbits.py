@@ -8,8 +8,8 @@ the square-free certificate succeeds exactly on the constant words.
 from quadsemi import (
     GeneratorSet,
     SequenceSampler,
-    adjusted_critical_orbit,
     monte_carlo_stability,
+    orbit_entries,
     scan_words,
     stability_certificate,
 )
@@ -19,13 +19,13 @@ print("generators:", ", ".join(str(m) for m in S.maps))
 
 print("\n-- single words --")
 for word in [(0,), (1,)]:
-    orbit = adjusted_critical_orbit(S, word)
+    orbit = list(orbit_entries(S, word))
     verdict = stability_certificate(S, word)
     print(f"word {word}: orbit {orbit} -> {verdict.status}")
 
 print("\n-- the constant word stays square-free, everything else dies --")
 for word in [(1, 1, 1), (1, 0), (1, 1, 0), (0, 1, 1)]:
-    orbit = adjusted_critical_orbit(S, word)
+    orbit = list(orbit_entries(S, word))
     verdict = stability_certificate(S, word)
     where = f" (square at position {verdict.first_square_index})" \
         if not verdict.certified else ""

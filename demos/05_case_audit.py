@@ -3,8 +3,8 @@
 The registry is a data file (src/quadsemi/data/lemma_registry.json) holding
 each system, its complete solution set, and the techniques that settle it.
 This demo replays the whole audit: each system's complete solution set
-against the claims, the bounded search that cross-checks it, residue
-obstructions, and the integral points of the quartic curves.
+against the claims, residue obstructions, and the integral points of the
+quartic curves.
 """
 
 from collections import Counter
@@ -13,7 +13,6 @@ from quadsemi import (
     modular_obstruction,
     quartic_curve_points,
     registry,
-    solve_system_bounded,
     solve_system_complete,
     verify_all,
     verify_lemma,
@@ -32,7 +31,6 @@ print("claimed:", [f.template for f in e.claimed])
 finite, lines = solve_system_complete(e.system)
 print("complete solutions:", sorted(finite),
       "plus", [f"(|u^2{k1:+d}|, |u^2{k2:+d}|, ±u, ±u)" for k1, k2 in sorted(lines)])
-print("bounded search at bound 6:", sorted(solve_system_bounded(e.system, 6)))
 print("verify at bound 50:", "match" if verify_lemma(e, 50).matched else "MISMATCH")
 
 print("\n-- the full audit at bound 50 --")

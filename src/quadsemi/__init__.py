@@ -9,7 +9,7 @@ solution sets, modular obstructions, and curve point enumeration.
 
 __version__ = "0.1.0"
 
-from .arith import is_perfect_square, residue_search
+from .arith import is_perfect_square
 from .diophantine import (
     LemmaEntry,
     LemmaVerification,
@@ -22,21 +22,21 @@ from .diophantine import (
     registry,
     registry_checksum,
     registry_path,
-    solve_system_bounded,
     solve_system_complete,
     verify_all,
     verify_lemma,
 )
 from .dynamics import (
     GeneratorSet,
+    OrbitAutomaton,
     QuadraticMap,
     SequenceSampler,
     StabilityVerdict,
-    adjusted_critical_orbit,
     certified_counts,
     compose_word,
     join_certified_words,
     monte_carlo_stability,
+    orbit_entries,
     scan_words,
     stability_certificate,
 )
@@ -71,7 +71,6 @@ from .oracle import (
 from .portraits import (
     Portrait,
     SquareForm,
-    brute_force_preper,
     portrait,
     preper_set,
     rational_periodic_points,

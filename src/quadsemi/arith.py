@@ -3,15 +3,12 @@
 Pure functions on Python ints: perfect-square detection, the integer
 preimages of a value set under x^2 + c (the one backward step behind the
 preperiodic sets and the square-value sets of the prefix certificates),
-divisor enumeration (behind `diophantine.quartic_curve_points`), and an
-exhaustive residue search, kept as the tests' slow reference.
+and divisor enumeration (behind `diophantine.quartic_curve_points`).
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product
-from typing import Callable, Sequence
 
 
 def is_perfect_square(n: int) -> int | None:
@@ -44,24 +41,3 @@ def positive_divisors(n: int) -> list[int]:
         d += 1
     return small + large[::-1]
 
-
-def residue_search(
-    exprs: Sequence[Callable[..., int]],
-    num_vars: int,
-    modulus: int,
-) -> list[tuple[int, ...]]:
-    """All vectors in (Z/modulus)^num_vars on which every expression vanishes mod modulus.
-
-    The scan is exhaustive, so an empty result certifies that the system of
-    expressions has no integer solutions at all (a modular obstruction).  Each
-    expression is a callable taking num_vars integer arguments.
-    """
-    if not 1 <= num_vars <= 4:
-        raise ValueError(f"residue_search supports 1..4 variables, got {num_vars}")
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    hits = []
-    for vec in product(range(modulus), repeat=num_vars):
-        if all(e(*vec) % modulus == 0 for e in exprs):
-            hits.append(vec)
-    return hits

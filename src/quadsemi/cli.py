@@ -43,14 +43,14 @@ from .diophantine import (
 )
 from .dynamics import (
     GeneratorSet,
+    OrbitAutomaton,
     QuadraticMap,
     SequenceSampler,
-    _check_scan_budget,
-    _orbit_entries,
-    _OrbitAutomaton,
     certified_counts,
+    check_scan_budget,
     join_certified_words,
     monte_carlo_stability,
+    orbit_entries,
     stability_certificate,
 )
 from .exceptional import (
@@ -155,7 +155,7 @@ def cmd_orbit(args) -> Outcome:
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     bound = 10**limit if limit else None
     entries = []
-    for k, e in enumerate(_orbit_entries(gens, word), start=1):
+    for k, e in enumerate(orbit_entries(gens, word), start=1):
         if bound is not None and abs(e) >= bound:
             raise ValueError(f"orbit entry {k} of the {len(word)}-letter word has more "
                              f"than {limit} digits, too many to print; use a shorter word")
@@ -176,8 +176,8 @@ def cmd_orbit(args) -> Outcome:
 
 def cmd_scan_words(args) -> Outcome:
     gens = _gens(args)
-    words = _check_scan_budget(len(gens), args.L)
-    automaton = _OrbitAutomaton(gens.cs)  # one for the count and the text: each row built once
+    words = check_scan_budget(len(gens), args.L)
+    automaton = OrbitAutomaton(gens.cs)  # one for the count and the text: each row built once
     certified = sum(certified_counts(gens, args.L, automaton=automaton))
     lines = [f"{words} words of length <= {args.L}; {certified} certified irreducible"]
     # the word texts are built only for an output that prints them: main

@@ -26,8 +26,6 @@ both parts outright: its answer is a finite set plus at most one line
 family.  The registry's claims take the same form, finite points plus
 lines (a template in u must be a line), so `verify_lemma` compares the two
 sets point by point and key by key, in time independent of the bound.
-`solve_system_bounded` scans the same sandwich to a bound, O(bound) exact
-square tests, as a cross-check.
 """
 
 from __future__ import annotations
@@ -521,43 +519,6 @@ def _on_line(point: tuple[int, int, int, int], families: set[tuple[int, int]]) -
     u = abs(s)
     return abs(t) == u and any((abs(u * u + k1), abs(u * u + k2)) == (x, y)
                                for k1, k2 in families)
-
-
-def solve_system_bounded(system: System, bound: int) -> set[tuple[int, int, int, int]]:
-    """Exhaustive canonical solutions (x>=0, y>=0, s, t) with |s|, |t| <= bound.
-
-    A cross-check of `solve_system_complete` that does not split off the
-    line |s| = |t|.  Both equations depend on s and t only through s^2 and
-    t^2, so the scan covers s, t >= 0 and expands the signs afterwards.  In
-    the quartic form of `solve_system_complete`,
-
-        x^2 = s^4 + e s^2 + C(t),   C(t) = lam t^2 + C0,
-        y^2 = t^4 + f t^2 + D(s),   D(s) = sigma s^2 + D0,
-
-    the factoring box (`_quartic_box`) applies to both:
-
-        s^2 <= (|4C(t) - 1| + 3) // 4,
-        t^2 <= (|4D(s) - 1| + 3) // 4 <= s^2 + c2,
-        c2 = (|4 D0 - 1| + 3) // 4,
-
-    the last step since |4D(s) - 1| <= 4s^2 + |4 D0 - 1|.  Each t leaves the
-    s with t^2 - c2 <= s^2 <= (|4C(t) - 1| + 3) // 4, a window of O(1)
-    values, and every pair in it gets the two exact square tests.
-    """
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    (e, c0), (f, d0), lam, _sigma = _system_quartics(system)
-    c2 = _quartic_box(1, f, d0)
-
-    def pairs():
-        for t in range(bound + 1):
-            s_hi = min(bound, math.isqrt(_quartic_box(1, e, lam * t * t + c0)))
-            low = t * t - c2
-            s_lo = math.isqrt(low - 1) + 1 if low > 0 else 0
-            for s in range(s_lo, s_hi + 1):
-                yield s, t
-
-    return _canonical_solutions(system, pairs())
 
 
 @dataclass(frozen=True)

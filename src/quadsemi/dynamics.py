@@ -44,7 +44,7 @@ Q(c1) holds 0 when c1 is a nonzero square, yet entry 1 is -c1, not c1, so
 its state is keyed by c1 and stays live.  Every later state is a subset of
 B, so only a few occur.
 
-`_OrbitAutomaton` holds the transition table and builds each state's row
+`OrbitAutomaton` holds the transition table and builds each state's row
 whole, on its first use, from one pass over B and the state's values.
 `stability_certificate` steps it once per letter, `scan_words` once per
 word, and `oracle.cross_validate` reads it through `scan_words`.
@@ -196,7 +196,7 @@ def _bounded_reach(cs: Sequence[int], radius: int) -> frozenset[int]:
     return frozenset(reach)
 
 
-class _OrbitAutomaton:
+class OrbitAutomaton:
     """The orbit automaton of a generator tuple (module docstring), filled on demand.
 
     States have integer ids: _DEAD (an entry so far is a square), _FREE (the
@@ -207,6 +207,8 @@ class _OrbitAutomaton:
     `row` first builds it, so only the rows of states a caller reaches are
     ever built.  A scan of one-letter words over s generators builds the
     start row alone: s square tests, and neither B nor any Q(c1) is listed.
+    One automaton lent to `certified_counts` and `join_certified_words`, as
+    their `automaton` keyword, builds each row once for both.
     """
 
     def __init__(self, cs: Sequence[int]) -> None:
@@ -268,24 +270,20 @@ class _OrbitAutomaton:
         return self.row(state)[letter]
 
 
-def _automaton_of(gens: GeneratorSet, automaton: _OrbitAutomaton | None) -> _OrbitAutomaton:
+def _automaton_of(gens: GeneratorSet, automaton: OrbitAutomaton | None) -> OrbitAutomaton:
     """`automaton`, checked to be that of gens' constants, or a new one."""
     if automaton is None:
-        return _OrbitAutomaton(gens.cs)
+        return OrbitAutomaton(gens.cs)
     if automaton.cs != gens.cs:
         raise ValueError("the automaton belongs to other generator constants")
     return automaton
 
 
-def adjusted_critical_orbit(gens: GeneratorSet, word: Sequence[int]) -> list[int]:
-    """The full orbit [-f1(0), f1(f2(0)), ..., f1(...fn(0))] for the word."""
-    return list(_orbit_entries(gens, word))
+def orbit_entries(gens: GeneratorSet, word: Sequence[int]) -> Iterator[int]:
+    """The adjusted critical orbit -f1(0), f1(f2(0)), ..., f1(...fn(0)) of the word.
 
-
-def _orbit_entries(gens: GeneratorSet, word: Sequence[int]) -> Iterator[int]:
-    """The entries of `adjusted_critical_orbit` in order, each built when it is asked for.
-
-    The word is checked at once; a caller that stops early builds no later entry.
+    Each entry is built when it is asked for.  The word is checked at once; a
+    caller that stops early builds no later entry.
     """
     _check_word(gens, word)
     cs = gens.cs
@@ -300,7 +298,7 @@ def stability_certificate(gens: GeneratorSet, word: Sequence[int]) -> StabilityV
     empty state, which certifies the rest of the word.
     """
     _check_word(gens, word)
-    automaton = _OrbitAutomaton(gens.cs)
+    automaton = OrbitAutomaton(gens.cs)
     state = _START
     for k, letter in enumerate(word, start=1):
         state = automaton.step(state, letter)
@@ -339,16 +337,19 @@ def _poly_square(p: list[int]) -> list[int]:
     return out
 
 
-def _check_scan_budget(s: int, max_len: int) -> int:
+def check_scan_budget(s: int, max_len: int) -> int:
     """sum s^k, k = 1..max_len: the words a scan of s generators visits.
 
-    A scan over SCAN_BUDGET or SCAN_LETTER_BUDGET is rejected instead.  The
-    scan builds every word, as a tuple or as text: sum s^k words holding sum
-    k*s^k letters.  With s >= 2 the word budget admits max_len <= 19 only, so
-    its letters are at most 19 * SCAN_BUDGET and the letter budget rejects
-    nothing more; it bounds the one-generator scan, whose one word per length
-    adds up to max_len * (max_len + 1) / 2 letters.
+    A negative max_len, or a scan over SCAN_BUDGET or SCAN_LETTER_BUDGET, is
+    rejected instead.  The scan builds every word, as a tuple or as text:
+    sum s^k words holding sum k*s^k letters.  With s >= 2 the word budget
+    admits max_len <= 19 only, so its letters are at most 19 * SCAN_BUDGET
+    and the letter budget rejects nothing more; it bounds the one-generator
+    scan, whose one word per length adds up to max_len * (max_len + 1) / 2
+    letters.
     """
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
     words = letters = 0
     size = 1
     for k in range(1, max_len + 1):
@@ -369,7 +370,7 @@ def scan_words(
 ) -> list[tuple[tuple[int, ...], StabilityVerdict]]:
     """(word, verdict) for every word of length 1..max_len, in dictionary order.
 
-    A scan over either budget (`_check_scan_budget`) is rejected before any
+    A scan over either budget (`check_scan_budget`) is rejected before any
     work.  The words are walked depth first, in preorder, from an explicit
     stack, so they come out in dictionary order.  The automaton reads the
     outermost letter first, so a word's state is its prefix's state stepped
@@ -378,12 +379,10 @@ def scan_words(
     as in `stability_certificate`.  Square-free words share the
     `_CERTIFIED` verdict.
     """
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
     s = len(gens.maps)
-    _check_scan_budget(s, max_len)
+    check_scan_budget(s, max_len)
     cs = gens.cs
-    automaton = _OrbitAutomaton(cs)
+    automaton = OrbitAutomaton(cs)
     trans, row = automaton.trans, automaton.row
     letters = range(s - 1, -1, -1)  # pushed last first, so popped in order
     out: list[tuple[tuple[int, ...], StabilityVerdict]] = []
@@ -409,14 +408,15 @@ _MARK = "\x00"  # a word's start in the templates of join_certified_words
 
 def join_certified_words(
     gens: GeneratorSet, max_len: int, heads: Sequence[str], tails: Sequence[str], sep: str,
-    *, automaton: _OrbitAutomaton | None = None,
+    *, automaton: OrbitAutomaton | None = None,
 ) -> str:
     """The certified words of length 1..max_len as one text, in dictionary order.
 
     Word (p1, p2, ..., pn) is written heads[p1] + tails[p2] + ... + tails[pn]
     and the words are joined by sep: the text is sep.join over the certified
     words of `scan_words(gens, max_len)`, under the same budget, yet no word
-    is built.  No piece may hold a NUL.
+    is built.  heads and tails hold one piece per generator, and no piece,
+    sep included, may hold a NUL: either is rejected with a ValueError.
 
     The certified words below a word depend only on its automaton state and
     the letters left, so the texts below each such node are built once, as
@@ -428,10 +428,13 @@ def join_certified_words(
     The templates are released before that last join.  `automaton`, as in
     `certified_counts`, lends its rows.
     """
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
     s = len(gens.maps)
-    _check_scan_budget(s, max_len)
+    check_scan_budget(s, max_len)
+    if len(heads) != s or len(tails) != s:
+        raise ValueError(f"heads and tails need one piece per generator ({s}), "
+                         f"got {len(heads)} and {len(tails)}")
+    if any(_MARK in piece for piece in (sep, *heads, *tails)):
+        raise ValueError("no piece of the text may hold a NUL")
     automaton = _automaton_of(gens, automaton)
     trans, row = automaton.trans, automaton.row
     if s == 1:
@@ -474,7 +477,7 @@ def join_certified_words(
 
 
 def certified_counts(
-    gens: GeneratorSet, max_len: int, *, automaton: _OrbitAutomaton | None = None
+    gens: GeneratorSet, max_len: int, *, automaton: OrbitAutomaton | None = None
 ) -> list[int]:
     """The number of certified words of each length 1..max_len, exactly.
 
@@ -564,14 +567,9 @@ class SequenceSampler:
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _STREAM = 0xD1342543DE82EF95
+# the multipliers of the splitmix64 finalizer (Steele, Lea and Flood, OOPSLA
+# 2014), which mixes the stream
 _MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
-
-
-def _mix64(z: int) -> int:
-    """The splitmix64 finalizer (Steele, Lea and Flood, OOPSLA 2014): the stream."""
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
 
 
 # Packed lanes: 64-bit values in the low halves of the 128-bit slots of one
@@ -607,7 +605,7 @@ def _lane_masks(n: int) -> tuple[int, int]:
 
 
 def _mix_lanes(z: int, lanes: int) -> int:
-    """`_mix64` of every lane of z; `lanes` holds 2^64 - 1 in each of z's slots.
+    """The splitmix64 finalizer of every lane of z; `lanes` holds 2^64 - 1 in each of z's slots.
 
     A right shift brings the next slot's low bits into a slot's high half,
     and a product fills it; masking after each keeps the lanes apart.
@@ -628,8 +626,9 @@ def monte_carlo_stability(
     Returns (#square-free samples) / trials.  The estimate is reproducible:
     trial t draws its letters from the stream keyed by (sampler.seed, t), so
     the same seed gives the same value.  Letter k of trial t is the
-    `_mix64` of base + k * _GOLDEN, where base is the `_mix64` of seed xor
-    t * _STREAM, and a 64-bit draw picks its letter by the sampler's cuts.
+    splitmix64 finalizer of base + k * _GOLDEN, where base is the finalizer
+    of seed xor t * _STREAM, and a 64-bit draw picks its letter by the
+    sampler's cuts.
 
     Each drawn letter is one step of the orbit automaton, a table lookup
     once the state's row is built.  A trial stops at its first square
@@ -651,7 +650,7 @@ def monte_carlo_stability(
     if len(sampler.weights) != len(gens.maps):
         raise ValueError("sampler weight count must match the generator count")
     cuts = sampler._cuts()
-    automaton = _OrbitAutomaton(gens.cs)
+    automaton = OrbitAutomaton(gens.cs)
     trans, row = automaton.trans, automaton.row
     seed = sampler.seed & _MASK64
     hits = 0

@@ -14,8 +14,7 @@ place that defines both (`shape_constant` and `PREPER_TARGETS`):
 
 `preper_set` does not read the closed form; it is data for the callers that
 need the targets as formulas in s, and the tests check it against the
-closure.  `brute_force_preper` provides an independent orbit-simulation
-oracle for cross-checking the closure.
+closure.
 """
 
 from __future__ import annotations
@@ -117,26 +116,6 @@ def preper_set(c: int) -> frozenset[int]:
         frontier = square_preimages(frontier, c) - pts
         pts |= frontier
     return pts
-
-
-def brute_force_preper(c: int) -> frozenset[int]:
-    """Independent oracle for preper_set by direct orbit simulation.
-
-    Tests every |a| <= |c| + 1.  An orbit that revisits a value while staying
-    inside |value| <= |c| + 1 is preperiodic; any iterate outside that window
-    certifies escape, since |x^2 + c| > |x| whenever |x| >= |c| + 2.
-    """
-    bound = abs(c) + 1
-    out = set()
-    for a in range(-bound, bound + 1):
-        seen = set()
-        v = a
-        while -bound <= v <= bound and v not in seen:
-            seen.add(v)
-            v = v * v + c
-        if -bound <= v <= bound:
-            out.add(a)
-    return frozenset(out)
 
 
 def portrait(c: int) -> Portrait:

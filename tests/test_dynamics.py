@@ -16,6 +16,7 @@ from quadsemi.dynamics import (
     SCAN_LETTER_BUDGET,
     GeneratorSet,
     QuadraticMap,
+    OrbitAutomaton,
     SequenceSampler,
     StabilityVerdict,
     _CERTIFIED,
@@ -24,22 +25,21 @@ from quadsemi.dynamics import (
     _MASK64,
     _STREAM,
     _START,
-    _OrbitAutomaton,
     _bounded_reach,
-    _check_scan_budget,
     _escape_radius,
-    _mix64,
     _mix_lanes,
     _pack,
     _unpack,
-    adjusted_critical_orbit,
     certified_counts,
+    check_scan_budget,
     compose_word,
     join_certified_words,
     monte_carlo_stability,
+    orbit_entries,
     scan_words,
     stability_certificate,
 )
+from references import mix64
 
 
 def _horner(f, x):
@@ -91,9 +91,9 @@ def test_compose_word_degree_cap():
 
 def test_adjusted_critical_orbit_examples():
     S = GeneratorSet.from_cs([-4, -12])
-    assert adjusted_critical_orbit(S, (1, 0)) == [12, 4]
-    assert adjusted_critical_orbit(S, (1, 1)) == [12, 132]
-    assert adjusted_critical_orbit(S, (0,)) == [4]
+    assert list(orbit_entries(S, (1, 0))) == [12, 4]
+    assert list(orbit_entries(S, (1, 1))) == [12, 132]
+    assert list(orbit_entries(S, (0,))) == [4]
 
 
 def test_stability_certificate_examples():
@@ -127,7 +127,7 @@ def test_one_letter_words_certified_iff_negated_constant_nonsquare_range():
 def test_word_validation():
     S = GeneratorSet.from_cs([1, 2])
     with pytest.raises(ValueError):
-        adjusted_critical_orbit(S, ())
+        orbit_entries(S, ())
     with pytest.raises(ValueError):
         stability_certificate(S, (0, 2))
 
@@ -151,7 +151,7 @@ def test_scan_words_single_generator_and_edge_cases():
 
 def _admits(s, max_len):
     try:
-        _check_scan_budget(s, max_len)
+        check_scan_budget(s, max_len)
     except ValueError:
         return False
     return True
@@ -171,9 +171,9 @@ def test_letter_budget_bounds_the_one_generator_scan():
     top = max(n for n in range(10_000) if n * (n + 1) // 2 <= SCAN_LETTER_BUDGET)
     assert _admits(1, top) and not _admits(1, top + 1)
     with pytest.raises(ValueError, match="letters"):
-        _check_scan_budget(1, 1_000_000)
+        check_scan_budget(1, 1_000_000)
     with pytest.raises(ValueError, match="more than 1048576 words"):
-        _check_scan_budget(1, SCAN_BUDGET + 1)
+        check_scan_budget(1, SCAN_BUDGET + 1)
 
 
 def test_scan_words_dictionary_order():
@@ -195,7 +195,7 @@ def test_orbit_entries_match_composed_prefixes(case):
     cs, word = case
     S = GeneratorSet.from_cs(cs)
     word = tuple(i % len(cs) for i in word)
-    orbit = adjusted_critical_orbit(S, word)
+    orbit = list(orbit_entries(S, word))
     assert orbit[0] == -S.maps[word[0]].c
     for k in range(2, len(word) + 1):
         prefix_poly = compose_word(S, word[:k])
@@ -289,11 +289,11 @@ def _trial_word(seed, trial, depth, cum, k):
     """All `depth` letters of one trial from the stream keyed by (seed, trial)."""
     if k == 1:
         return (0,) * depth
-    state = _mix64((seed ^ (trial * _STREAM)) & _MASK64)
+    state = mix64((seed ^ (trial * _STREAM)) & _MASK64)
     letters = []
     for _ in range(depth):
         state = (state + _GOLDEN) & _MASK64
-        u = _mix64(state) / 18446744073709551616.0  # 2**64, can round to 1.0
+        u = mix64(state) / 18446744073709551616.0  # 2**64, can round to 1.0
         letters.append(min(bisect_right(cum, u), k - 1))
     return tuple(letters)
 
@@ -339,7 +339,7 @@ def test_stability_certificate_equals_reference(cs, word):
     word = tuple(i % len(cs) for i in word)
     S = GeneratorSet.from_cs(cs)
     assert stability_certificate(S, word) == reference_certificate(cs, word)
-    assert adjusted_critical_orbit(S, word) == list(reference_orbit(cs, word))
+    assert list(orbit_entries(S, word)) == list(reference_orbit(cs, word))
 
 
 @given(constant_sets, st.data(), st.integers(0, (1 << 64) - 1), st.integers(1, 10))
@@ -366,8 +366,8 @@ SEED_DRAWING_ONE = 13696288941778812732
 
 
 def test_monte_carlo_uniform_draw_of_one_picks_the_last_generator():
-    state = _mix64(SEED_DRAWING_ONE)
-    assert _mix64((state + _GOLDEN) & _MASK64) / 18446744073709551616.0 == 1.0
+    state = mix64(SEED_DRAWING_ONE)
+    assert mix64((state + _GOLDEN) & _MASK64) / 18446744073709551616.0 == 1.0
     S = GeneratorSet.from_cs([-4, -12])
     sampler = SequenceSampler.uniform(2, SEED_DRAWING_ONE)
     assert _trial_word(SEED_DRAWING_ONE, 0, 3, sampler._cumulative(), 2)[0] == 1
@@ -395,8 +395,8 @@ def test_cut_letter_equals_the_float_rule(weights):
     top = 1 << 64
     probes = {z for cut in cuts for z in range(cut - 3, cut + 4) if 0 <= z < top}
     probes |= set(range(top - 1024, top))  # every z / 2**64 that rounds to 1.0
-    probes |= {rng.getrandbits(64) for _ in range(2000)} | {0, _mix64(
-        (_mix64(SEED_DRAWING_ONE) + _GOLDEN) & _MASK64)}
+    probes |= {rng.getrandbits(64) for _ in range(2000)} | {0, mix64(
+        (mix64(SEED_DRAWING_ONE) + _GOLDEN) & _MASK64)}
     for z in probes:
         assert bisect_right(cuts, z) == float_rule_letter(cum, z), z
     if weights == (2.0, 0.3, 0.3, 1e-17):
@@ -411,7 +411,7 @@ def test_mix_lanes_equals_mix64_lane_by_lane():
         assert packed == sum(v << (128 * i) for i, v in enumerate(values))
         assert list(_unpack(packed, n)) == values
         lanes = _pack([(1 << 64) - 1] * n)
-        assert list(_unpack(_mix_lanes(packed, lanes), n)) == [_mix64(v) for v in values]
+        assert list(_unpack(_mix_lanes(packed, lanes), n)) == [mix64(v) for v in values]
 
 
 @pytest.mark.parametrize("cs,weights", [((-4, -12), (1.0, 1.0)), ((7,), (1.0,)),
@@ -605,21 +605,44 @@ def test_join_certified_words_keeps_the_scan_budget():
         join_certified_words(S, 25, "ab", "cd", "|")
     with pytest.raises(ValueError, match="letters"):
         join_certified_words(GeneratorSet.from_cs((1,)), 1_000_000, "a", "b", "|")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_len must be >= 0"):
         join_certified_words(S, -1, "ab", "cd", "|")
+
+
+def test_join_certified_words_rejects_a_nul_or_a_missing_piece():
+    # a NUL in a tail once stood for a word's start inside the templates:
+    # this call gave 26 words where scan_words certifies 14
+    S = GeneratorSet.from_cs([-14, 40])
+    assert sum(v.certified for _, v in scan_words(S, 3)) == 14
+    for heads, tails, sep in ((["A", "B"], ["a\x00", "b"], "|"),
+                              (["A", "\x00B"], ["a", "b"], "|"),
+                              (["A", "B"], ["a", "b"], "|\x00")):
+        with pytest.raises(ValueError, match="NUL"):
+            join_certified_words(S, 3, heads, tails, sep)
+    for heads, tails in ((["A"], ["a", "b"]), (["A", "B"], ["a", "b", "c"])):
+        with pytest.raises(ValueError, match="one piece per generator"):
+            join_certified_words(S, 3, heads, tails, "|")
+
+
+def test_scan_budget_rejects_a_negative_length():
+    with pytest.raises(ValueError, match="max_len must be >= 0"):
+        check_scan_budget(2, -1)
+    with pytest.raises(ValueError, match="max_len must be >= 0"):
+        scan_words(GeneratorSet.from_cs([1, 2]), -1)
+    assert check_scan_budget(2, 0) == 0
 
 
 def test_counts_and_text_share_a_lent_automaton():
     # the counts build every row the text reads, so the text builds none
     S = GeneratorSet.from_cs((-21, 5, -11))
-    automaton = _OrbitAutomaton(S.cs)
+    automaton = OrbitAutomaton(S.cs)
     assert certified_counts(S, 7, automaton=automaton) == certified_counts(S, 7)
     rows = list(automaton.trans)
     pieces = ("a", "b", "c")
     assert join_certified_words(S, 7, pieces, pieces, "|", automaton=automaton) \
         == join_certified_words(S, 7, pieces, pieces, "|")
     assert automaton.trans == rows
-    other = _OrbitAutomaton((-21, 5))
+    other = OrbitAutomaton((-21, 5))
     with pytest.raises(ValueError, match="other generator constants"):
         certified_counts(S, 7, automaton=other)
     with pytest.raises(ValueError, match="other generator constants"):
@@ -787,7 +810,7 @@ def test_second_states_equal_the_curve_points(cs):
     # after (p1, p2) the state is S_2, the X-coordinates in B of the points of
     # Y^2 = (X^2 + c2)^2 + c1, or dead when 0 is one; quartic_curve_points
     # lists every point once its bound passes the factoring box
-    automaton = _OrbitAutomaton(cs)
+    automaton = OrbitAutomaton(cs)
     radius = _escape_radius(cs)
     reach = _bounded_reach(cs, radius)
     for p1, p2 in product(range(len(cs)), repeat=2):
@@ -817,7 +840,7 @@ def test_deep_square_scan_is_fast():
 
 
 def test_automaton_dead_state_follows_the_first_square():
-    automaton = _OrbitAutomaton((-4, -12))
+    automaton = OrbitAutomaton((-4, -12))
     state = automaton.step(_START, 1)  # entry 1 is 12
     assert state > _START
     assert automaton.step(state, 0) == _DEAD  # entry 2 is (0 - 4)^2 - 12 = 4
@@ -834,14 +857,14 @@ def test_every_row_is_built_once(cs, run, monkeypatch):
     # a state whose row is still None when row() is entered gets its row
     # built there: no state's row is built twice
     built = []
-    real_row = _OrbitAutomaton.row
+    real_row = OrbitAutomaton.row
 
     def row(self, state):
         if self.trans[state] is None:
             built.append(state)
         return real_row(self, state)
 
-    monkeypatch.setattr(_OrbitAutomaton, "row", row)
+    monkeypatch.setattr(OrbitAutomaton, "row", row)
     run(GeneratorSet.from_cs(cs))
     assert built
     assert len(built) == len(set(built))
@@ -852,7 +875,7 @@ def test_one_letter_scan_builds_the_start_row_alone(monkeypatch):
     def refuse(*args):
         raise AssertionError("built beyond the start row")
 
-    monkeypatch.setattr(_OrbitAutomaton, "_square_values", refuse)
+    monkeypatch.setattr(OrbitAutomaton, "_square_values", refuse)
     monkeypatch.setattr(dynamics, "_bounded_reach", refuse)
     cs = range(-1000, 1000)
     S = GeneratorSet.from_cs(cs)

@@ -11,8 +11,8 @@ from quadsemi.dynamics import (
     _DEAD,
     _START,
     GeneratorSet,
+    OrbitAutomaton,
     QuadraticMap,
-    _OrbitAutomaton,
     stability_certificate,
 )
 from quadsemi.exceptional import (
@@ -387,7 +387,7 @@ def test_every_family_prefix_certifies():
 
 def _dead_reachable(cs, word):
     """Whether the orbit automaton reaches _DEAD from the state after `word`."""
-    automaton = _OrbitAutomaton(cs)
+    automaton = OrbitAutomaton(cs)
     state = _START
     for letter in word:
         state = automaton.step(state, letter)

@@ -3,20 +3,20 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from quadsemi.arith import is_perfect_square, residue_search
+from quadsemi.arith import is_perfect_square
 from quadsemi.dynamics import QuadraticMap
 from quadsemi.portraits import (
     FIXED_SQUARE,
     PREPER_TARGETS,
     TWO_CYCLE_SQUARE,
     SquareForm,
-    brute_force_preper,
     portrait,
     preper_set,
     rational_periodic_points,
     recognize_square_periodic,
     shape_constant,
 )
+from references import brute_force_preper, residue_search
 
 
 def test_periodic_points_examples():
