@@ -18,7 +18,14 @@ divides f exactly over the integers.  A polynomial that is squarefree
 modulo no prime is not squarefree, and its factor is gcd(f, f'), found
 without primes.
 
-Polynomials are coefficient lists, constant term first.
+Polynomials are coefficient lists, constant term first.  The powers mod p
+that both splits take (x^(p^d) mod f, and a^((p^d-1)/2) mod g) run in
+`_PackedRing`, where a residue mod f of degree n is one integer with its n
+coefficients in w-bit slots.  A product is one big-integer product, and two
+more reduce it mod f; a Barrett step reduces every slot mod p at once.  The
+width rule: no slot value exceeds n*(p-1)^2, so s is the bit length of
+(n*(p-1)^2 + 1)*p and w that of (n*(p-1)^2 + 1)*ceil(2^s / p), which keeps
+both the products and the Barrett step exact at every degree and prime.
 """
 
 from __future__ import annotations
@@ -112,16 +119,30 @@ def _m_divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]
     return _trim(quot), _trim([c % m for c in rem[:db]])
 
 
-def _m_monic(a: list[int], m: int) -> list[int]:
-    inv = pow(a[-1], -1, m)
-    return [c * inv % m for c in a]
-
-
 def _p_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """The monic gcd over GF(p) ([] if both are zero)."""
+    """The monic gcd over GF(p) ([] if both are zero).
+
+    Euclid's remainder sequence with no quotient: each divisor is made monic
+    with one inverse, and the remainder by it is left unreduced until it is
+    made monic in turn.
+    """
+    if not b:
+        a, b = b, a
+    a = list(a)
     while b:
-        a, b = b, _m_divmod(a, b, p)[1]
-    return _m_monic(a, p) if a else a
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        db = len(b) - 1
+        for k in range(len(a) - 1, db - 1, -1):
+            c = a[k] % p
+            if c:
+                off = k - db
+                for j in range(db):  # the b[db] = 1 term cancels a[k] mod p
+                    a[off + j] -= c * b[j]
+        a, b = b, a[:db]
+        while b and b[-1] % p == 0:
+            b.pop()
+    return a
 
 
 def _p_xgcd(g: list[int], h: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -136,16 +157,73 @@ def _p_xgcd(g: list[int], h: list[int], p: int) -> tuple[list[int], list[int]]:
     return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
 
-def _m_powmod(base: list[int], e: int, mod: list[int], m: int) -> list[int]:
-    result = [1]
-    base = _m_divmod(base, mod, m)[1]
-    while e:
-        if e & 1:
-            result = _m_divmod(_m_mul(result, base, m), mod, m)[1]
-        e >>= 1
-        if e:
-            base = _m_divmod(_m_mul(base, base, m), mod, m)[1]
-    return result
+class _PackedRing:
+    """GF(p)[x]/(f) for a monic f of degree n >= 2, each residue packed into one int.
+
+    Coefficient i of a residue, in [0, p), sits in the w-bit slot at bit w*i,
+    so a product of two residues is one big-int product (Kronecker
+    substitution, von zur Gathen and Gerhard, section 8.4).  Its slots are
+    reduced mod p all at once by a Barrett step, and the product mod f by
+    the precomputed quotient G = floor(x^(2n-2) / f) (section 9.1): for c
+    of degree at most 2n-2, the quotient floor(c / f) is the top n-1
+    coefficients of floor(c / x^n) * G, and c - q*f mod x^n is c plus
+    q * sum((-f_i mod p) x^i), so no slot goes negative.
+    """
+
+    __slots__ = ("modulus", "p", "n", "w", "s", "mu", "quot_mask", "low", "g", "neg_f",
+                 "hi_shift", "q_shift")
+
+    def __init__(self, f: list[int], p: int):
+        n = _degree(f)
+        # The width rule.  Every slot the ring forms is a sum of at most n
+        # products of two coefficients in [0, p), so below top = n*(p-1)^2 + 1.
+        # The Barrett quotient floor(v*mu / 2^s), mu = ceil(2^s / p), is
+        # floor(v / p) for every v < 2^s / p, so s is the bit length of
+        # top*p.  v*mu then stays below top*mu < 2^w, so a slot holds it
+        # without a carry into the next, and floor(v*mu / 2^s) < 2^(w-s)
+        # is read from the slot's top w - s bits.
+        top = n * (p - 1) ** 2 + 1
+        s = (top * p).bit_length()
+        mu = -(-(1 << s) // p)
+        w = (top * mu).bit_length()
+        self.modulus, self.p, self.n, self.w, self.s, self.mu = f, p, n, w, s, mu
+        ones = ((1 << w * (2 * n - 1)) - 1) // ((1 << w) - 1)  # 1 in each of 2n-1 slots
+        self.quot_mask = ones * ((1 << (w - s)) - 1)
+        self.low = (1 << w * n) - 1
+        self.hi_shift, self.q_shift = w * n, w * (n - 2)
+        self.g = self.pack(_m_divmod([0] * (2 * n - 2) + [1], f, p)[0])
+        self.neg_f = self.pack([-c % p for c in f[:n]])
+
+    def pack(self, a: list[int]) -> int:
+        return sum(c << self.w * i for i, c in enumerate(a))
+
+    def unpack(self, v: int) -> list[int]:
+        slot = (1 << self.w) - 1
+        return _trim([v >> self.w * i & slot for i in range(self.n)])
+
+    def reduce_slots(self, v: int) -> int:
+        """Every slot of v mod p (Barrett): at most 2n-1 slots, each at most n*(p-1)^2."""
+        return v - (v * self.mu >> self.s & self.quot_mask) * self.p
+
+    def mul(self, a: int, b: int) -> int:
+        c = self.reduce_slots(a * b)
+        q = self.reduce_slots((c >> self.hi_shift) * self.g >> self.q_shift)
+        return self.reduce_slots((c + q * self.neg_f) & self.low)
+
+
+def _m_powmod(base: list[int], e: int, ring: _PackedRing) -> list[int]:
+    """base^e mod the ring's modulus over GF(p), for any integer polynomial base.
+
+    Left-to-right binary powering on packed residues: a squaring per bit of
+    e after the first, and a product by the base per set bit.
+    """
+    b = ring.pack(_m_divmod(base, ring.modulus, ring.p)[1])
+    r = b if e else 1  # the leading bit of e
+    for bit in bin(e)[3:]:
+        r = ring.mul(r, r)
+        if bit == "1":
+            r = ring.mul(r, b)
+    return ring.unpack(r)
 
 
 # --- factoring mod p --------------------------------------------------------
@@ -161,15 +239,18 @@ def _distinct_degree_split(f: list[int], p: int) -> list[tuple[int, list[int]]] 
     if _degree(_p_gcd(fp, deriv, p)) != 0:
         return None
     split = []
-    rem, h, d = fp, [0, 1], 0
+    rem, h, d, ring = fp, [0, 1], 0, None
     while _degree(rem) >= 2 * (d + 1):
         d += 1
-        h = _m_powmod(h, p, rem, p)  # x^(p^d) mod rem
+        if ring is None:
+            ring = _PackedRing(rem, p)
+        h = _m_powmod(h, p, ring)  # x^(p^d) mod rem
         g = _p_gcd(_m_sub(h, [0, 1], p), rem, p)
         if _degree(g) > 0:
             split.append((d, g))
             rem = _m_divmod(rem, g, p)[0]
             h = _m_divmod(h, rem, p)[1]
+            ring = None
     if _degree(rem) > 0:
         split.append((_degree(rem), rem))
     return split
@@ -181,11 +262,12 @@ def _equal_degree_split(g: list[int], d: int, p: int, rng: random.Random) -> lis
     if n == d:
         return [g]
     e = (p**d - 1) // 2
+    ring = _PackedRing(g, p)
     while True:
         a = _trim([rng.randrange(p) for _ in range(n)])
         if _degree(a) < 1:
             continue
-        h = _p_gcd(_m_sub(_m_powmod(a, e, g, p), [1], p), g, p)
+        h = _p_gcd(_m_sub(_m_powmod(a, e, ring), [1], p), g, p)
         if 0 < _degree(h) < n:
             return (_equal_degree_split(h, d, p, rng)
                     + _equal_degree_split(_m_divmod(g, h, p)[0], d, p, rng))
@@ -371,7 +453,11 @@ def _zassenhaus(f: list[int], allowed: set[int], p: int, split: list,
 
 
 def _validated(coeffs) -> list[int]:
-    f = _trim(list(coeffs))
+    f = list(coeffs)
+    for i, c in enumerate(f):
+        if not isinstance(c, int):
+            raise ValueError(f"coefficient {i} is {c!r}, not an int")
+    _trim(f)
     if _degree(f) < 1:
         raise ValueError("irreducibility needs degree >= 1")
     if _degree(f) > ORACLE_DEGREE_CAP:

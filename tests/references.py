@@ -62,3 +62,61 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
     return z ^ (z >> 31)
+
+
+def _gfp_trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def gfp_rem(a: list[int], b: list[int], p: int) -> list[int]:
+    """a mod b over GF(p) by schoolbook long division, trimmed, with
+    coefficients in [0, p); b must be nonzero mod p."""
+    a = _gfp_trim([c % p for c in a])
+    b = _gfp_trim([c % p for c in b])
+    inv = pow(b[-1], -1, p)
+    while len(a) >= len(b):
+        q, off = a[-1] * inv % p, len(a) - len(b)
+        for j, bj in enumerate(b):
+            a[off + j] = (a[off + j] - q * bj) % p
+        _gfp_trim(a)
+    return a
+
+
+def _schoolbook_product(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def powmod_reference(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
+    """base^e mod `mod` over GF(p) by right-to-left square-and-multiply.
+
+    Polynomials are coefficient lists, constant term first; the result has
+    coefficients in [0, p) and no trailing zeros.
+    """
+    result, square = [1], gfp_rem(base, mod, p)
+    while e:
+        if e & 1:
+            result = gfp_rem(_schoolbook_product(result, square), mod, p)
+        e >>= 1
+        if e:
+            square = gfp_rem(_schoolbook_product(square, square), mod, p)
+    return gfp_rem(result, mod, p)
+
+
+def gcd_reference(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd of a and b over GF(p) by Euclid's algorithm ([] if both are 0)."""
+    a = _gfp_trim([c % p for c in a])
+    b = _gfp_trim([c % p for c in b])
+    while b:
+        a, b = b, gfp_rem(a, b, p)
+    if not a:
+        return a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]

@@ -19,6 +19,7 @@ from quadsemi.oracle import (
     find_factor,
     is_irreducible_exact,
 )
+from references import gcd_reference, gfp_rem, powmod_reference
 
 # The cross-validation benchmark's panel without its last three pairs
 # (-49, 49), (-4, 73) and (-36, 97), which Kronecker's search could not
@@ -99,6 +100,10 @@ def test_validation():
         is_irreducible_exact([1, 0, 2])         # not monic
     with pytest.raises(ValueError):
         is_irreducible_exact([0] * 33 + [1])    # degree 33 > cap
+    with pytest.raises(ValueError, match=r"coefficient 0 is 1\.0, not an int"):
+        find_factor([1.0, 0, 1.0])
+    with pytest.raises(ValueError, match="coefficient 0 is '1', not an int"):
+        find_factor(['1', 0, 1])
     assert is_irreducible_exact([0] * 32 + [1]) is False    # x^32, at the cap
     assert is_irreducible_exact([1] + [0] * 31 + [1]) is True  # x^32 + 1, at the cap
 
@@ -554,10 +559,25 @@ def test_cross_validate_degree_16():
     assert rep.passed and rep.words_checked == 30
 
 
+# The oracle's work counters pin its search: a kernel that returned another
+# polynomial anywhere would move them.
+
 @pytest.mark.extended
 def test_cross_validate_degree_32():
     rep = cross_validate(GeneratorSet.from_cs([-4, 73]), 5)
     assert rep.passed and rep.words_checked == 62
+    assert rep.counters == {"primes_scanned": 369, "factor_searches": 41,
+                            "modular_factors_max": 6, "subsets_tried": 206,
+                            "exact_divisions": 31}
+
+
+def test_cross_validate_three_letters_at_degree_16():
+    rep = cross_validate(GeneratorSet.from_cs([-21, 5, -11]), 4)
+    assert rep.passed and rep.words_checked == 120
+    assert len(rep.unknown_irreducible) == 27
+    assert rep.counters == {"primes_scanned": 302, "factor_searches": 69,
+                            "modular_factors_max": 4, "subsets_tried": 113,
+                            "exact_divisions": 3}
 
 
 def test_cross_validate_counters_repeat():
@@ -566,3 +586,105 @@ def test_cross_validate_counters_repeat():
     assert set(first.counters) == set(COUNTER_NAMES)
     assert first.counters == second.counters
     assert first.counters["factor_searches"] > 0
+
+
+# --- the packed powering ring and the gcd, against schoolbook references ---
+
+# every prime the scan uses, then primes past the small ones, as
+# _next_good_prime can return, up to the widest slots a 16-bit p needs
+RING_PRIMES = _SMALL_PRIMES + (101, 10007, 65521)
+
+
+def _random_poly(rng, length, p):
+    return [rng.randrange(p) for _ in range(length)]
+
+
+def _largest_slot_residue(n, p):
+    """The residue whose square has the largest slot value the width rule
+    admits, n*(p-1)^2, in its middle coefficient."""
+    return [p - 1] * n
+
+
+@pytest.mark.parametrize("p", RING_PRIMES)
+def test_packed_ring_reduces_every_slot_exactly(p):
+    rng = random.Random(p)
+    for n in range(2, 33):
+        f = _random_poly(rng, n, p) + [1]
+        ring = oracle._PackedRing(f, p)
+        top = n * (p - 1) ** 2
+        slots = 2 * n - 1
+        # the Barrett step on the values just below the largest slot value,
+        # on the largest value in each of the top residue classes (every
+        # class when p <= 2n-1), where its error is largest, and on random ones
+        for values in (list(range(top, max(top - slots, -1), -1)),
+                       [top - (top - r) % p for r in range(p - 1, max(p - 1 - slots, -1), -1)],
+                       [rng.randint(0, top) for _ in range(slots)]):
+            reduced = ring.reduce_slots(sum(v << ring.w * i for i, v in enumerate(values)))
+            slot = (1 << ring.w) - 1
+            assert [reduced >> ring.w * i & slot for i in range(len(values))] \
+                == [v % p for v in values], (n, p)
+        # G = floor(x^(2n-2) / f): x^(2n-2) - G*f has degree below n
+        g = ring.unpack(ring.g)
+        assert len(g) == n - 1
+        rest = [-c for c in _mul(g, f)]
+        rest[2 * n - 2] += 1
+        assert all(c % p == 0 for c in rest[n:]), (n, p)
+        # one product whose slots reach the largest value, one of random residues
+        for a, b in ((_largest_slot_residue(n, p),) * 2,
+                     (_random_poly(rng, n, p), _random_poly(rng, n, p))):
+            assert ring.unpack(ring.mul(ring.pack(a), ring.pack(b))) \
+                == gfp_rem(_mul(a, b), f, p), (n, p)
+
+
+def _powering_cases(p, degrees):
+    """Seeded (modulus, base, exponent) triples for each degree: the zero
+    base, x, a base of degree above the modulus's with coefficients outside
+    [0, p), and the residue that reaches the largest slot value, each to the
+    powers 0, 1, p, (p^d - 1)/2 as in the equal-degree split, and a random one."""
+    rng = random.Random(p)
+    for n in degrees:
+        f = _random_poly(rng, n, p) + [1]
+        d = rng.randint(1, max(1, min(n // 2, 48 // p.bit_length())))
+        exponents = (0, 1, p, (p**d - 1) // 2, rng.randrange(1 << 24))
+        high = [rng.randint(-3 * p, 3 * p) for _ in range(n + rng.randint(1, n + 2))]
+        for base in ([], [0, 1], high, _largest_slot_residue(n, p)):
+            for e in exponents:
+                yield f, base, e
+
+
+def _assert_powering_agrees(p, degrees):
+    ring = None
+    for f, base, e in _powering_cases(p, degrees):
+        if ring is None or ring.modulus != f:
+            ring = oracle._PackedRing(f, p)
+        assert oracle._m_powmod(base, e, ring) == powmod_reference(base, e, f, p), (f, base, e)
+
+
+@pytest.mark.parametrize("p", RING_PRIMES)
+def test_packed_powering_equals_the_reference(p):
+    _assert_powering_agrees(p, (2, 3, 5 + p % 23, 32))  # every degree under extended
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("p", RING_PRIMES)
+def test_packed_powering_equals_the_reference_at_every_degree(p):
+    _assert_powering_agrees(p, range(2, 33))
+
+
+def _trim_mod(a, p):
+    a = [c % p for c in a]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+@pytest.mark.parametrize("p", RING_PRIMES)
+def test_gcd_equals_the_reference(p):
+    rng = random.Random(p)
+    for n in range(1, 33):
+        common = _random_poly(rng, rng.randint(0, n), p) + [1]
+        a = _mul(common, _random_poly(rng, rng.randint(1, 33 - n), p) + [1])
+        b = _mul(common, _random_poly(rng, rng.randint(0, 33 - n), p))
+        a, b = (_trim_mod(x, p) for x in (a, b))
+        for x, y in ((a, b), (b, a), (a, []), ([], b), (a, a), ([], [])):
+            assert oracle._p_gcd(x, y, p) == gcd_reference(x, y, p), (x, y)
