@@ -37,7 +37,6 @@ from .dynamics import (
     join_certified_words,
     monte_carlo_stability,
     orbit_entries,
-    scan_words,
     stability_certificate,
 )
 from .exceptional import (

@@ -46,17 +46,16 @@ B, so only a few occur.
 
 `OrbitAutomaton` holds the transition table and builds each state's row
 whole, on its first use, from one pass over B and the state's values.
-`stability_certificate` steps it once per letter, `scan_words` once per
-word, and `oracle.cross_validate` reads it through `scan_words`.
+`stability_certificate` steps it once per letter, and only a word that
+dies builds an exact entry: the one square entry, for its root.
 `monte_carlo_stability` steps it once per drawn letter, and draws the
 letters of 1,024 trials at a time, as packed 64-bit lanes of one int.
-Only a word that dies builds an exact entry: the one square entry, for
-its root.  Two readers build no word at all, since a word's certified
-extensions depend only on its state and the letters left:
-`certified_counts` counts the words reaching each state, length by
-length, and `join_certified_words` builds one text per (state, letters
-left).  The `scan-words` command lends both one automaton, so each row is
-built once.
+Two readers build no word at all, since a word's certified extensions
+depend only on its state and the letters left: `certified_counts` counts
+the words reaching each state, length by length, and
+`join_certified_words` builds one text per (state, letters left).  The
+`scan-words` command lends both one automaton, so each row is built once,
+and `oracle.cross_validate` checks the very text that command prints.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ from typing import Iterator, Sequence
 from .arith import is_perfect_square
 
 COMPOSE_DEGREE_CAP = 256  # largest degree compose_word builds
-SCAN_BUDGET = 1 << 20  # most words scan_words or join_certified_words visits
+SCAN_BUDGET = 1 << 20  # most words join_certified_words visits
 SCAN_LETTER_BUDGET = 19 * SCAN_BUDGET  # most letters in the words a scan builds
 
 
@@ -163,11 +162,6 @@ def _entry(cs: Sequence[int], word: Sequence[int], k: int) -> int:
     for j in range(k - 1, -1, -1):
         v = v * v + cs[word[j]]
     return v
-
-
-def _square_verdict(cs: Sequence[int], word: Sequence[int], k: int) -> StabilityVerdict:
-    """The verdict of a word whose first square entry is entry k, with its root."""
-    return StabilityVerdict(False, k, is_perfect_square(_entry(cs, word, k)))
 
 
 _DEAD, _FREE, _START = 0, 1, 2  # ids of the fixed automaton states
@@ -303,7 +297,7 @@ def stability_certificate(gens: GeneratorSet, word: Sequence[int]) -> StabilityV
     for k, letter in enumerate(word, start=1):
         state = automaton.step(state, letter)
         if state == _DEAD:
-            return _square_verdict(gens.cs, word, k)
+            return StabilityVerdict(False, k, is_perfect_square(_entry(gens.cs, word, k)))
         if state == _FREE:
             break
     return _CERTIFIED
@@ -341,12 +335,12 @@ def check_scan_budget(s: int, max_len: int) -> int:
     """sum s^k, k = 1..max_len: the words a scan of s generators visits.
 
     A negative max_len, or a scan over SCAN_BUDGET or SCAN_LETTER_BUDGET, is
-    rejected instead.  The scan builds every word, as a tuple or as text:
-    sum s^k words holding sum k*s^k letters.  With s >= 2 the word budget
-    admits max_len <= 19 only, so its letters are at most 19 * SCAN_BUDGET
-    and the letter budget rejects nothing more; it bounds the one-generator
-    scan, whose one word per length adds up to max_len * (max_len + 1) / 2
-    letters.
+    rejected instead.  A scan that certifies every word writes them all as
+    text: sum s^k words holding sum k*s^k letters.  With s >= 2 the word
+    budget admits max_len <= 19 only, so its letters are at most 19 *
+    SCAN_BUDGET and the letter budget rejects nothing more; it bounds the
+    one-generator scan, whose one word per length adds up to max_len *
+    (max_len + 1) / 2 letters.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
@@ -365,44 +359,6 @@ def check_scan_budget(s: int, max_len: int) -> int:
     return words
 
 
-def scan_words(
-    gens: GeneratorSet, max_len: int
-) -> list[tuple[tuple[int, ...], StabilityVerdict]]:
-    """(word, verdict) for every word of length 1..max_len, in dictionary order.
-
-    A scan over either budget (`check_scan_budget`) is rejected before any
-    work.  The words are walked depth first, in preorder, from an explicit
-    stack, so they come out in dictionary order.  The automaton reads the
-    outermost letter first, so a word's state is its prefix's state stepped
-    once: one table lookup per word.  A word takes its prefix's verdict
-    unless its own step dies; only such a word has its square entry built,
-    as in `stability_certificate`.  Square-free words share the
-    `_CERTIFIED` verdict.
-    """
-    s = len(gens.maps)
-    check_scan_budget(s, max_len)
-    cs = gens.cs
-    automaton = OrbitAutomaton(cs)
-    trans, row = automaton.trans, automaton.row
-    letters = range(s - 1, -1, -1)  # pushed last first, so popped in order
-    out: list[tuple[tuple[int, ...], StabilityVerdict]] = []
-    stack = [((), _START, _CERTIFIED)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        word, state, verdict = pop()
-        if word:
-            out.append((word, verdict))
-        if len(word) < max_len:
-            nxt = trans[state] or row(state)
-            for p in letters:
-                w = word + (p,)
-                if nxt[p] == _DEAD and state != _DEAD:
-                    push((w, _DEAD, _square_verdict(cs, w, len(w))))
-                else:
-                    push((w, nxt[p], verdict))
-    return out
-
-
 _MARK = "\x00"  # a word's start in the templates of join_certified_words
 
 
@@ -413,10 +369,10 @@ def join_certified_words(
     """The certified words of length 1..max_len as one text, in dictionary order.
 
     Word (p1, p2, ..., pn) is written heads[p1] + tails[p2] + ... + tails[pn]
-    and the words are joined by sep: the text is sep.join over the certified
-    words of `scan_words(gens, max_len)`, under the same budget, yet no word
-    is built.  heads and tails hold one piece per generator, and no piece,
-    sep included, may hold a NUL: either is rejected with a ValueError.
+    and the words are joined by sep.  A scan over either budget
+    (`check_scan_budget`) is rejected before any work.  heads and tails
+    hold one piece per generator, and no piece, sep included, may hold a
+    NUL: either is rejected with a ValueError.
 
     The certified words below a word depend only on its automaton state and
     the letters left, so the texts below each such node are built once, as

@@ -33,12 +33,13 @@ from __future__ import annotations
 import random
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, isqrt
 
-from .dynamics import GeneratorSet, compose_word, scan_words
+from .dynamics import GeneratorSet, compose_word, join_certified_words
 
 ORACLE_DEGREE_CAP = 32  # largest degree the oracle accepts
+_SPLIT_DRAWS = 256  # most random draws one equal-degree split makes
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                  47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
@@ -257,13 +258,18 @@ def _distinct_degree_split(f: list[int], p: int) -> list[tuple[int, list[int]]] 
 
 
 def _equal_degree_split(g: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
-    """The monic irreducible factors of g mod an odd p, all of degree d (Cantor-Zassenhaus)."""
+    """The monic irreducible factors of g mod an odd p, all of degree d (Cantor-Zassenhaus).
+
+    A draw splits two or more factors with probability at least 4/9 (the
+    least, at p = 3 and d = 1), so _SPLIT_DRAWS failed draws mean a defect
+    in the powering or the gcd, not chance, and raise an ArithmeticError.
+    """
     n = _degree(g)
     if n == d:
         return [g]
     e = (p**d - 1) // 2
     ring = _PackedRing(g, p)
-    while True:
+    for _ in range(_SPLIT_DRAWS):
         a = _trim([rng.randrange(p) for _ in range(n)])
         if _degree(a) < 1:
             continue
@@ -271,6 +277,8 @@ def _equal_degree_split(g: list[int], d: int, p: int, rng: random.Random) -> lis
         if 0 < _degree(h) < n:
             return (_equal_degree_split(h, d, p, rng)
                     + _equal_degree_split(_m_divmod(g, h, p)[0], d, p, rng))
+    raise ArithmeticError(f"no split of a degree-{n} product of degree-{d} factors "
+                          f"mod {p} in {_SPLIT_DRAWS} draws")
 
 
 def _prime_scan(f: list[int], counters: dict[str, int]
@@ -529,12 +537,13 @@ class CrossValidationReport:
 def cross_validate(gens: GeneratorSet, max_len: int) -> CrossValidationReport:
     """Run both routes on every word of length 1..max_len and compare.
 
-    The orbit certificate's verdicts come from `scan_words`, the fast path
-    users run, so a set over SCAN_BUDGET words is rejected before any oracle
-    call.  Each word then goes to the exact oracle, whose Zassenhaus search
-    always decides, so every word gets both verdicts.  Words compose to
-    degree 2^max_len, which must not exceed ORACLE_DEGREE_CAP (32, so
-    max_len <= 5).
+    The orbit certificate's verdicts are read from `join_certified_words`,
+    the certified-word list that `scan-words` prints, so a set over
+    SCAN_BUDGET words is rejected before any oracle call.  Every word, by
+    length and then in dictionary order, then goes to the exact oracle,
+    whose Zassenhaus search always decides, so every word gets both
+    verdicts.  Words compose to degree 2^max_len, which must not exceed
+    ORACLE_DEGREE_CAP (32, so max_len <= 5).
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -543,25 +552,27 @@ def cross_validate(gens: GeneratorSet, max_len: int) -> CrossValidationReport:
             f"words of length {max_len} compose to degree {2**max_len}, "
             f"beyond the oracle cap {ORACLE_DEGREE_CAP}"
         )
-    # by length, then in dictionary order (the sort is stable)
-    scanned = sorted(scan_words(gens, max_len), key=lambda pair: len(pair[0]))
-    forbidden = []
-    unknown_irreducible = []
+    letters = range(len(gens.maps))
+    text = join_certified_words(gens, max_len, [str(p) for p in letters],
+                                [f",{p}" for p in letters], "\n")
+    certified = {tuple(map(int, line.split(","))) for line in text.splitlines()}
+    words = [w for n in range(1, max_len + 1) for w in product(letters, repeat=n)]
+    forbidden, unknown_irreducible = [], []
     counters = dict.fromkeys(COUNTER_NAMES, 0)
     token = _counters.set(counters)
     try:
-        for word, verdict in scanned:
+        for word in words:
             irreducible = is_irreducible_exact(compose_word(gens, word))
-            if verdict.certified and not irreducible:
+            if word in certified and not irreducible:
                 forbidden.append(word)
-            elif not verdict.certified and irreducible:
+            elif word not in certified and irreducible:
                 unknown_irreducible.append(word)
     finally:
         _counters.reset(token)
     return CrossValidationReport(
         generator_cs=gens.cs,
         max_len=max_len,
-        words_checked=len(scanned),
+        words_checked=len(words),
         forbidden=tuple(forbidden),
         unknown_irreducible=tuple(unknown_irreducible),
         counters=counters,

@@ -7,8 +7,12 @@ calls it.  The tests import this module as `references`: pytest puts
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Sequence
+
+from quadsemi.dynamics import SCAN_BUDGET, GeneratorSet, StabilityVerdict
 
 
 def residue_search(
@@ -120,3 +124,84 @@ def gcd_reference(a: list[int], b: list[int], p: int) -> list[int]:
         return a
     inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
+
+
+# The square sieve's quadratic-residue tables, one for each of a fixed set of
+# small prime powers m.  A square is a square modulo every m, so a residue
+# mod m that fails its table proves the integer no square, without building it.
+SIEVE_FACTORS = (64, 9, 25, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+SIEVE_TABLES = tuple((m, frozenset(x * x % m for x in range(m))) for m in SIEVE_FACTORS)
+SIEVE_MODULUS = math.prod(SIEVE_FACTORS)
+
+
+def passes_every_table(n: int) -> bool:
+    """False proves n no square: its residue mod some table's modulus is no square."""
+    return all(n % m in squares for m, squares in SIEVE_TABLES)
+
+
+def sieved_entry_root(cs: Sequence[int], word: Sequence[int]) -> int | None:
+    """Root of the word's last orbit entry if it is a square, else None.
+
+    An entry past the first is evaluated mod SIEVE_MODULUS first; a residue
+    that is no square mod some table's modulus proves the entry a nonsquare.
+    Only an entry that passes every table is built exactly and tested with
+    isqrt.
+    """
+    if len(word) == 1:
+        entry = -cs[word[0]]
+    else:
+        v = 0
+        for letter in reversed(word):
+            v = (v * v + cs[letter]) % SIEVE_MODULUS
+        if not passes_every_table(v):
+            return None
+        entry = 0
+        for letter in reversed(word):
+            entry = entry * entry + cs[letter]
+    return math.isqrt(entry) if entry >= 0 and math.isqrt(entry) ** 2 == entry else None
+
+
+@lru_cache(maxsize=16)
+def dfs_scan_reference(
+    gens: GeneratorSet, max_len: int
+) -> tuple[tuple[tuple[int, ...], StabilityVerdict], ...]:
+    """(word, verdict) for every word of length 1..max_len, in dictionary order.
+
+    Dictionary order lists each word before its extensions, then moves to the
+    next sibling; verdicts are shared down the tree, so a prefix whose orbit
+    already contains a square settles its whole subtree for free.  A new
+    word's last entry goes through `sieved_entry_root`, so a certified word
+    costs no big-integer work.  More than SCAN_BUDGET words in all are
+    rejected.  The result is cached per (generators, length), as several
+    tests compare different fast paths with the same scan; `__wrapped__`
+    runs it uncached.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    s = len(gens.maps)
+    total = sum(s**n for n in range(1, max_len + 1))
+    if total > SCAN_BUDGET:
+        raise ValueError(f"{total} words exceed the scan budget {SCAN_BUDGET}")
+    certified = StabilityVerdict(True)
+    out: list[tuple[tuple[int, ...], StabilityVerdict]] = []
+    cs = gens.cs
+
+    # explicit preorder DFS; inherited=None marks a square-free prefix
+    stack: list[tuple[tuple[int, ...], StabilityVerdict | None]] = [((), None)]
+    while stack:
+        word, inherited = stack.pop()
+        if word:
+            out.append((word, inherited if inherited is not None else certified))
+        if len(word) == max_len:
+            continue
+        children = []
+        for i in range(s):
+            w2 = word + (i,)
+            verdict = inherited
+            if verdict is None:
+                r = sieved_entry_root(cs, w2)
+                if r is not None:
+                    verdict = StabilityVerdict(False, len(w2), r)
+            children.append((w2, verdict))
+        stack.extend(reversed(children))
+    return tuple(out)

@@ -14,8 +14,9 @@ from quadsemi.dynamics import (
     GeneratorSet,
     QuadraticMap,
     SequenceSampler,
+    certified_counts,
+    join_certified_words,
     monte_carlo_stability,
-    scan_words,
     stability_certificate,
 )
 from quadsemi.diophantine import (
@@ -103,10 +104,9 @@ def test_criterion_4_classification_equivalence_grid():
 def test_criterion_5_constant_sequence_scan_and_monte_carlo():
     started = time.perf_counter()
     S = GeneratorSet.from_cs([-4, -12])
-    results = scan_words(S, 10)
-    assert len(results) == 2**11 - 2
-    certified = sorted(w for w, v in results if v.certified)
-    assert certified == [(1,) * n for n in range(1, 11)]
+    assert certified_counts(S, 10) == [1] * 10
+    certified = join_certified_words(S, 10, "ab", "ab", "|").split("|")
+    assert certified == ["b" * n for n in range(1, 11)]
 
     p = 2.0**-10
     trials = 10**5

@@ -16,9 +16,10 @@ import quadsemi
 from quadsemi import cli, diophantine, dynamics, heights
 from quadsemi.cli import _one_based, build_parser, main
 from quadsemi.diophantine import registry, registry_checksum, registry_path, verify_all
-from quadsemi.dynamics import GeneratorSet, QuadraticMap, scan_words
+from quadsemi.dynamics import GeneratorSet, QuadraticMap
 from quadsemi.exceptional import closed_form_of
 from quadsemi.heights import compute_iterate_bound, integral_points_on_phi2
+from references import dfs_scan_reference
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -825,7 +826,7 @@ def _without_timings(report_line):
 
 
 def assert_scan_texts_match_the_list_encoding(capsys, monkeypatch, cs, max_len):
-    results = scan_words(GeneratorSet.from_cs(cs), max_len)
+    results = dfs_scan_reference(GeneratorSet.from_cs(cs), max_len)
     certified = [_one_based(w) for w, v in results if v.certified]
     expected = json.dumps({
         "schema": "quadsemi-report/3", "command": "scan-words",
@@ -877,11 +878,13 @@ def test_scan_words_texts_match_the_list_encoding_on_random_sets(
 
 
 def test_scan_words_command_builds_no_word_tuples(capsys, monkeypatch):
+    # no word's verdict or orbit is read one word at a time
     def refuse(*args):
-        pytest.fail("scan_words called")
+        pytest.fail("a per-word path was called")
 
-    monkeypatch.setattr(dynamics, "scan_words", refuse)
-    monkeypatch.setattr(cli, "scan_words", refuse, raising=False)
+    for name in ("stability_certificate", "orbit_entries", "_entry"):
+        monkeypatch.setattr(dynamics, name, refuse)
+        monkeypatch.setattr(cli, name, refuse, raising=False)
     argv = ["scan-words", "-c", "-16,4", "-L", "10"]
     for extra in ([], ["--verbose"], ["--json"], ["--json", "--verbose"]):
         code, _, _ = run(capsys, argv + extra)
@@ -917,7 +920,7 @@ def test_terse_scan_words_builds_no_word_text(capsys, monkeypatch):
 @pytest.mark.extended
 def test_scan_words_at_the_word_budget_edge(capsys):
     # 2^20 - 2 = 1,048,574 words, the longest two-generator scan the budget admits
-    results = scan_words(GeneratorSet.from_cs([-14, 40]), 19)
+    results = dfs_scan_reference.__wrapped__(GeneratorSet.from_cs([-14, 40]), 19)
     certified = [w for w, v in results if v.certified]
     words = len(results)
     del results

@@ -19,7 +19,6 @@ from quadsemi.dynamics import (
     OrbitAutomaton,
     SequenceSampler,
     StabilityVerdict,
-    _CERTIFIED,
     _DEAD,
     _GOLDEN,
     _MASK64,
@@ -36,10 +35,15 @@ from quadsemi.dynamics import (
     join_certified_words,
     monte_carlo_stability,
     orbit_entries,
-    scan_words,
     stability_certificate,
 )
-from references import mix64
+from references import (
+    SIEVE_FACTORS,
+    SIEVE_TABLES,
+    dfs_scan_reference,
+    mix64,
+    passes_every_table,
+)
 
 
 def _horner(f, x):
@@ -132,21 +136,47 @@ def test_word_validation():
         stability_certificate(S, (0, 2))
 
 
+# The tests named for scan_words check the two readers behind the `scan-words`
+# command: `certified_counts` and `join_certified_words`, which share one
+# automaton there.  Letter p is written "<p" first and ".p" after, and words
+# are joined by "|".
+
+def scan_readers(S, max_len):
+    """The per-length certified counts and the certified-word text, read as
+    `scan-words` reads them: from one lent automaton."""
+    automaton = OrbitAutomaton(S.cs)
+    heads = [f"<{p}" for p in range(len(S))]
+    tails = [f".{p}" for p in range(len(S))]
+    return (certified_counts(S, max_len, automaton=automaton),
+            join_certified_words(S, max_len, heads, tails, "|", automaton=automaton))
+
+
+def scan_readers_expected(results, max_len):
+    """scan_readers' two values, read off (word, verdict) pairs in dictionary order."""
+    certified = [w for w, v in results if v.certified]
+    return (certified_per_length(results, max_len),
+            "|".join(f"<{w[0]}" + "".join(f".{p}" for p in w[1:]) for w in certified))
+
+
+def certified_per_length(results, max_len):
+    """The certified words of each length 1..max_len among (word, verdict) pairs."""
+    counts = [0] * max_len
+    for word, verdict in results:
+        counts[len(word) - 1] += verdict.certified
+    return counts
+
+
 def test_scan_words_constant_sequence_story():
     # over {x^2-4, x^2-12} only the constant x^2-12 words stay square-free
     S = GeneratorSet.from_cs([-4, -12])
-    results = scan_words(S, 3)
-    assert len(results) == 2 + 4 + 8
-    certified = sorted(w for w, v in results if v.certified)
-    assert certified == [(1,), (1, 1), (1, 1, 1)]
+    assert scan_readers(S, 3) == ([1, 1, 1], "<1|<1.1|<1.1.1")
 
 
 def test_scan_words_single_generator_and_edge_cases():
-    res = scan_words(GeneratorSet.from_cs([1]), 2)
-    assert [w for w, v in res if v.certified] == [(0,), (0, 0)]
-    assert scan_words(GeneratorSet.from_cs([1, 2]), 0) == []
+    assert scan_readers(GeneratorSet.from_cs([1]), 2) == ([1, 1], "<0|<0.0")
+    assert scan_readers(GeneratorSet.from_cs([1, 2]), 0) == ([], "")
     with pytest.raises(ValueError):
-        scan_words(GeneratorSet.from_cs([1, 2]), 25)  # budget
+        join_certified_words(GeneratorSet.from_cs([1, 2]), 25, "ab", "ab", "|")  # budget
 
 
 def _admits(s, max_len):
@@ -177,8 +207,9 @@ def test_letter_budget_bounds_the_one_generator_scan():
 
 
 def test_scan_words_dictionary_order():
-    res = scan_words(GeneratorSet.from_cs([1, 2]), 2)
-    assert [w for w, _ in res] == [(0,), (0, 0), (0, 1), (1,), (1, 0), (1, 1)]
+    # every word over {x^2+1, x^2+2} up to length 2 is certified
+    assert join_certified_words(GeneratorSet.from_cs([1, 2]), 2, "ab", "ab", "|") \
+        == "a|aa|ab|b|ba|bb"
 
 
 words = st.integers(min_value=1, max_value=4).flatmap(
@@ -327,7 +358,8 @@ def test_square_far_above_the_sieve_modulus_is_found():
 @example(DEEP_SQUARE_SET, 8)
 @settings(max_examples=40, deadline=None)
 def test_scan_words_equals_reference(cs, max_len):
-    assert scan_words(GeneratorSet.from_cs(cs), max_len) == reference_scan(cs, max_len)
+    assert scan_readers(GeneratorSet.from_cs(cs), max_len) \
+        == scan_readers_expected(reference_scan(cs, max_len), max_len)
 
 
 @given(constant_sets, st.lists(st.integers(0, 2), min_size=1, max_size=12))
@@ -426,28 +458,16 @@ def test_monte_carlo_equals_reference_across_chunks(cs, weights):
             == reference_monte_carlo(cs, sampler, 6, trials), trials
 
 
-# The square sieve's quadratic-residue tables, one for each of a fixed set of
-# small prime powers m.  A square is a square modulo every m, so a residue
-# mod m that fails its table proves the integer no square, without building it.
-_SIEVE_FACTORS = (64, 9, 25, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-_SIEVE_TABLES = tuple((m, frozenset(x * x % m for x in range(m))) for m in _SIEVE_FACTORS)
-
-
-def _passes_every_table(n):
-    """False proves n no square: its residue mod some table's modulus is no square."""
-    return all(n % m in squares for m, squares in _SIEVE_TABLES)
-
-
 def test_sieve_tables_follow_their_formula():
-    assert [m for m, _ in _SIEVE_TABLES] == list(_SIEVE_FACTORS)
-    for m, squares in _SIEVE_TABLES:
+    assert [m for m, _ in SIEVE_TABLES] == list(SIEVE_FACTORS)
+    for m, squares in SIEVE_TABLES:
         assert squares == {x * x % m for x in range(m)}
 
 
 def test_sieve_tables_match_euler_criterion():
     # independent of the table formula: for an odd prime p, r != 0 is a
     # square mod p iff r^((p-1)/2) == 1 mod p
-    for p, squares in _SIEVE_TABLES:
+    for p, squares in SIEVE_TABLES:
         if p in (64, 9, 25):
             continue
         euler = {0} | {r for r in range(1, p) if pow(r, (p - 1) // 2, p) == 1}
@@ -455,88 +475,21 @@ def test_sieve_tables_match_euler_criterion():
 
 
 def test_every_small_square_passes_the_sieve():
-    assert all(_passes_every_table(r * r) for r in range(10**4 + 1))
+    assert all(passes_every_table(r * r) for r in range(10**4 + 1))
 
 
 @given(st.integers(min_value=0, max_value=1 << 12000))
 def test_every_large_square_passes_the_sieve(r):
-    assert _passes_every_table(r * r)
+    assert passes_every_table(r * r)
 
 
 def test_sieve_rejects_almost_every_nonsquare():
     start = 10**12
     nonsquares = [n for n in range(start, start + 10**4) if is_perfect_square(n) is None]
-    assert sum(_passes_every_table(n) for n in nonsquares) <= 5
+    assert sum(passes_every_table(n) for n in nonsquares) <= 5
 
 
-SIEVE_MODULUS = math.prod(m for m, _ in _SIEVE_TABLES)
-
-
-def sieved_entry_root(cs, word):
-    """Root of the word's last orbit entry if it is a square, else None.
-
-    An entry past the first is evaluated mod SIEVE_MODULUS first; a residue
-    that is no square mod some table's modulus proves the entry a nonsquare.
-    Only an entry that passes every table is built exactly and tested with
-    isqrt.
-    """
-    if len(word) == 1:
-        entry = -cs[word[0]]
-    else:
-        v = 0
-        for letter in reversed(word):
-            v = (v * v + cs[letter]) % SIEVE_MODULUS
-        if any(v % m not in squares for m, squares in _SIEVE_TABLES):
-            return None
-        entry = 0
-        for letter in reversed(word):
-            entry = entry * entry + cs[letter]
-    return math.isqrt(entry) if entry >= 0 and math.isqrt(entry) ** 2 == entry else None
-
-
-def dfs_scan_reference(
-    gens: GeneratorSet, max_len: int
-) -> list[tuple[tuple[int, ...], StabilityVerdict]]:
-    """(word, verdict) for every word of length 1..max_len, in dictionary order.
-
-    Dictionary order lists each word before its extensions, then moves to the
-    next sibling; verdicts are shared down the tree, so a prefix whose orbit
-    already contains a square settles its whole subtree for free.  A new
-    word's last entry goes through `sieved_entry_root`, so a certified word
-    costs no big-integer work.  More than SCAN_BUDGET words in all are
-    rejected.
-    """
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
-    s = len(gens.maps)
-    total = sum(s**n for n in range(1, max_len + 1))
-    if total > SCAN_BUDGET:
-        raise ValueError(f"{total} words exceed the scan budget {SCAN_BUDGET}")
-    out: list[tuple[tuple[int, ...], StabilityVerdict]] = []
-    cs = gens.cs
-
-    # explicit preorder DFS; inherited=None marks a square-free prefix
-    stack: list[tuple[tuple[int, ...], StabilityVerdict | None]] = [((), None)]
-    while stack:
-        word, inherited = stack.pop()
-        if word:
-            out.append((word, inherited if inherited is not None else _CERTIFIED))
-        if len(word) == max_len:
-            continue
-        children = []
-        for i in range(s):
-            w2 = word + (i,)
-            verdict = inherited
-            if verdict is None:
-                r = sieved_entry_root(cs, w2)
-                if r is not None:
-                    verdict = StabilityVerdict(False, len(w2), r)
-            children.append((w2, verdict))
-        stack.extend(reversed(children))
-    return out
-
-
-# (constants, length) pairs on which scan_words must equal the reference walk
+# (constants, length) pairs on which the scan-words readers must equal the reference walk
 DFS_CASES = [((-14, 40), 12), ((3, -7, 11), 8), ((-1, -2), 12), ((-4, -12), 12),
              (DEEP_SQUARE_SET, 9)]
 
@@ -553,21 +506,15 @@ SCAN_CASES = DFS_CASES + [DENSE] + [
 @pytest.mark.parametrize("cs,max_len", SCAN_CASES)
 def test_scan_words_equals_dfs_reference(cs, max_len):
     S = GeneratorSet.from_cs(cs)
-    assert scan_words(S, max_len) == dfs_scan_reference(S, max_len)
-
-
-def certified_per_length(results, max_len):
-    """The certified words of each length 1..max_len among (word, verdict) pairs."""
-    counts = [0] * max_len
-    for word, verdict in results:
-        counts[len(word) - 1] += verdict.certified
-    return counts
+    assert scan_readers(S, max_len) \
+        == scan_readers_expected(dfs_scan_reference(S, max_len), max_len)
 
 
 @pytest.mark.parametrize("cs,max_len", SCAN_CASES)
 def test_certified_counts_equal_scan_words(cs, max_len):
     S = GeneratorSet.from_cs(cs)
-    assert certified_counts(S, max_len) == certified_per_length(scan_words(S, max_len), max_len)
+    assert certified_counts(S, max_len) \
+        == certified_per_length(dfs_scan_reference(S, max_len), max_len)
 
 
 def test_certified_counts_of_a_set_with_a_live_cycle():
@@ -575,7 +522,7 @@ def test_certified_counts_of_a_set_with_a_live_cycle():
     # length-16 words are certified
     S = GeneratorSet.from_cs((-16, 4))
     counts = certified_counts(S, 16)
-    assert counts == certified_per_length(scan_words(S, 16), 16)
+    assert counts[:12] == certified_per_length(dfs_scan_reference(S, 12), 12)
     assert counts[-1] == 24_576
 
 
@@ -590,12 +537,11 @@ def test_certified_counts_reach_past_the_scan_budget():
 @pytest.mark.parametrize("cs,max_len", DFS_CASES + [DENSE, ((-16, 4), 12), ((7,), 30),
                                                     ((-4,), 5), ((-4, -12), 0)])
 def test_join_certified_words_equals_scan_words(cs, max_len):
-    # letter p is written "<p" first and ".p" after; words are joined by "|"
+    # with no automaton lent; the reference walk gives the scanned words
     S = GeneratorSet.from_cs(cs)
     heads = [f"<{p}" for p in range(len(cs))]
     tails = [f".{p}" for p in range(len(cs))]
-    expected = "|".join(heads[w[0]] + "".join(tails[p] for p in w[1:])
-                        for w, v in scan_words(S, max_len) if v.certified)
+    _, expected = scan_readers_expected(dfs_scan_reference(S, max_len), max_len)
     assert join_certified_words(S, max_len, heads, tails, "|") == expected
 
 
@@ -611,9 +557,9 @@ def test_join_certified_words_keeps_the_scan_budget():
 
 def test_join_certified_words_rejects_a_nul_or_a_missing_piece():
     # a NUL in a tail once stood for a word's start inside the templates:
-    # this call gave 26 words where scan_words certifies 14
+    # this call gave 26 words where 14 are certified
     S = GeneratorSet.from_cs([-14, 40])
-    assert sum(v.certified for _, v in scan_words(S, 3)) == 14
+    assert sum(certified_counts(S, 3)) == 14
     for heads, tails, sep in ((["A", "B"], ["a\x00", "b"], "|"),
                               (["A", "\x00B"], ["a", "b"], "|"),
                               (["A", "B"], ["a", "b"], "|\x00")):
@@ -627,8 +573,6 @@ def test_join_certified_words_rejects_a_nul_or_a_missing_piece():
 def test_scan_budget_rejects_a_negative_length():
     with pytest.raises(ValueError, match="max_len must be >= 0"):
         check_scan_budget(2, -1)
-    with pytest.raises(ValueError, match="max_len must be >= 0"):
-        scan_words(GeneratorSet.from_cs([1, 2]), -1)
     assert check_scan_budget(2, 0) == 0
 
 
@@ -664,8 +608,9 @@ def test_join_certified_words_peaks_near_two_texts(cs, max_len):
 # (-16, 4) has three nonsquare entries up to length 9 that pass the square sieve
 @pytest.mark.parametrize("cs,max_len", DFS_CASES + [((-16, 4), 9)])
 def test_scan_words_builds_exact_entries_only_for_dying_words(cs, max_len, monkeypatch):
-    # each word whose own last entry is its first square has that entry built
-    # once and tested once; no other word's entry is built
+    # the scan-words readers build no exact entry at all; the certificate of
+    # a word whose own last entry is its first square builds that entry
+    # once, last, and tests it once
     events = []
     real_entry, real_square = dynamics._entry, dynamics.is_perfect_square
 
@@ -681,12 +626,16 @@ def test_scan_words_builds_exact_entries_only_for_dying_words(cs, max_len, monke
     monkeypatch.setattr(dynamics, "_entry", entry)
     monkeypatch.setattr(dynamics, "is_perfect_square", square)
     S = GeneratorSet.from_cs(cs)
-    result = scan_words(S, max_len)
-    dying = sorted(w for w, v in result if v.first_square_index == len(w))
-    built = [(i, e) for i, e in enumerate(events) if e[0] == "entry"]
-    assert sorted(word for _, (_, word, _) in built) == dying
-    assert all(events[i + 1] == ("square", value) for i, (_, _, value) in built)
-    assert result == dfs_scan_reference(S, max_len)
+    reference = dfs_scan_reference(S, max_len)
+    assert scan_readers(S, max_len) == scan_readers_expected(reference, max_len)
+    assert not any(e[0] == "entry" for e in events)
+    dying = [(w, v) for w, v in reference if v.first_square_index == len(w)]
+    for word, verdict in dying:
+        events.clear()
+        assert stability_certificate(S, word) == verdict
+        value = verdict.witness_root ** 2
+        assert [e for e in events if e[0] == "entry"] == [("entry", word, value)]
+        assert events[-2:] == [("entry", word, value), ("square", value)]
 
 
 # sets and weights for edge cases: skewed weights that keep most trials
@@ -771,7 +720,8 @@ automaton_sets = st.one_of(
 def test_automaton_equals_exact_references(cs, data):
     S = GeneratorSet.from_cs(cs)
     max_len = {1: 9, 2: 6, 3: 4}.get(len(cs), 3)
-    assert scan_words(S, max_len) == dfs_scan_reference(S, max_len)
+    assert scan_readers(S, max_len) \
+        == scan_readers_expected(dfs_scan_reference(S, max_len), max_len)
     seed = 7 if data is None else data.draw(st.integers(0, (1 << 64) - 1))
     sampler = SequenceSampler.uniform(len(cs), seed)
     assert monte_carlo_stability(S, sampler, 9, 60) \
@@ -834,9 +784,11 @@ def test_deep_square_scan_is_fast():
     # reaches 2^58 too, and is never walked
     S = GeneratorSet.from_cs(DEEP_SQUARE_SET)
     start = time.perf_counter()
-    result = scan_words(S, 9)
+    counts, text = scan_readers(S, 9)
     assert time.perf_counter() - start < 0.5
-    assert dict(result)[(1,) + (0,) * 7] == StabilityVerdict(False, 8, V7 + 1)
+    words = set(text.split("|"))
+    assert "<1" + ".0" * 6 in words and "<1" + ".0" * 7 not in words
+    assert (counts, text) == scan_readers_expected(dfs_scan_reference(S, 9), 9)
 
 
 def test_automaton_dead_state_follows_the_first_square():
@@ -849,7 +801,7 @@ def test_automaton_dead_state_follows_the_first_square():
 
 @pytest.mark.parametrize("cs", [(-14, 40), (-4, -12), DEEP_SQUARE_SET])
 @pytest.mark.parametrize("run", [
-    lambda S: scan_words(S, 12),
+    lambda S: scan_readers(S, 12),
     lambda S: monte_carlo_stability(S, SequenceSampler.uniform(2, 5), 12, 2000),
     lambda S: join_certified_words(S, 12, "ab", "cd", "|"),
     lambda S: certified_counts(S, 12)])
@@ -879,10 +831,7 @@ def test_one_letter_scan_builds_the_start_row_alone(monkeypatch):
     monkeypatch.setattr(dynamics, "_bounded_reach", refuse)
     cs = range(-1000, 1000)
     S = GeneratorSet.from_cs(cs)
-    result = scan_words(S, 1)
-    assert [w for w, _ in result] == [(p,) for p in range(2000)]
     certified = [is_perfect_square(-c) is None for c in cs]
-    assert [v.certified for _, v in result] == certified
     assert certified_counts(S, 1) == [sum(certified)]
     names = [str(p) for p in range(2000)]
     assert join_certified_words(S, 1, names, names, ",").split(",") == [

@@ -1,6 +1,7 @@
-"""The package's layout: the CLI uses public names, and no code sits unused.
+"""The package's layout: the CLI uses public names, no code sits unused, and
+the oracle shares nothing with the orbit automaton but its printed list.
 
-Both checks read the source with `ast` and import nothing.  Slow references
+The checks read the source with `ast` and import nothing.  Slow references
 that only the tests call live in `tests/`, not in the package.
 """
 
@@ -53,3 +54,20 @@ def test_every_top_level_definition_is_used_in_the_package():
             if not any(stmt.name in names for other, names in used_by if other is not stmt):
                 unused.append(f"{module}.{stmt.name}")
     assert unused == []
+
+
+def test_oracle_reads_only_the_public_lists_of_dynamics():
+    # the oracle composes words and reads the certified list that
+    # `scan-words` prints; it reaches no automaton internals
+    imported, whole = set(), []
+    for node in ast.walk(_parse(PACKAGE / "oracle.py")):
+        if isinstance(node, ast.ImportFrom):
+            module = ("." * node.level) + (node.module or "")
+            if module in (".dynamics", "quadsemi.dynamics"):
+                imported |= {a.name for a in node.names}
+            elif module in (".", "quadsemi"):
+                whole += [a.name for a in node.names if a.name == "dynamics"]
+        elif isinstance(node, ast.Import):
+            whole += [a.name for a in node.names if a.name == "quadsemi.dynamics"]
+    assert imported == {"GeneratorSet", "compose_word", "join_certified_words"}
+    assert whole == []

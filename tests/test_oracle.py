@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -10,7 +11,9 @@ from quadsemi.dynamics import GeneratorSet, compose_word, stability_certificate
 from quadsemi.oracle import (
     _SMALL_PRIMES,
     COUNTER_NAMES,
+    _SPLIT_DRAWS,
     _distinct_degree_split,
+    _equal_degree_split,
     _next_good_prime,
     _prime_scan,
     _repeated_factor,
@@ -176,6 +179,36 @@ def test_cross_validate_equals_reference(cs, max_len):
     rep = cross_validate(gens, max_len)
     assert (rep.words_checked, rep.forbidden, rep.unknown_irreducible) \
         == reference_cross_validate(gens, max_len)
+
+
+def test_cross_validate_reads_the_printed_list(monkeypatch):
+    # the reducible word (0, 1) of {x^2-1, x^2-12} added to the certified
+    # text is reported forbidden; the certified word (1, 0) dropped from it
+    # moves to unknown_irreducible
+    S = GeneratorSet.from_cs([-1, -12])
+    clean = cross_validate(S, 2)
+    assert clean.passed and clean.forbidden == ()
+    real = oracle.join_certified_words
+
+    def patch_join(edit):
+        # the certified text, split at sep, edited with the heads and tails
+        def join(gens, max_len, heads, tails, sep, **kwargs):
+            words = real(gens, max_len, heads, tails, sep, **kwargs).split(sep)
+            return sep.join(edit(words, heads, tails))
+
+        monkeypatch.setattr(oracle, "join_certified_words", join)
+
+    patch_join(lambda words, heads, tails: words + [heads[0] + tails[1]])
+    rep = cross_validate(S, 2)
+    assert rep.forbidden == ((0, 1),) and not rep.passed
+    assert rep.unknown_irreducible == clean.unknown_irreducible
+    dropped = (1, 0)
+    assert stability_certificate(S, dropped).certified
+    assert dropped not in clean.unknown_irreducible
+    patch_join(lambda words, heads, tails: [w for w in words if w != heads[1] + tails[0]])
+    rep = cross_validate(S, 2)
+    assert rep.passed and rep.unknown_irreducible == tuple(
+        sorted(clean.unknown_irreducible + (dropped,), key=lambda w: (len(w), w)))
 
 
 def test_cross_validate_depth_cap():
@@ -586,6 +619,35 @@ def test_cross_validate_counters_repeat():
     assert set(first.counters) == set(COUNTER_NAMES)
     assert first.counters == second.counters
     assert first.counters["factor_searches"] > 0
+
+
+def test_equal_degree_split_stops_after_its_draw_cap(monkeypatch):
+    # x^4 + 1 mod 3 is (x^2 + x + 2)(x^2 + 2x + 2), and find_factor splits
+    # it at d = 2; an rng that always draws 0 never splits it
+    calls = []
+    real = oracle._equal_degree_split
+
+    def spy(g, d, p, rng):
+        calls.append((g, d, p))
+        return real(g, d, p, rng)
+
+    monkeypatch.setattr(oracle, "_equal_degree_split", spy)
+    assert find_factor([1, 0, 0, 0, 1]) is None
+    assert ([1, 0, 0, 0, 1], 2, 3) in calls
+
+    class Zeros:
+        draws = 0
+
+        def randrange(self, n):
+            self.draws += 1
+            return 0
+
+    rng = Zeros()
+    start = time.perf_counter()
+    with pytest.raises(ArithmeticError, match="degree-4 product of degree-2 factors mod 3"):
+        _equal_degree_split([1, 0, 0, 0, 1], 2, 3, rng)
+    assert time.perf_counter() - start < 1.0
+    assert rng.draws == 4 * _SPLIT_DRAWS
 
 
 # --- the packed powering ring and the gcd, against schoolbook references ---
