@@ -48,6 +48,7 @@ print(f"estimated square-free rate at depth 10: {estimate:.6f} "
       f"(true value {2**-10:.6f})")
 
 print("\n-- a single irreducible generator never dies --")
-S1 = GeneratorSet.from_cs([1])
-# certified_counts counts the certified words of each length without building them
-print(f"x^2+1 words up to length 6: {sum(certified_counts(S1, 6))}/6 certified")
+S1, L1 = GeneratorSet.from_cs([1]), 6
+# one generator has one word per length; certified_counts counts the
+# certified ones without building them
+print(f"x^2+1 words up to length {L1}: {sum(certified_counts(S1, L1))}/{L1} certified")
