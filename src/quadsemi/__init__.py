@@ -47,6 +47,7 @@ from .exceptional import (
     TheoremViolationError,
     certify_no_square_images,
     check_exceptional_prefix,
+    classify_from_systems,
     closed_form_of,
     construct_irreducible_prefix,
     is_exceptional_pair,

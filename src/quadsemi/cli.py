@@ -54,7 +54,9 @@ from .dynamics import (
     stability_certificate,
 )
 from .exceptional import (
+    Classification,
     TheoremViolationError,
+    classify_from_systems,
     construct_irreducible_prefix,
     is_exceptional_pair,
     scan_exceptional_pairs,
@@ -291,16 +293,40 @@ def cmd_verify_lemma(args) -> Outcome:
                          f"missing_lines={sorted(r.missing_lines)}")
         elif args.verbose:
             lines.append(f"  match    {r.entry_id}")
+    verdicts = {"all_matched": all_ok,
+                "matched": sum(r.matched for r in results), "total": len(results)}
+    if args.all:
+        derived = classify_from_systems()
+        verdicts["classification"] = _classification_report(derived)
+        lines.append(_classification_line(derived))
     return Outcome(
         {"which": "all" if args.all else args.id, "bound": args.bound,
          "registry": registry_provenance()},
-        {"all_matched": all_ok,
-         "matched": sum(r.matched for r in results), "total": len(results)},
+        verdicts,
         {"results": rows},
         lines,
         code=0 if all_ok else 1,
         stats={"counters": {"pairs_tested": sum(r.pairs_tested for r in results)}},
     )
+
+
+def _system_names(systems) -> list[list[str]]:
+    return [[sys_.family, sys_.left, sys_.right] for sys_ in systems]
+
+
+def _classification_report(derived: Classification) -> dict:
+    return {"sporadic": [list(pair) for pair in derived.sporadic()],
+            "families": [{"shapes": list(f.shapes), "systems": _system_names(f.systems)}
+                         for f in derived.families]}
+
+
+def _classification_line(derived: Classification) -> str:
+    families = "; ".join(
+        f"{f.shapes[0]} x {f.shapes[1]} at every s, from "
+        + ", ".join(" ".join(name) for name in _system_names(f.systems))
+        for f in derived.families)
+    return (f"exceptional pairs derived from the 48 solved systems: sporadic "
+            f"{derived.sporadic()}; families: {families or 'none'}")
 
 
 def cmd_obstruction(args) -> Outcome:

@@ -89,11 +89,16 @@ class System:
                 raise RegistryError(f"selector {selector!r} is not legal on the "
                                     f"{side} of family {self.family}")
 
+    @property
+    def shapes(self) -> tuple[str, str]:
+        """The shapes of the left constant A and of the right constant B."""
+        return _FAMILY_SHAPES[self.family]
+
     def left_constant(self, s: int) -> int:
-        return shape_constant(_FAMILY_SHAPES[self.family][0], s)
+        return shape_constant(self.shapes[0], s)
 
     def right_constant(self, t: int) -> int:
-        return shape_constant(_FAMILY_SHAPES[self.family][1], t)
+        return shape_constant(self.shapes[1], t)
 
     def x_square(self, s: int, t: int) -> int:
         """The value x^2 must take: L(t) - A(s)."""
@@ -129,6 +134,24 @@ class System:
 
     def is_solution(self, x: int, y: int, s: int, t: int) -> bool:
         return x * x == self.x_square(s, t) and y * y == self.y_square(s, t)
+
+
+def legal_systems() -> tuple[System, ...]:
+    """Every legal system: families A, B, C in turn, selectors in `_SELECTORS` order.
+
+    A selector is legal where it names a preperiodic target of the partner
+    map, four of the six for each shape, so each family has 16 systems and
+    there are 48 in all.  They are built from the shapes and the selectors
+    alone, not read from the registry.
+    """
+    return tuple(
+        System(family, left, right)
+        for family, (left_shape, right_shape) in _FAMILY_SHAPES.items()
+        for left, left_target in _SELECTORS.items()
+        if left_target in PREPER_TARGETS[right_shape]
+        for right, right_target in _SELECTORS.items()
+        if right_target in PREPER_TARGETS[left_shape]
+    )
 
 
 _COORD_RE = re.compile(r"^(±)?(?:(-?\d+)|(u)|(u\^2)|\(u\^2([+-]\d+)\))$")

@@ -6,9 +6,12 @@ image meets the other's preperiodic set.  Exceptional pairs are exactly
 
     {c1, c2} = {-1, -3}   or   {c1, c2} = {s^2 - s^4, -1 - s^2 - s^4}
 
-for some integer s; both descriptions are computed here independently (the
-witness route and the closed-form route) so the equivalence can be tested on
-grids.
+for some integer s.  Three routes reach that list here, independently: the
+witness route (`is_exceptional_pair`) decides one pair from the definition,
+the closed-form route (`closed_form_of`) matches the shapes above, and
+`classify_from_systems` derives the whole list, for every integer, from the
+complete solutions of the 48 case systems.  `scan-pairs` lists the derived
+classification; the tests hold the routes to each other.
 
 For a non-exceptional pair, iterating one map N times on top of the other
 kills all square values, which certifies every word with that prefix
@@ -31,15 +34,15 @@ has y^2 <= M + |c| <= M^2, so all T_j lie in one interval [-M, M].
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import is_perfect_square, square_preimages
-from .diophantine import phi2_curve_points
+from .diophantine import System, legal_systems, phi2_curve_points, solve_system_complete
 from .dynamics import GeneratorSet
 from .portraits import (
     FIXED_SQUARE,
-    PREPER_TARGETS,
     TWO_CYCLE_SQUARE,
     SquareForm,
     preper_set,
@@ -146,65 +149,116 @@ def is_exceptional_pair(c1: int, c2: int) -> ExceptionalVerdict:
     )
 
 
-def _partner_roots(sign: int, a: int, top: int) -> list[int]:
-    """Every s in [0, top), top >= 1, with sign*s^2 + a a square: one test per root y.
+class DerivedPair(NamedTuple):
+    """A pair {c1, c2}, c1 < c2, given by finite solutions of the listed systems."""
 
-    The roots y >= 0 of the values sign*s^2 + a that are squares fill a
-    window, and each y gives s^2 = sign*(y^2 - a), so distinct y give
-    distinct s.  For sign = +1 the values run over [a, a + (top-1)^2], so
-    ceil(sqrt(max(a, 0))) <= y <= isqrt(a + (top-1)^2); for sign = -1 they
-    are a - s^2 >= 0 with s <= m = min(top - 1, isqrt(a)), so
-    ceil(sqrt(a - m^2)) <= y <= isqrt(a), and a < 0 leaves none.  As
-    sqrt(u + v^2) - sqrt(u) <= v, the window holds at most top values, never
-    more than a test of each s would take, and about top^2 / (2 sqrt|a|) + 1
-    when |a| is large.
+    pair: tuple[int, int]
+    systems: tuple[System, ...]
+
+
+class DerivedFamily(NamedTuple):
+    """The pairs (shape_constant(shapes[0], u), shape_constant(shapes[1], u)), u >= 0,
+    given by a line family of each listed system."""
+
+    shapes: tuple[str, str]
+    systems: tuple[System, ...]
+
+
+class Classification(NamedTuple):
+    """The exceptional pairs as `classify_from_systems` derives them."""
+
+    finite: tuple[DerivedPair, ...]     # ascending by pair
+    families: tuple[DerivedFamily, ...]
+
+    def sporadic(self) -> list[tuple[int, int]]:
+        """The finite pairs that no family gives at any u."""
+        return [p.pair for p in self.finite
+                if not any(p.pair in _family_pairs(f.shapes, p.pair[0])
+                           for f in self.families)]
+
+
+def _family_pairs(shapes: tuple[str, str], cmin: int) -> list[tuple[int, int]]:
+    """The family's pairs {c1, c2}, c1 < c2, for u = 0, 1, ... while c1 or c2 is >= cmin.
+
+    Both shapes' constants are nonincreasing in u >= 0 (0, 0, -12, -72, ...
+    and -1, -3, -21, -91, ...), so no later u has a constant >= cmin: the
+    list holds every pair of the family with both constants >= cmin, and
+    costs O(|cmin|^(1/4)) steps.  The two constants of one u are distinct,
+    since the shapes differ and s^2 - s^4 - (-1 - s^2 - s^4) = 1 + 2s^2.
     """
-    if sign > 0:
-        lo_v, hi_v = max(a, 0), a + (top - 1) ** 2
-    else:
-        m = min(top - 1, math.isqrt(max(a, 0)))
-        lo_v, hi_v = a - m * m, a
-    if hi_v < 0:
-        return []
-    lo = math.isqrt(lo_v - 1) + 1 if lo_v > 0 else 0
-    return [s for y in range(lo, math.isqrt(hi_v) + 1)
-            if (s := is_perfect_square(sign * (y * y - a))) is not None]
+    out = []
+    u = 0
+    while max(cs := [shape_constant(kind, u) for kind in shapes]) >= cmin:
+        out.append((min(cs), max(cs)))
+        u += 1
+    return out
+
+
+@functools.cache
+def classify_from_systems() -> Classification:
+    """Derive every exceptional pair from the complete solutions of the case systems.
+
+    A pair (c1, c2) of distinct constants is exceptional exactly when some
+    system x^2 + A(s) = L(t), y^2 + B(t) = R(s) has a solution with
+    {c1, c2} = {A(s), B(t)}.  That rests on three facts:
+
+    1. Condition (1) puts both constants in a square shape: rational
+       periodic points of x^2 + c are integers of period 1 or 2, so a
+       square one makes c = `shape_constant(kind, s)` (`portraits`).
+    2. The preperiodic set of a shape constant is `PREPER_TARGETS` for
+       every s, so condition (2) reads x^2 + A(s) = L(t) and
+       y^2 + B(t) = R(s) for targets L, R of the two shapes.  The proof
+       is a test (tests/test_portraits.py,
+       `test_preper_set_is_the_closed_form_for_every_s`): each preimage
+       condition and each periodic-point discriminant is a quartic in s
+       whose integral points `diophantine.quartic_curve_points` lists in
+       full.
+    3. Every legal (family, left, right) system is solved: `legal_systems`
+       builds all 48 from the shapes and selectors, not from the registry,
+       and `solve_system_complete` returns every solution of each.  Family
+       B (fixed, cycle) read both ways covers a pair of mixed shapes.
+
+    So each finite solution (x, y, s, t) gives the pair {A(s), B(t)}, and
+    each line family, |s| = |t| = u, the pairs {A(u), B(u)}; pairs with
+    c1 = c2 are not pairs of distinct maps and are dropped, as is a line
+    whose two shapes agree.  The result is the paper's classification: the
+    finite pairs {-3, -1}, {-3, 0} and {-1, 0}, the last two being the
+    family at u = 1 and u = 0, and the one family
+    (s^2 - s^4, -1 - s^2 - s^4).  Computed once, on first use.
+    """
+    finite: dict[tuple[int, int], dict[System, None]] = {}
+    families: dict[tuple[str, str], dict[System, None]] = {}
+    for system in legal_systems():
+        points, lines = solve_system_complete(system)
+        for _, _, s, t in points:
+            c1, c2 = system.left_constant(s), system.right_constant(t)
+            if c1 != c2:
+                finite.setdefault((min(c1, c2), max(c1, c2)), {})[system] = None
+        if lines and system.shapes[0] != system.shapes[1]:
+            families.setdefault(system.shapes, {})[system] = None
+    return Classification(
+        tuple(DerivedPair(pair, tuple(systems)) for pair, systems in sorted(finite.items())),
+        tuple(DerivedFamily(shapes, tuple(systems)) for shapes, systems in families.items()),
+    )
 
 
 def scan_exceptional_pairs(cmin: int, cmax: int) -> list[tuple[int, int]]:
     """All ordered exceptional pairs (c1, c2), c1 != c2, in [cmin, cmax]^2, ascending.
 
-    Condition (1) forces both constants into a square shape, so only the
-    O(|cmin|^(1/4)) shape constants (`portraits.shape_constant`) in the box
-    are candidates, and each of them has a square periodic point, so
-    condition (1) holds for every pair.  Condition (2) is tested exactly,
-    and it alone decides the list: PrePer(c2) is `PREPER_TARGETS`, the
-    values sign*s2^2 + offset of c2's shape, so (c1, c2) meets when
-    sign*s2^2 + a is a square, a = offset - c1.  Rather than pair the
-    constants, the scan solves each target for the partner's parameter s2
-    in [0, top), `top` the first s with both shapes below cmin:
-    `_partner_roots` tests each y in the window of squares that the values
-    span.  The window holds at most top and about top^2 / (2 sqrt|a|) + 1
-    values, and |a| ~ s1^4, so a constant of parameter s1 costs
-    min(top, top^2 / s1^2) tests per target; summed over s1 < top, that is
-    O(top^(3/2)) = O(|cmin|^(3/8)) square tests.  The pairs met in both
-    directions are the exceptional ones, with no witness verdict
-    (`is_exceptional_pair`) or preperiodic set computed per pair.
+    Lists `classify_from_systems` in the box: its finite pairs, and each
+    family's pairs for u = 0, 1, ... while a constant is still >= cmin
+    (`_family_pairs`).  That is O(|cmin|^(1/4)) steps, the size of the
+    output, with no square test, witness verdict (`is_exceptional_pair`) or
+    preperiodic set per pair.
     """
     if cmin > cmax:
         raise ValueError(f"--min must not exceed --max, got [{cmin}, {cmax}]")
-    top = math.isqrt(math.isqrt(max(-cmin, 0))) + 2  # both shapes < cmin from s = top on
-    box = {c for s in range(top) for kind in PREPER_TARGETS
-           if cmin <= (c := shape_constant(kind, s)) <= cmax}
-    meets = {
-        (c1, c2)
-        for c1 in box
-        for kind, targets in PREPER_TARGETS.items()
-        for sign, offset in targets
-        for s2 in _partner_roots(sign, offset - c1, top)
-        if (c2 := shape_constant(kind, s2)) in box and c2 != c1
-    }
-    return sorted((c1, c2) for c1, c2 in meets if (c2, c1) in meets)
+    derived = classify_from_systems()
+    pairs = [p.pair for p in derived.finite]
+    for family in derived.families:
+        pairs += _family_pairs(family.shapes, cmin)
+    return sorted({(a, b) for pair in pairs for a, b in (pair, pair[::-1])
+                   if cmin <= a <= cmax and cmin <= b <= cmax})
 
 
 def _square_set(c: int) -> frozenset[int]:

@@ -12,7 +12,10 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Sequence
 
+from quadsemi.arith import is_perfect_square
 from quadsemi.dynamics import SCAN_BUDGET, GeneratorSet, StabilityVerdict
+from quadsemi.exceptional import is_exceptional_pair
+from quadsemi.portraits import PREPER_TARGETS, recognize_square_periodic, shape_constant
 
 
 def residue_search(
@@ -55,6 +58,71 @@ def brute_force_preper(c: int) -> frozenset[int]:
         if -bound <= v <= bound:
             out.add(a)
     return frozenset(out)
+
+
+def witness_pairs(cs: Sequence[int]) -> list[tuple[int, int]]:
+    """Every c1 of cs with a square periodic point against every c2, by witnesses alone."""
+    return [
+        (c1, c2)
+        for c1 in cs
+        if recognize_square_periodic(c1) is not None
+        for c2 in cs
+        if c2 != c1 and is_exceptional_pair(c1, c2).is_exceptional
+    ]
+
+
+def witness_scan(cmin: int, cmax: int) -> list[tuple[int, int]]:
+    """The ordered exceptional pairs of [cmin, cmax]^2, by a witness verdict on each
+    shape constant against every constant of the box."""
+    return witness_pairs(range(cmin, cmax + 1))
+
+
+def partner_roots(sign: int, a: int, top: int) -> list[int]:
+    """Every s in [0, top), top >= 1, with sign*s^2 + a a square: one test per root y.
+
+    The roots y >= 0 of the values sign*s^2 + a that are squares fill a
+    window, and each y gives s^2 = sign*(y^2 - a), so distinct y give
+    distinct s.  For sign = +1 the values run over [a, a + (top-1)^2], so
+    ceil(sqrt(max(a, 0))) <= y <= isqrt(a + (top-1)^2); for sign = -1 they
+    are a - s^2 >= 0 with s <= m = min(top - 1, isqrt(a)), so
+    ceil(sqrt(a - m^2)) <= y <= isqrt(a), and a < 0 leaves none.  As
+    sqrt(u + v^2) - sqrt(u) <= v, the window holds at most top values.
+    """
+    if sign > 0:
+        lo_v, hi_v = max(a, 0), a + (top - 1) ** 2
+    else:
+        m = min(top - 1, math.isqrt(max(a, 0)))
+        lo_v, hi_v = a - m * m, a
+    if hi_v < 0:
+        return []
+    lo = math.isqrt(lo_v - 1) + 1 if lo_v > 0 else 0
+    return [s for y in range(lo, math.isqrt(hi_v) + 1)
+            if (s := is_perfect_square(sign * (y * y - a))) is not None]
+
+
+def window_scan(cmin: int, cmax: int) -> list[tuple[int, int]]:
+    """The ordered exceptional pairs of [cmin, cmax]^2 by a search of the box, ascending.
+
+    Condition (1) leaves only the box's shape constants, and each meets it.
+    PrePer(c2) is `PREPER_TARGETS`, the values sign*s2^2 + offset of c2's
+    shape, so c1's image meets it when sign*s2^2 + offset - c1 is a
+    square: `partner_roots` solves that for every s2 < top, `top` the first
+    s with both shapes below cmin.  The pairs met both ways are exceptional.
+    This searches the box, where the package lists the pairs that the case
+    systems derive; it costs O(|cmin|^(3/8)) square tests.
+    """
+    top = math.isqrt(math.isqrt(max(-cmin, 0))) + 2  # both shapes < cmin from s = top on
+    box = {c for s in range(top) for kind in PREPER_TARGETS
+           if cmin <= (c := shape_constant(kind, s)) <= cmax}
+    meets = {
+        (c1, c2)
+        for c1 in box
+        for kind, targets in PREPER_TARGETS.items()
+        for sign, offset in targets
+        for s2 in partner_roots(sign, offset - c1, top)
+        if (c2 := shape_constant(kind, s2)) in box and c2 != c1
+    }
+    return sorted((c1, c2) for c1, c2 in meets if (c2, c1) in meets)
 
 
 def mix64(z: int) -> int:

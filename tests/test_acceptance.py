@@ -97,8 +97,8 @@ def test_criterion_4_classification_equivalence_grid():
     expected = {(-1, -3), (0, -1), (0, -3), (-12, -21), (-72, -91)}
     expected |= {(b, a) for a, b in expected}
     assert pairs == expected, pairs.symmetric_difference(expected)
-    _line(4, "square-shape scan of [-100,100]^2 finds exactly the classified "
-             "exceptional pairs", started, f"{len(pairs)} ordered pairs")
+    _line(4, "scan of [-100,100]^2, listed from the solved case systems, finds "
+             "exactly the classified exceptional pairs", started, f"{len(pairs)} ordered pairs")
 
 
 def test_criterion_5_constant_sequence_scan_and_monte_carlo():

@@ -141,15 +141,38 @@ def test_verify_lemma_single(capsys):
     assert report["verdicts"] == {"all_matched": True, "matched": 1, "total": 1}
 
 
+CLASSIFICATION = {
+    "sporadic": [[-3, -1]],
+    "families": [{"shapes": ["fixed-square", "two-cycle-square"],
+                  "systems": [["B", "+q^2", "+q^2"]]}],
+}
+
+
 def test_verify_lemma_all(capsys):
     code, report = run_json(capsys, ["verify-lemma", "--all", "--bound", "20"])
     assert code == 0
-    assert report["verdicts"] == {"all_matched": True, "matched": 48, "total": 48}
+    assert report["verdicts"] == {"all_matched": True, "matched": 48, "total": 48,
+                                  "classification": CLASSIFICATION}
     assert len(report["witnesses"]["results"]) == 48
     pairs = sum(r.pairs_tested for r in verify_all(registry(), 20))
     assert report["stats"] == {"counters": {"pairs_tested": pairs}}
     assert run_json(capsys, ["verify-lemma", "--all", "--bound", "20"])[1]["stats"] \
         == report["stats"]
+
+
+def test_verify_lemma_reports_the_classification_with_all_only(capsys):
+    code, out, _ = run(capsys, ["verify-lemma", "--all"])
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "exceptional pairs derived from the 48 solved systems: sporadic [(-3, -1)]; "
+        "families: fixed-square x two-cycle-square at every s, from B +q^2 +q^2")
+    # the single-id report, as a registry audit runs it, has no such key or line
+    for entry in registry():
+        argv = ["verify-lemma", entry.id, "--bound", "300"]
+        code, report = run_json(capsys, argv)
+        assert code == 0 and list(report["verdicts"]) == ["all_matched", "matched", "total"]
+        code, out, _ = run(capsys, argv)
+        assert "derived" not in out
 
 
 def test_verify_lemma_at_a_bound_no_loop_could_reach(capsys):

@@ -18,6 +18,7 @@ from quadsemi.diophantine import (
     _canonical_solutions,
     _quartic_box,
     _system_quartics,
+    legal_systems,
     modular_obstruction,
     phi2_curve_points,
     quartic_curve_points,
@@ -375,6 +376,14 @@ def test_registry_systems_are_every_legal_system(entries):
              for left in lefts for right in rights}
     assert {(e.system.family, e.system.left, e.system.right) for e in entries} == legal
     assert len(legal) == len(entries) == 48
+
+
+def test_legal_systems_are_the_registry_systems(entries):
+    # built from the shapes and selectors alone, they are the registry's 48
+    generated = [(s.family, s.left, s.right) for s in legal_systems()]
+    assert sorted(generated) == sorted((e.system.family, e.system.left, e.system.right)
+                                       for e in entries)
+    assert len(set(generated)) == 48
 
 
 @pytest.mark.parametrize("bound", [

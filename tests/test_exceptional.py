@@ -1,12 +1,18 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from quadsemi import exceptional
+import references
+from quadsemi import diophantine, exceptional
 from quadsemi.arith import is_perfect_square
+from quadsemi.diophantine import System, legal_systems
 from quadsemi.dynamics import (
     _DEAD,
     _START,
@@ -23,9 +29,12 @@ from quadsemi.exceptional import (
     SPORADIC_PAIR,
     THREE_LETTER,
     TWO_LETTER,
+    ClosedForm,
+    DerivedFamily,
     _family_parameter,
     certify_no_square_images,
     check_exceptional_prefix,
+    classify_from_systems,
     closed_form_of,
     construct_irreducible_prefix,
     is_exceptional_pair,
@@ -40,6 +49,7 @@ from quadsemi.portraits import (
     recognize_square_periodic,
     shape_constant,
 )
+from references import window_scan, witness_pairs, witness_scan
 
 
 def test_sporadic_pair():
@@ -88,40 +98,43 @@ def test_scan_matches_classification_small_grid():
     assert pairs == expected
 
 
-def _pairs_reference(cs):
-    """Every c1 of cs with a square periodic point against every c2, by witnesses alone."""
-    return [
-        (c1, c2)
-        for c1 in cs
-        if recognize_square_periodic(c1) is not None
-        for c2 in cs
-        if c2 != c1 and is_exceptional_pair(c1, c2).is_exceptional
-    ]
-
-
-def _scan_reference(cmin, cmax):
-    """Every shape constant c1 against every c2 of the box, by witnesses alone."""
-    return _pairs_reference(range(cmin, cmax + 1))
-
-
-@pytest.mark.parametrize("box", [
+SCAN_BOXES = [
     (-1500, 1500), (-2000, 1000), (-1750, 1250), (-25, 5), (-100, 100),
     (0, 0), (-3, -1), (-21, -12), (-13, -11), (5, 10),
-])
+]
+
+
+@pytest.mark.parametrize("box", SCAN_BOXES)
 def test_scan_matches_reference(box):
-    assert scan_exceptional_pairs(*box) == _scan_reference(*box)
+    assert scan_exceptional_pairs(*box) == witness_scan(*box)
 
 
 @given(st.integers(-3000, 3000), st.integers(-3000, 3000))
 @settings(max_examples=15, deadline=None)
 def test_scan_matches_reference_on_random_boxes(a, b):
     box = (min(a, b), max(a, b))
-    assert scan_exceptional_pairs(*box) == _scan_reference(*box)
+    assert scan_exceptional_pairs(*box) == witness_scan(*box)
+
+
+def _seeded_boxes(n):
+    rng = random.Random(37)
+    return [tuple(sorted((rng.randint(-10**8, 10**3), rng.randint(-10**8, 10**3))))
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("box", [
+    *SCAN_BOXES, (-10**6, 10**6), (-10**9, 10**9), (-10**12, 10**12), *_seeded_boxes(40)])
+def test_scan_equals_the_window_scan(box):
+    # the search that listed the pairs before the case systems did
+    assert scan_exceptional_pairs(*box) == window_scan(*box)
 
 
 @pytest.mark.parametrize("box", [(-1500, 1500), (-10**6, 10**6)])
 def test_scan_gives_no_verdict_and_returns_only_exceptional_pairs(box, monkeypatch):
-    # the exact test of condition (2) alone leaves exactly the exceptional pairs
+    # the listing reads the derived classification alone: no witness
+    # verdict, no preperiodic set and, once the derivation is cached, no
+    # square test
+    classify_from_systems()
     calls = []
 
     def counting(name, f):
@@ -130,10 +143,13 @@ def test_scan_gives_no_verdict_and_returns_only_exceptional_pairs(box, monkeypat
             return f(*args)
         return wrapped
 
-    for name in ("is_exceptional_pair", "preper_set"):
-        monkeypatch.setattr(exceptional, name, counting(name, getattr(exceptional, name)))
+    for module, name in ((exceptional, "is_exceptional_pair"), (exceptional, "preper_set"),
+                         (exceptional, "is_perfect_square"),
+                         (diophantine, "is_perfect_square")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     pairs = scan_exceptional_pairs(*box)
     assert calls == []
+    monkeypatch.undo()
     assert all(is_exceptional_pair(c1, c2).is_exceptional for c1, c2 in pairs)
     assert len(pairs) == {(-1500, 1500): 16, (-10**6, 10**6): 66}[box]
 
@@ -168,40 +184,39 @@ def _partner_roots_cases():
 
 
 def test_partner_roots_match_a_direct_check_of_every_s(monkeypatch):
+    # the window scan's root finder, now in tests/references.py
     tests = []
 
     def counting(n):
         tests.append(n)
         return is_perfect_square(n)
 
-    monkeypatch.setattr(exceptional, "is_perfect_square", counting)
+    monkeypatch.setattr(references, "is_perfect_square", counting)
     for sign, a, top in _partner_roots_cases():
         tests.clear()
-        roots = exceptional._partner_roots(sign, a, top)
+        roots = references.partner_roots(sign, a, top)
         assert sorted(roots) == _partner_roots_reference(sign, a, top), (sign, a, top)
         assert len(set(roots)) == len(roots)
         assert len(tests) <= top  # the window is never longer than the s range
 
 
-def test_scan_is_the_closed_form_at_ten_to_the_twelfth(monkeypatch):
-    tests = [0]
-
-    def counting(n):
-        tests[0] += 1
-        return is_perfect_square(n)
-
-    monkeypatch.setattr(exceptional, "is_perfect_square", counting)
+def test_scan_is_the_closed_form_at_ten_to_the_twelfth():
     pairs = scan_exceptional_pairs(-10**12, 10**12)
     assert pairs == _closed_form_pairs(10**12)
     assert len(pairs) == 2002
-    assert tests[0] <= 10**6
 
 
-@pytest.mark.extended
 def test_scan_is_the_closed_form_at_ten_to_the_sixteenth():
     pairs = scan_exceptional_pairs(-10**16, 10**16)
     assert pairs == _closed_form_pairs(10**16)
     assert len(pairs) == 20002
+
+
+@pytest.mark.extended
+def test_scan_is_the_closed_form_at_ten_to_the_twentieth():
+    pairs = scan_exceptional_pairs(-10**20, 10**20)
+    assert pairs == _closed_form_pairs(10**20)
+    assert len(pairs) == 200002
 
 
 def _closed_form_pairs(w):
@@ -216,7 +231,7 @@ def _closed_form_pairs(w):
 
 @pytest.mark.extended
 def test_scan_matches_reference_over_the_shape_constants_of_a_wide_box():
-    # the box is too wide for _scan_reference's walk over every constant, so
+    # the box is too wide for witness_scan's walk over every constant, so
     # the reference pairs the box's shape constants, s^4 <= 10^9
     lo, hi = -10**9, 10**9
     shapes = {shape_constant(kind, s)
@@ -224,7 +239,100 @@ def test_scan_matches_reference_over_the_shape_constants_of_a_wide_box():
     cs = sorted(c for c in shapes if lo <= c <= hi)
     pairs = scan_exceptional_pairs(lo, hi)
     assert len(pairs) == 358
-    assert pairs == _pairs_reference(cs)
+    assert pairs == witness_pairs(cs)
+
+
+THE_FAMILY_SYSTEM = System("B", "+q^2", "+q^2")
+
+
+def test_derivation_is_the_closed_form():
+    derived = classify_from_systems.__wrapped__()
+    assert derived == classify_from_systems()
+    assert [p.pair for p in derived.finite] == [(-3, -1), (-3, 0), (-1, 0)]
+    assert derived.finite[0].systems == (System("C", "-q^2", "+(q^2+1)"),
+                                        System("C", "+(q^2+1)", "-q^2"))
+    assert derived.families == (
+        DerivedFamily((FIXED_SQUARE, TWO_CYCLE_SQUARE), (THE_FAMILY_SYSTEM,)),)
+    assert derived.sporadic() == [(-3, -1)]
+    # the finite pairs other than {-3, -1} are the family at s = 1 and s = 0
+    assert [closed_form_of(*p.pair) for p in derived.finite] == [
+        ClosedForm(SPORADIC_PAIR), ClosedForm(FAMILY, 1), ClosedForm(FAMILY, 0)]
+
+
+@pytest.mark.parametrize("system,change,differs", [
+    # {-3, 0} comes from the point (1, 2, 0, 1) of one system and its mirror in t
+    pytest.param(System("B", "+q^2", "-(q^2-1)"),
+                 lambda f, l: (f - {(1, 2, 0, 1), (1, 2, 0, -1)}, l),
+                 lambda d: (-3, 0) not in [p.pair for p in d.finite], id="drop-point"),
+    # a point at s = 2, t = 0 of a family C system would make {-21, -1} exceptional
+    pytest.param(System("C", "+q^2", "+q^2"),
+                 lambda f, l: (f | {(0, 0, 2, 0)}, l),
+                 lambda d: (-21, -1) in [p.pair for p in d.finite], id="add-point"),
+    pytest.param(THE_FAMILY_SYSTEM, lambda f, l: (f, set()),
+                 lambda d: d.families == (), id="drop-line"),
+    pytest.param(System("B", "+q^2", "-q^2"), lambda f, l: (f, {(0, 0)}),
+                 lambda d: d.families[0].systems == (THE_FAMILY_SYSTEM,
+                                                     System("B", "+q^2", "-q^2")),
+                 id="add-line"),
+])
+def test_derivation_reads_every_solution(monkeypatch, system, change, differs):
+    # the solver, patched so that `system`'s solution set is change(finite, families)
+    solve = exceptional.solve_system_complete
+
+    def patched(sys_):
+        finite, families = solve(sys_)
+        return change(set(finite), set(families)) if sys_ == system else (finite, families)
+
+    monkeypatch.setattr(exceptional, "solve_system_complete", patched)
+    derived = classify_from_systems.__wrapped__()
+    assert derived != classify_from_systems()
+    assert differs(derived)
+
+
+def test_derivation_solves_every_legal_system_once(monkeypatch):
+    solved = []
+    solve = exceptional.solve_system_complete
+
+    def recording(system):
+        solved.append(system)
+        return solve(system)
+
+    monkeypatch.setattr(exceptional, "solve_system_complete", recording)
+    classify_from_systems.__wrapped__()
+    assert solved == list(legal_systems())
+
+
+SETUP_PROBE = """
+import sys
+
+solved = []
+
+
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "solve_system_complete":
+        solved.append(frame.f_code.co_filename)
+
+
+sys.setprofile(profile)
+import quadsemi
+quadsemi.registry()
+from quadsemi.exceptional import classify_from_systems
+print(classify_from_systems.cache_info().misses, len(solved))
+quadsemi.scan_exceptional_pairs(0, 0)
+print(classify_from_systems.cache_info().misses, len(solved))
+"""
+
+
+def test_import_and_registry_load_derive_nothing():
+    # the start-up that every command pays (import quadsemi, then the
+    # registry) must not run the derivation; the first listing runs it once
+    src = str(Path(exceptional.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", SETUP_PROBE], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": pythonpath},
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "1", "48"]
 
 
 def _family_parameter_reference(a, b):

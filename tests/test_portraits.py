@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quadsemi.arith import is_perfect_square
+from quadsemi.diophantine import _quartic_box, quartic_curve_points
 from quadsemi.dynamics import QuadraticMap
 from quadsemi.portraits import (
     FIXED_SQUARE,
@@ -114,6 +115,85 @@ def test_closure_equals_the_closed_form_on_shapes():
         for s in [*range(2001), 10**6, 10**9, 2**70 + 3]:
             closed = {sign * s * s + offset for sign, offset in targets}
             assert preper_set(shape_constant(kind, s)) == closed, (kind, s)
+
+
+def _even_quartic(f):
+    """(a4, a2, a0) with f(s) = a4 s^4 + a2 s^2 + a0, for f such a polynomial.
+
+    Read off f at s = 0, 1, 2, and checked at s = 3..9.
+    """
+    v0, v1, v2 = f(0), f(1), f(2)
+    a4 = (v2 - 4 * v1 + 3 * v0) // 12
+    a2, a0 = v1 - v0 - a4, v0
+    for s in range(3, 10):
+        assert f(s) == a4 * s**4 + a2 * s * s + a0, s
+    return a4, a2, a0
+
+
+def _square_root_polynomial(a4, a2, a0):
+    """(k, m) with a4 s^4 + a2 s^2 + a0 = (k s^2 + m)^2, k > 0, or None."""
+    k = is_perfect_square(a4)
+    if not k or a2 % (2 * k) or (a2 // (2 * k)) ** 2 != a0:
+        return None
+    return k, a2 // (2 * k)
+
+
+def test_preper_set_is_the_closed_form_for_every_s():
+    """PrePer(shape_constant(kind, s)) is the closed form T(s) of
+    `PREPER_TARGETS` at every integer s: a proof, not a sample.
+
+    PrePer(c) is the backward closure of the periodic points, which are
+    integers of period 1 or 2: the roots (1 +- sqrt(1 - 4c))/2 of
+    x^2 - x + c and (-1 +- sqrt(-3 - 4c))/2 of x^2 + x + c + 1.  A point p
+    has integer preimages +-sqrt(p - c) exactly when p - c is a square.
+    With c = c(s) a shape constant, each of these six quantities (two
+    discriminants, and p - c for the four targets p) is a quartic
+    a4 s^4 + a2 s^2 + a0 with a4 a square.
+
+    (i) T(s) is inside PrePer: x^2 + c maps each target to a target, as an
+        identity in s, so every target has a finite orbit.
+    (ii) Three of the six quartics are squares (k s^2 + m)^2 of
+        polynomials, and the points they give, the periodic points of one
+        discriminant or the preimages +-(k s^2 + m) of a target, are
+        targets, again as identities in s.
+    (iii) The other three have 4 a4 a0 != a2^2, so `quartic_curve_points`
+        lists all their integral points.  They lie at s in {0, 1} for the
+        fixed shape and at s = 0 for the cycle shape.
+    So at every other s the periodic points are targets, the preimages of
+    targets are targets, and the closure is T(s); at the special s,
+    `preper_set` is compared with T(s) directly.
+    """
+    squares, special = 0, {}
+    for kind, targets in PREPER_TARGETS.items():
+        c4, c2, c0 = _even_quartic(lambda s: shape_constant(kind, s))
+        assert c4 == -1
+        # (i): (sign s^2 + offset)^2 + c(s), with c4 = -1, has no s^4 term
+        for sign, offset in targets:
+            assert (2 * sign * offset + c2, offset * offset + c0) in targets, (kind, sign)
+        # each quartic, with the points a square root r = k s^2 + m gives:
+        # (b + r)/d and (b - r)/d as (sign, offset) pairs
+        quartics = [((-4 * c4, -4 * c2, 1 - 4 * c0), 1, 2),    # fixed points
+                    ((-4 * c4, -4 * c2, -3 - 4 * c0), -1, 2)]  # 2-cycle points
+        quartics += [((-c4, sign - c2, offset - c0), 0, 1) for sign, offset in targets]
+        special[kind] = set()
+        for (a4, a2, a0), b, d in quartics:
+            root = _square_root_polynomial(a4, a2, a0)
+            if root is not None:  # (ii)
+                squares += 1
+                k, m = root
+                for pm in (1, -1):
+                    assert (pm * k) % d == 0 and (b + pm * m) % d == 0, (kind, a4, a2, a0)
+                    assert (pm * k // d, (b + pm * m) // d) in targets, (kind, a4, a2, a0)
+                continue
+            # (iii): the curve is complete, all its points within the box
+            assert is_perfect_square(a4) and 4 * a4 * a0 != a2 * a2
+            box = _quartic_box(a4, a2, a0)
+            special[kind] |= {abs(q) for q, _ in quartic_curve_points(a4, a2, a0, box + 1)}
+        for s in special[kind]:
+            closed = {sign * s * s + offset for sign, offset in targets}
+            assert preper_set(shape_constant(kind, s)) == closed, (kind, s)
+    assert squares == 6
+    assert special == {FIXED_SQUARE: {0, 1}, TWO_CYCLE_SQUARE: {0}}
 
 
 def test_the_two_square_forms_never_collide():
