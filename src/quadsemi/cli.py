@@ -8,6 +8,10 @@ prints it.  A witness may already be JSON text (``_JSONText``), which
 ``main`` splices into the report as it stands; only ``scan-words`` makes
 one, its ``certified_words``.
 
+The module imports every library module at its top, unlike the package,
+which loads each on first use: one process may serve many ``main`` calls,
+and none of them should pay for an import.
+
 ``main`` builds its argument parser on its first call and reuses it, so
 repeated in-process calls do not pay for it again.  When the first argument
 names a subcommand, ``main`` parses the rest with that subcommand's own

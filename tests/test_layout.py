@@ -1,5 +1,6 @@
-"""The package's layout: the CLI uses public names, no code sits unused, and
-the oracle shares nothing with the orbit automaton but its printed list.
+"""The package's layout: the CLI uses public names, no code sits unused, every
+export names a definition of its module, and the oracle shares nothing with
+the orbit automaton but its printed list.
 
 The checks read the source with `ast` and import nothing.  Slow references
 that only the tests call live in `tests/`, not in the package.
@@ -15,8 +16,12 @@ def _parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _is_private(name):
-    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+    return name.startswith("_") and not _is_dunder(name)
 
 
 def _names_used(node):
@@ -32,6 +37,26 @@ def _names_used(node):
     return used
 
 
+def _exports():
+    """`__init__.py`'s `_EXPORTS` table: module name -> the names it exports."""
+    for stmt in _parse(PACKAGE / "__init__.py").body:
+        if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in stmt.targets):
+            return ast.literal_eval(stmt.value)
+    raise AssertionError("__init__.py has no _EXPORTS table")
+
+
+def _top_level_names(tree):
+    """Every name that a module's top-level statements define or import."""
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).split(".")[0] for a in stmt.names}
+    return names
+
+
 def test_cli_imports_no_private_name_from_the_package():
     private = []
     for node in ast.walk(_parse(PACKAGE / "cli.py")):
@@ -43,17 +68,32 @@ def test_cli_imports_no_private_name_from_the_package():
 
 def test_every_top_level_definition_is_used_in_the_package():
     # a definition counts as used when a top-level statement other than its
-    # own, in any module of the package, reads its name; __init__.py's
-    # imports are its exports
+    # own, in any module of the package, reads its name, or when
+    # __init__.py's _EXPORTS table exports it from its module; a dunder
+    # (the package's __getattr__ and __dir__) is a hook the interpreter calls
     statements = [(path.stem, stmt) for path in sorted(PACKAGE.glob("*.py"))
                   for stmt in _parse(path).body]
     used_by = [(stmt, _names_used(stmt)) for _, stmt in statements]
+    exported = {(module, name) for module, names in _exports().items() for name in names}
     unused = []
     for module, stmt in statements:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if (module, stmt.name) in exported or _is_dunder(stmt.name):
+                continue
             if not any(stmt.name in names for other, names in used_by if other is not stmt):
                 unused.append(f"{module}.{stmt.name}")
     assert unused == []
+
+
+def test_every_export_names_a_top_level_definition_of_its_module():
+    # the table is read without importing anything, so a misspelt or moved
+    # name shows here rather than as an AttributeError on first use
+    missing = []
+    for module, names in _exports().items():
+        path = PACKAGE / f"{module}.py"
+        defined = _top_level_names(_parse(path)) if path.is_file() else set()
+        missing += [f"{module}.{name}" for name in names if name not in defined]
+    assert missing == []
 
 
 def test_oracle_reads_only_the_public_lists_of_dynamics():
