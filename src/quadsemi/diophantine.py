@@ -31,12 +31,10 @@ sets point by point and key by key, in time independent of the bound.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 import os
 import re
-from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, NamedTuple
 
@@ -70,24 +68,28 @@ class RegistryError(ValueError):
     """The registry file is malformed or fails validation."""
 
 
-@dataclass(frozen=True)
-class System:
-    """One coupled pair of equations, determined by family letter and selectors."""
-
+class _SystemFields(NamedTuple):
     family: str
     left: str   # selector applied to t on the left equation
     right: str  # selector applied to s on the right equation
 
-    def __post_init__(self) -> None:
+
+class System(_SystemFields):
+    """One coupled pair of equations, determined by family letter and selectors."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, left: str, right: str) -> System:
         # a selector is legal when it names a preperiodic target of the partner map
-        if self.family not in _FAMILY_SHAPES:
-            raise RegistryError(f"unknown family {self.family!r}")
-        left_shape, right_shape = _FAMILY_SHAPES[self.family]
-        for side, selector, partner in (("left", self.left, right_shape),
-                                        ("right", self.right, left_shape)):
+        if family not in _FAMILY_SHAPES:
+            raise RegistryError(f"unknown family {family!r}")
+        left_shape, right_shape = _FAMILY_SHAPES[family]
+        for side, selector, partner in (("left", left, right_shape),
+                                        ("right", right, left_shape)):
             if _SELECTORS.get(selector) not in PREPER_TARGETS[partner]:
                 raise RegistryError(f"selector {selector!r} is not legal on the "
-                                    f"{side} of family {self.family}")
+                                    f"{side} of family {family}")
+        return super().__new__(cls, family, left, right)
 
     @property
     def shapes(self) -> tuple[str, str]:
@@ -157,8 +159,7 @@ def legal_systems() -> tuple[System, ...]:
 _COORD_RE = re.compile(r"^(±)?(?:(-?\d+)|(u)|(u\^2)|\(u\^2([+-]\d+)\))$")
 
 
-@dataclass(frozen=True)
-class _Coord:
+class _Coord(NamedTuple):
     pm: bool
     a0: int
     a1: int  # coefficient of u
@@ -186,8 +187,7 @@ def _parse_coord(token: str) -> _Coord:
 _PM_U = _Coord(True, 0, 1, 0)  # the coordinate "±u"
 
 
-@dataclass(frozen=True)
-class SolutionFamily:
+class SolutionFamily(NamedTuple):
     """One claimed solution shape, e.g. "(±u^2, ±(u^2-1), ±u, ±u)" or "(0, ±1, ±1, 0)".
 
     Coordinates are read in the order (x, y, s, t); a ± expands to both signs
@@ -238,8 +238,7 @@ class SolutionFamily:
         return {(abs(xs.a0), abs(ys.a0), s, t) for s in ss.signs() for t in ts.signs()}
 
 
-@dataclass(frozen=True)
-class LemmaEntry:
+class LemmaEntry(NamedTuple):
     """One registry record: the system plus its claimed solutions and techniques."""
 
     id: str
@@ -270,9 +269,20 @@ def _bundled_path() -> str:
 
 
 def registry_checksum(path: str | None = None) -> str:
-    """sha256 hex digest of the registry file bytes."""
-    with open(path or registry_path(), "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    """sha256 hex digest of the bytes now in the registry file (default `registry_path()`).
+
+    Reads the file anew and raises RegistryError if it cannot, as `registry()` does.
+    """
+    return _sha256(_read_registry(path or registry_path()))
+
+
+@functools.lru_cache(maxsize=1)
+def _sha256(data: bytes) -> str:
+    # hashlib (and OpenSSL) load on the first digest, not with the registry;
+    # the one slot holds the digest of the bytes last hashed, so provenance
+    # hashes a loaded registry once
+    import hashlib
+    return hashlib.sha256(data).hexdigest()
 
 
 class _Loaded(NamedTuple):
@@ -281,7 +291,6 @@ class _Loaded(NamedTuple):
     path: str
     source: str  # "env" or "bundled"
     data: bytes  # the file's bytes, as validated
-    sha256: str
     entries: tuple[LemmaEntry, ...]
 
 
@@ -299,13 +308,14 @@ def registry() -> tuple[LemmaEntry, ...]:
     system, and that every claimed line is one, as an identity in u
     (`_is_line_of`).  Raises RegistryError on any defect.
 
-    Every call reads the file, but its bytes are hashed and validated only
-    when the path, the source or the bytes differ from those of the
-    registry last returned, so repeated calls on unchanged bytes return the
-    same tuple, while a rewritten file or a changed QUADSEMI_REGISTRY takes
-    effect on the next call.  A failed load raises on every call and is never
-    cached.  The entries are frozen and the result is a tuple, so every
-    caller can share it.
+    Every call reads the file, but its bytes are validated only when the
+    path, the source or the bytes differ from those of the registry last
+    returned, so repeated calls on unchanged bytes return the same tuple,
+    while a rewritten file or a changed QUADSEMI_REGISTRY takes effect on
+    the next call.  Nothing is hashed here: `registry_provenance()` takes
+    the digest when it is first asked for.  A failed load raises on every
+    call and is never cached.  The entries are frozen and the result is a
+    tuple, so every caller can share it.
     """
     return _load().entries
 
@@ -315,13 +325,14 @@ def registry_provenance() -> dict[str, str]:
 
     ``source`` is "env" when QUADSEMI_REGISTRY named the file, else
     "bundled"; ``sha256`` is the digest of the very bytes those entries
-    were validated from, so a report cannot name a file rewritten after
-    the entries were read.  Loads the registry first if none is loaded
+    were validated from, kept from the load and hashed on the first request
+    (the file is not read again), so a report cannot name a file rewritten
+    after the entries were read.  Loads the registry first if none is loaded
     yet.  Reports carry this instead of the path, so they do not depend on
     the install location.
     """
     loaded = _last[0] if _last else _load()
-    return {"source": loaded.source, "sha256": loaded.sha256}
+    return {"source": loaded.source, "sha256": _sha256(loaded.data)}
 
 
 def _load() -> _Loaded:
@@ -330,8 +341,7 @@ def _load() -> _Loaded:
     data = _read_registry(path)
     if _last and (_last[0].path, _last[0].source, _last[0].data) == (path, source, data):
         return _last[0]
-    loaded = _Loaded(path, source, data, hashlib.sha256(data).hexdigest(),
-                     _validate(data, path))
+    loaded = _Loaded(path, source, data, _validate(data, path))
     _last[:] = [loaded]
     return loaded
 
@@ -544,8 +554,7 @@ def _on_line(point: tuple[int, int, int, int], families: set[tuple[int, int]]) -
                                for k1, k2 in families)
 
 
-@dataclass(frozen=True)
-class LemmaVerification:
+class LemmaVerification(NamedTuple):
     """Solver-vs-claim comparison for one entry, its points within one bound."""
 
     entry_id: str
@@ -612,8 +621,7 @@ def verify_all(entries: Iterable[LemmaEntry], bound: int = 50) -> list[LemmaVeri
     return [verify_lemma(e, bound) for e in entries]
 
 
-@dataclass(frozen=True)
-class ObstructionResult:
+class ObstructionResult(NamedTuple):
     """Outcome of the exhaustive residue scan for one mod-tagged entry."""
 
     entry_id: str

@@ -19,8 +19,8 @@ closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .arith import is_perfect_square, square_preimages
 
@@ -45,16 +45,14 @@ def shape_constant(kind: str, s: int) -> int:
     raise ValueError(f"unknown square shape {kind!r}")
 
 
-@dataclass(frozen=True)
-class SquareForm:
+class SquareForm(NamedTuple):
     """Shape of a map with a square periodic point: s*s is that point."""
 
     kind: str  # FIXED_SQUARE or TWO_CYCLE_SQUARE
     s: int     # normalized nonnegative; only s^2 enters any formula
 
 
-@dataclass(frozen=True)
-class Portrait:
+class Portrait(NamedTuple):
     """The rational preperiodic structure of one map x^2 + c."""
 
     c: int

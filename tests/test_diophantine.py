@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import json
 import math
 import random
@@ -12,6 +11,8 @@ from quadsemi import diophantine
 from quadsemi.arith import is_perfect_square
 from quadsemi.diophantine import (
     LemmaEntry,
+    LemmaVerification,
+    ObstructionResult,
     RegistryError,
     SolutionFamily,
     System,
@@ -30,6 +31,7 @@ from quadsemi.diophantine import (
     verify_all,
     verify_lemma,
 )
+from quadsemi.portraits import FIXED_SQUARE, SquareForm, portrait
 from references import residue_search
 
 REGISTRY_SHA256 = "bf5afa0bbcbc485914a3ca1545848da3895a461aa5f37d8ca76c41bd6f763124"
@@ -262,9 +264,55 @@ def test_registry_result_cannot_be_changed():
     assert isinstance(entries, tuple)
     with pytest.raises(AttributeError):
         entries.append(entries[0])
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         entries[0].id = "case9.9"
     assert registry()[0].id == "case1.1"
+
+
+# each record type of the registry path -> a builder of one instance from
+# fresh objects, so two calls give equal records that are not the same object
+RECORDS = {
+    "System": lambda: System("B", "+q^2", "-(q^2-1)"),
+    "_Coord": lambda: diophantine._Coord(True, 0, 1, 0),
+    "SolutionFamily": lambda: SolutionFamily.parse("(±u^2, ±(u^2-1), ±u, ±u)"),
+    "LemmaEntry": lambda: LemmaEntry("case1.1", System("A", "+q^2", "+q^2"),
+                                     (SolutionFamily.parse("(0, ±1, ±1, 0)"),),
+                                     frozenset({"factor", "sandwich"})),
+    "LemmaVerification": lambda: LemmaVerification(
+        "case1.1", 50, frozenset({(0, 1, 1, 0)}), frozenset(), frozenset({(0, -1)}),
+        frozenset(), note="n", pairs_tested=7),
+    "ObstructionResult": lambda: ObstructionResult("case2.14", 4, False, (0, 1, 1, 0)),
+    "SquareForm": lambda: SquareForm(FIXED_SQUARE, 2),
+    "Portrait": lambda: portrait(-12),
+}
+
+
+@pytest.mark.parametrize("make", RECORDS.values(), ids=list(RECORDS))
+def test_records_are_immutable_values(make):
+    a, b = make(), make()
+    assert type(a).__name__ in RECORDS
+    assert a is not b and a == b and hash(a) == hash(b)
+    for field in a._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        a.no_such_field = 0
+
+
+def test_lemma_entry_repr_is_pinned():
+    entry = next(e for e in registry() if e.id == "case1.14")
+    assert repr(entry) == (
+        "LemmaEntry(id='case1.14', system=System(family='A', left='+(q^2-1)', "
+        "right='-q^2'), claimed=(SolutionFamily(template='(0, 0, 0, ±1)', "
+        "coords=(_Coord(pm=False, a0=0, a1=0, a2=0), _Coord(pm=False, a0=0, a1=0, a2=0), "
+        "_Coord(pm=False, a0=0, a1=0, a2=0), _Coord(pm=True, a0=1, a1=0, a2=0))),), "
+        "techniques=frozenset({'symmetry:case1.8'}))")
+
+
+def test_registry_checksum_of_a_missing_file_raises_registry_error(tmp_path):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(RegistryError, match="cannot read registry at .*missing.json"):
+        registry_checksum(str(missing))
 
 
 # family -> (legal left selectors, legal right selectors), written out by hand

@@ -1,6 +1,7 @@
 """The package's layout: the CLI uses public names, no code sits unused, every
-export names a definition of its module, and the oracle shares nothing with
-the orbit automaton but its printed list.
+export names a definition of its module, the registry's modules import
+neither `dataclasses` nor `hashlib`, and the oracle shares nothing with the
+orbit automaton but its printed list.
 
 The checks read the source with `ast` and import nothing.  Slow references
 that only the tests call live in `tests/`, not in the package.
@@ -94,6 +95,22 @@ def test_every_export_names_a_top_level_definition_of_its_module():
         defined = _top_level_names(_parse(path)) if path.is_file() else set()
         missing += [f"{module}.{name}" for name in names if name not in defined]
     assert missing == []
+
+
+def test_registry_modules_import_neither_dataclasses_nor_hashlib():
+    # `quadsemi.registry()` loads these three; their records are NamedTuples,
+    # and the registry's digest imports hashlib inside the function that hashes
+    heavy = []
+    for module in ("arith", "portraits", "diophantine"):
+        for stmt in _parse(PACKAGE / f"{module}.py").body:
+            if isinstance(stmt, ast.Import):
+                roots = {a.name.split(".")[0] for a in stmt.names}
+            elif isinstance(stmt, ast.ImportFrom) and not stmt.level:
+                roots = {stmt.module.split(".")[0]}
+            else:
+                continue
+            heavy += [f"{module}: {root}" for root in roots & {"dataclasses", "hashlib"}]
+    assert heavy == []
 
 
 def test_oracle_reads_only_the_public_lists_of_dynamics():

@@ -60,6 +60,18 @@ def test_registry_loads_only_its_own_modules():
     assert loaded == ["quadsemi.arith", "quadsemi.diophantine", "quadsemi.portraits"]
 
 
+def test_registry_loads_neither_dataclasses_nor_hashlib():
+    # the registry's records are NamedTuples and its digest is taken on the
+    # first request, which must then match the file's checksum
+    code = ("import sys, quadsemi\n"
+            "quadsemi.registry()\n"
+            "print(*sorted({'dataclasses', 'inspect', 'hashlib'} & set(sys.modules)))\n"
+            "sha256 = quadsemi.diophantine.registry_provenance()['sha256']\n"
+            "print(sha256 == quadsemi.registry_checksum())\n"
+            "print('hashlib' in sys.modules)")
+    assert _fresh(code) == ["True", "True"]
+
+
 def test_submodule_attribute_loads_it_after_a_bare_import():
     code = ("import sys, quadsemi\n"
             "print(quadsemi.dynamics is sys.modules['quadsemi.dynamics'])\n"
