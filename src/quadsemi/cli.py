@@ -10,9 +10,7 @@ one, its ``certified_words``.
 
 The module imports every library module at its top, unlike the package,
 which loads each on first use: one process may serve many ``main`` calls,
-and none of them should pay for an import.  For the same reason it imports
-``hashlib``, which the registry's digest loads only when a report first
-asks for it.
+and none of them should pay for an import.
 
 ``main`` builds its argument parser on its first call and reuses it, so
 repeated in-process calls do not pay for it again.  When the first argument
@@ -31,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib  # noqa: F401  (loaded here for registry_provenance; see above)
 import json
 import os
 import re

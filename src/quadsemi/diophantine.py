@@ -41,6 +41,17 @@ from typing import Iterable, NamedTuple
 from .arith import is_perfect_square, positive_divisors
 from .portraits import FIXED_SQUARE, PREPER_TARGETS, TWO_CYCLE_SQUARE, shape_constant
 
+# the interpreter's own SHA-256, which loads no OpenSSL, unlike hashlib's
+try:
+    from _sha2 import sha256 as _new_sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _new_sha256  # CPython 3.10 and 3.11
+    except ImportError:  # a build without the built-in hashes
+        def _new_sha256(data: bytes):
+            import hashlib
+            return hashlib.sha256(data)
+
 SCHEMA = "quadsemi-lemma-registry/1"
 ENV_REGISTRY = "QUADSEMI_REGISTRY"
 
@@ -116,19 +127,28 @@ class System(_SystemFields):
         """Every (x, y, s, t) in (Z/modulus)^4 solving both equations mod modulus.
 
         The list is ascending, the order of an exhaustive scan over all
-        modulus^4 vectors, but only the modulus^2 pairs (s, t) are evaluated:
-        each is joined with the tabulated square roots of x^2 and y^2.
+        modulus^4 vectors, but only the modulus^2 pairs (s, t) are visited:
+        each is joined with the tabulated square roots of x^2 and y^2.  Each
+        of x^2 = L(t) - A(s) and y^2 = R(s) - B(t) is a difference of two
+        one-variable terms, so the four terms are tabulated once per residue.
         """
         if modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {modulus}")
         roots: dict[int, list[int]] = {}
         for r in range(modulus):
             roots.setdefault(r * r % modulus, []).append(r)
+        (a_shape, b_shape), residues = self.shapes, range(modulus)
+        left_sign, left_offset = _SELECTORS[self.left]
+        right_sign, right_offset = _SELECTORS[self.right]
+        left_t = [left_sign * t * t + left_offset for t in residues]
+        b_t = [shape_constant(b_shape, t) for t in residues]
         hits = []
-        for s in range(modulus):
-            for t in range(modulus):
-                xs = roots.get(self.x_square(s, t) % modulus)
-                ys = roots.get(self.y_square(s, t) % modulus)
+        for s in residues:
+            a_s = shape_constant(a_shape, s)
+            right_s = right_sign * s * s + right_offset
+            for t in residues:
+                xs = roots.get((left_t[t] - a_s) % modulus)
+                ys = roots.get((right_s - b_t[t]) % modulus)
                 if xs and ys:
                     hits += [(x, y, s, t) for x in xs for y in ys]
         hits.sort()
@@ -278,11 +298,9 @@ def registry_checksum(path: str | None = None) -> str:
 
 @functools.lru_cache(maxsize=1)
 def _sha256(data: bytes) -> str:
-    # hashlib (and OpenSSL) load on the first digest, not with the registry;
     # the one slot holds the digest of the bytes last hashed, so provenance
     # hashes a loaded registry once
-    import hashlib
-    return hashlib.sha256(data).hexdigest()
+    return _new_sha256(data).hexdigest()
 
 
 class _Loaded(NamedTuple):

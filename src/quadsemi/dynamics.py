@@ -64,8 +64,7 @@ import math
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .arith import is_perfect_square
 
@@ -74,8 +73,7 @@ SCAN_BUDGET = 1 << 20  # most words join_certified_words visits
 SCAN_LETTER_BUDGET = 19 * SCAN_BUDGET  # most letters in the words a scan builds
 
 
-@dataclass(frozen=True)
-class QuadraticMap:
+class QuadraticMap(NamedTuple):
     """The map x -> x^2 + c with an exact integer constant."""
 
     c: int
@@ -96,26 +94,47 @@ class QuadraticMap:
         return f"x^2{self.c:+d}" if self.c else "x^2"
 
 
-@dataclass(frozen=True)
 class GeneratorSet:
-    """An ordered tuple of quadratic maps with pairwise distinct constants."""
+    """An ordered tuple of quadratic maps with pairwise distinct constants.
 
-    maps: tuple[QuadraticMap, ...]
+    Frozen, compared and hashed by `maps`.  Not a NamedTuple: `len` and
+    indexing run over the maps, not over the record's fields.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.maps:
+    __slots__ = ("maps", "cs")
+
+    def __init__(self, maps: tuple[QuadraticMap, ...]) -> None:
+        if not maps:
             raise ValueError("generator set must be nonempty")
-        cs = [m.c for m in self.maps]
+        cs = tuple(m.c for m in maps)
         if len(set(cs)) != len(cs):
-            raise ValueError(f"generator constants must be distinct, got {cs}")
+            raise ValueError(f"generator constants must be distinct, got {list(cs)}")
+        object.__setattr__(self, "maps", maps)
+        object.__setattr__(self, "cs", cs)  # the constants, in the maps' order
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild it through __init__
+        return type(self), (self.maps,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.maps == other.maps
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.maps,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(maps={self.maps!r})"
 
     @classmethod
     def from_cs(cls, cs: Sequence[int]) -> "GeneratorSet":
         return cls(tuple(QuadraticMap(c) for c in cs))
-
-    @property
-    def cs(self) -> tuple[int, ...]:
-        return tuple(m.c for m in self.maps)
 
     def __len__(self) -> int:
         return len(self.maps)
@@ -124,8 +143,7 @@ class GeneratorSet:
         return self.maps[i]
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     """Outcome of the square-free-orbit certificate for one word.
 
     certified=True means every orbit entry is a nonsquare, which proves the
@@ -458,8 +476,21 @@ def certified_counts(
     return counts
 
 
-@dataclass(frozen=True)
-class SequenceSampler:
+def _left_sum(weights: Sequence[float]) -> float:
+    # sum() as it was before Python 3.12 made float sums compensated: added
+    # left to right, so the cuts are the same on every version
+    total = 0
+    for w in weights:
+        total += w
+    return total
+
+
+class _SamplerFields(NamedTuple):
+    weights: tuple[float, ...]
+    seed: int
+
+
+class SequenceSampler(_SamplerFields):
     """Seeded sampler of random generator sequences.
 
     `weights` gives one positive weight per generator (normalized internally);
@@ -467,23 +498,23 @@ class SequenceSampler:
     the stream keyed by (seed, i), so its letters depend on nothing else.
     """
 
-    weights: tuple[float, ...]
-    seed: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.weights:
+    def __new__(cls, weights: tuple[float, ...], seed: int) -> SequenceSampler:
+        if not weights:
             raise ValueError("sampler needs at least one weight")
-        if not all(math.isfinite(w) and w > 0 for w in self.weights):
-            raise ValueError(f"all weights must be positive and finite, got {self.weights}")
-        if not math.isfinite(sum(self.weights)):
-            raise ValueError(f"the weights must have a finite sum, got {self.weights}")
+        if not all(math.isfinite(w) and w > 0 for w in weights):
+            raise ValueError(f"all weights must be positive and finite, got {weights}")
+        if not math.isfinite(_left_sum(weights)):
+            raise ValueError(f"the weights must have a finite sum, got {weights}")
+        return super().__new__(cls, weights, seed)
 
     @classmethod
     def uniform(cls, k: int, seed: int) -> "SequenceSampler":
         return cls((1.0,) * k, seed)
 
     def _cumulative(self) -> list[float]:
-        total = float(sum(self.weights))
+        total = float(_left_sum(self.weights))
         acc, cum = 0.0, []
         for w in self.weights:
             acc += w / total

@@ -35,7 +35,6 @@ has y^2 <= M + |c| <= M^2, so all T_j lie in one interval [-M, M].
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .arith import is_perfect_square, square_preimages
@@ -71,16 +70,14 @@ class TheoremViolationError(RuntimeError):
         self.details = details
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(NamedTuple):
     """Which classified shape a pair matches."""
 
     kind: str  # SPORADIC_PAIR or FAMILY
     s: int | None = None
 
 
-@dataclass(frozen=True)
-class ExceptionalVerdict:
+class ExceptionalVerdict(NamedTuple):
     """Classification of one ordered pair (c1, c2).
 
     square_periodic[k] is a square periodic point of map k (None if none);
@@ -287,8 +284,7 @@ def _minimal_iterate(c_outer: int, inner: tuple[int, ...]) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class SquareImageCertificate:
+class SquareImageCertificate(NamedTuple):
     """Whether f_outer^N(f_inner(b)) can be a perfect square for integer b.
 
     'certified' asserts it cannot for the recorded N, the least such;
@@ -339,8 +335,7 @@ def certify_no_square_images(c1: int, c2: int) -> SquareImageCertificate:
     )
 
 
-@dataclass(frozen=True)
-class ExceptionalPrefixReport:
+class ExceptionalPrefixReport(NamedTuple):
     """Finite certificate that f1^N o f2 o f1 avoids square values on the family pair.
 
     n_iterate is the least such N, or None if none exists.
@@ -402,8 +397,7 @@ def check_exceptional_prefix(s: int) -> ExceptionalPrefixReport:
     )
 
 
-@dataclass(frozen=True)
-class PrefixRecipe:
+class PrefixRecipe(NamedTuple):
     """A constructive prefix: every word prefix_word() + F has a square-free orbit.
 
     outer/inner are indices into the generator set; the prefix reads

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diophantine import phi2_curve_points
 from .dynamics import QuadraticMap
@@ -61,8 +61,7 @@ _ESCAPE_MARGIN = 1e-9
 RIGOR_BOX = "box-searched"
 
 
-@dataclass(frozen=True)
-class HeightEstimate:
+class HeightEstimate(NamedTuple):
     """h(f^n(a))/2^n together with the telescoping error bound C(f)/2^n."""
 
     value: float
@@ -78,8 +77,7 @@ class HeightEstimate:
         return self.value + self.error
 
 
-@dataclass(frozen=True)
-class IterateBound:
+class IterateBound(NamedTuple):
     """N = ceil(log2(B / hmin)) + 2, with B dominating heights of integral points.
 
     Once f^N(a) is a perfect square for an integer a, a must be preperiodic;

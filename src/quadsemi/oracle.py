@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import random
 from contextvars import ContextVar
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .dynamics import GeneratorSet, compose_word, join_certified_words
 
@@ -508,8 +508,7 @@ def is_irreducible_exact(coeffs) -> bool:
     return find_factor(coeffs) is None
 
 
-@dataclass(frozen=True)
-class CrossValidationReport:
+class CrossValidationReport(NamedTuple):
     """Certificate-vs-oracle comparison over all words up to a length.
 
     `forbidden` lists words certified square-free whose polynomial the oracle

@@ -611,6 +611,27 @@ def test_residue_solutions_equal_residue_search(entries, modulus):
             assert res.witness == (hits[0] if hits else None)
 
 
+def per_pair_residue_solutions(system, modulus):
+    """Reference for System.residue_solutions: x_square and y_square at every pair (s, t)."""
+    roots = {}
+    for r in range(modulus):
+        roots.setdefault(r * r % modulus, []).append(r)
+    hits = []
+    for s in range(modulus):
+        for t in range(modulus):
+            xs = roots.get(system.x_square(s, t) % modulus, [])
+            ys = roots.get(system.y_square(s, t) % modulus, [])
+            hits += [(x, y, s, t) for x in xs for y in ys]
+    return sorted(hits)
+
+
+@pytest.mark.parametrize("modulus", range(2, 17))
+def test_residue_solutions_equal_the_per_pair_evaluation(entries, modulus):
+    for e in entries:
+        assert e.system.residue_solutions(modulus) == per_pair_residue_solutions(
+            e.system, modulus), e.id
+
+
 def test_residue_solutions_validate_the_modulus(by_id):
     with pytest.raises(ValueError, match="modulus"):
         by_id["case1.1"].system.residue_solutions(1)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import time
 import tracemalloc
@@ -72,10 +74,26 @@ def test_iterate_rejects_negative_count():
 
 
 def test_generator_set_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonempty"):
         GeneratorSet.from_cs([])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"distinct, got \[3, 3\]"):
         GeneratorSet.from_cs([3, 3])
+
+
+def test_generator_set_is_an_immutable_value():
+    # a __slots__ class, where the other records are NamedTuples: len and
+    # indexing run over the maps
+    a, b = GeneratorSet.from_cs([-4, 73]), GeneratorSet((QuadraticMap(-4), QuadraticMap(73)))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != GeneratorSet.from_cs([73, -4]) and a != a.maps
+    assert len(a) == 2 and a[1] == QuadraticMap(73) and a.cs == (-4, 73)
+    assert repr(a) == "GeneratorSet(maps=(QuadraticMap(c=-4), QuadraticMap(c=73)))"
+    for name in ("maps", "cs", "no_such_field"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, ())
+    with pytest.raises(AttributeError):
+        del a.maps
+    assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
 
 
 def test_compose_word_examples():
@@ -433,6 +451,21 @@ def test_cut_letter_equals_the_float_rule(weights):
         assert bisect_right(cuts, z) == float_rule_letter(cum, z), z
     if weights == (2.0, 0.3, 0.3, 1e-17):
         assert cum[2] > cum[3] == 1.0 and float_rule_letter(cum, top - 1) == 2
+
+
+# cuts computed on Python 3.11; the weights are added left to right, not by
+# sum(), which Python 3.12 made compensated, so they hold on every version
+PINNED_CUTS = {
+    (2.0, 0.3, 0.3, 1e-17): [14189803133622733824, 16318273603666144256,
+                             18446744073709551616],
+    (0.1, 0.2, 0.3): [3074457345618258177, 9223372036854775296],
+    (1.0, 30.0): [595056260442243520],
+}
+
+
+@pytest.mark.parametrize("weights", PINNED_CUTS, ids=str)
+def test_cuts_are_the_same_on_every_python_version(weights):
+    assert SequenceSampler(weights, 1)._cuts() == PINNED_CUTS[weights]
 
 
 def test_mix_lanes_equals_mix64_lane_by_lane():

@@ -1,7 +1,7 @@
 """The package's layout: the CLI uses public names, no code sits unused, every
-export names a definition of its module, the registry's modules import
-neither `dataclasses` nor `hashlib`, and the oracle shares nothing with the
-orbit automaton but its printed list.
+export names a definition of its module, no module imports `dataclasses` or,
+when it loads, `hashlib`, and the oracle shares nothing with the orbit
+automaton but its printed list.
 
 The checks read the source with `ast` and import nothing.  Slow references
 that only the tests call live in `tests/`, not in the package.
@@ -97,19 +97,28 @@ def test_every_export_names_a_top_level_definition_of_its_module():
     assert missing == []
 
 
-def test_registry_modules_import_neither_dataclasses_nor_hashlib():
-    # `quadsemi.registry()` loads these three; their records are NamedTuples,
-    # and the registry's digest imports hashlib inside the function that hashes
+def _imports(node, in_function=False):
+    """(root module, inside a function?) for every absolute import under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            yield from ((a.name.split(".")[0], in_function) for a in child.names)
+        elif isinstance(child, ast.ImportFrom) and not child.level:
+            yield child.module.split(".")[0], in_function
+        else:
+            inner = in_function or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            yield from _imports(child, inner)
+
+
+def test_no_module_imports_dataclasses_or_hashlib_on_load():
+    # the records are NamedTuples (GeneratorSet a __slots__ class), and the
+    # registry's digest uses the interpreter's own SHA-256: hashlib, and with
+    # it OpenSSL, is imported only inside a function, for a build without one
     heavy = []
-    for module in ("arith", "portraits", "diophantine"):
-        for stmt in _parse(PACKAGE / f"{module}.py").body:
-            if isinstance(stmt, ast.Import):
-                roots = {a.name.split(".")[0] for a in stmt.names}
-            elif isinstance(stmt, ast.ImportFrom) and not stmt.level:
-                roots = {stmt.module.split(".")[0]}
-            else:
-                continue
-            heavy += [f"{module}: {root}" for root in roots & {"dataclasses", "hashlib"}]
+    for path in sorted(PACKAGE.glob("*.py")):
+        for root, in_function in _imports(_parse(path)):
+            if root == "dataclasses" or (root == "hashlib" and not in_function):
+                heavy.append(f"{path.stem}: {root}")
     assert heavy == []
 
 

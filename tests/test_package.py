@@ -2,10 +2,13 @@
 
 `import quadsemi` runs no submodule, and `quadsemi.registry()` loads only
 the modules the registry needs, while every public name still resolves to
-the object its module defines.  The load checks run in a fresh interpreter,
-since this one has imported the whole package already.
+the object its module defines.  Neither the registry nor any CLI command
+loads `dataclasses` or `hashlib` (and with it OpenSSL), nor `inspect` where
+the standard library itself does not.  The load checks run in a fresh
+interpreter, since this one has imported the whole package already.
 """
 
+import functools
 import importlib
 import os
 import subprocess
@@ -15,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import quadsemi
+from test_cli import VALID_ARGV
 
 EXPORTS = {
     "CrossValidationReport", "ExceptionalPrefixReport", "ExceptionalVerdict",
@@ -60,16 +64,60 @@ def test_registry_loads_only_its_own_modules():
     assert loaded == ["quadsemi.arith", "quadsemi.diophantine", "quadsemi.portraits"]
 
 
+# modules the package must not add to an interpreter: `dataclasses` and
+# `inspect` cost import time, and `hashlib` loads OpenSSL through `_hashlib`
+HEAVY = ("dataclasses", "hashlib", "_hashlib", "inspect")
+PRINT_HEAVY = f"print(','.join(sorted(set({HEAVY!r}) & set(sys.modules))) or '-')"
+
+
+@functools.cache
+def bare_heavy():
+    """HEAVY's modules that a bare interpreter holds once it imports what the
+    registry imports from the standard library: `importlib.resources` loads
+    `inspect` on Python 3.12 and later."""
+    (loaded,) = _fresh(f"import sys, importlib.resources, json\n{PRINT_HEAVY}")
+    return loaded
+
+
 def test_registry_loads_neither_dataclasses_nor_hashlib():
-    # the registry's records are NamedTuples and its digest is taken on the
-    # first request, which must then match the file's checksum
+    # the registry's records are NamedTuples, and its digest, taken on the
+    # first request, uses the interpreter's own SHA-256 and matches the
+    # file's checksum
     code = ("import sys, quadsemi\n"
             "quadsemi.registry()\n"
-            "print(*sorted({'dataclasses', 'inspect', 'hashlib'} & set(sys.modules)))\n"
+            f"{PRINT_HEAVY}\n"
             "sha256 = quadsemi.diophantine.registry_provenance()['sha256']\n"
             "print(sha256 == quadsemi.registry_checksum())\n"
-            "print('hashlib' in sys.modules)")
-    assert _fresh(code) == ["True", "True"]
+            f"{PRINT_HEAVY}")
+    assert _fresh(code) == [bare_heavy(), "True", bare_heavy()]
+
+
+def test_cli_calls_load_neither_dataclasses_nor_hashlib():
+    # one in-process call of every subcommand, as a process serving many
+    # calls makes them; verify-lemma's report carries the registry's digest
+    code = ("import contextlib, io, sys\n"
+            "from quadsemi.cli import main\n"
+            f"for command, argv in {VALID_ARGV!r}.items():\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main([command, *argv, '--json']) == 0, command\n"
+            f"{PRINT_HEAVY}")
+    assert _fresh(code) == [bare_heavy()]
+
+
+def test_digest_falls_back_to_hashlib_without_the_built_in_hashes():
+    # a build may omit _sha2 (_sha256 before Python 3.12): hashlib then
+    # takes the digest, still loaded only when the digest is first asked for
+    code = ("import pathlib, sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "import quadsemi\n"
+            "quadsemi.registry()\n"
+            "print('hashlib' in sys.modules)\n"
+            "sha256 = quadsemi.diophantine.registry_provenance()['sha256']\n"
+            "print('hashlib' in sys.modules)\n"
+            "import hashlib\n"
+            "data = pathlib.Path(quadsemi.registry_path()).read_bytes()\n"
+            "print(sha256 == hashlib.sha256(data).hexdigest())")
+    assert _fresh(code) == ["False", "True", "True"]
 
 
 def test_submodule_attribute_loads_it_after_a_bare_import():
